@@ -186,7 +186,10 @@ def tune_instance(
     if num_trials <= 0:
         raise ValueError("num_trials must be positive")
     rng = ensure_rng(rng)
-    cache = cache or SolverCallCache()
+    # ``is None``, not ``or``: an empty cache is falsy through ``__len__``,
+    # and the caller's (possibly shared) cache must be the one filled.
+    if cache is None:
+        cache = SolverCallCache()
     service, owns_service = _service_for(service, backend)
     solver = service.resolve_solver(
         default_comparison_solver() if solver is None else solver
@@ -222,7 +225,11 @@ def tune_instance(
                         probability_of_feasibility=float(
                             trial.probability_of_feasibility
                         ),
-                        best_fitness=float(trial.best_fitness),
+                        best_fitness=(
+                            None
+                            if trial.best_fitness is None
+                            else float(trial.best_fitness)
+                        ),
                         kind="tuning_trial",
                     )
                 )

@@ -31,11 +31,6 @@ from repro.service.distributed import (
     resolve_backend,
     shared_backend,
 )
-from repro.service.executor import (
-    read_executor,
-    read_worker_count,
-    shutdown_read_executor,
-)
 from repro.service.registry import (
     RegisteredBackend,
     SolverRegistry,
@@ -62,9 +57,6 @@ __all__ = [
     "SolveService",
     "default_service",
     "solve",
-    "read_executor",
-    "read_worker_count",
-    "shutdown_read_executor",
     "EXECUTION_BACKEND_ENV",
     "ExecutionBackend",
     "ThreadExecutionBackend",

@@ -52,13 +52,17 @@ import numpy as np
 from repro import obs
 from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleSet
-from repro.service.executor import default_worker_count
 from repro.service.registry import SpecSerializationError, parse_spec
 from repro.solvers.base import QUBOSolver
 
 #: Environment variable selecting the default execution backend for services
 #: constructed without an explicit ``backend=``.
 EXECUTION_BACKEND_ENV = "QROSS_EXECUTION_BACKEND"
+
+
+def default_worker_count() -> int:
+    """Pool width used when nothing is configured: modest, laptop-friendly."""
+    return min(8, os.cpu_count() or 1)
 
 
 class ExecutionBackend(abc.ABC):
@@ -164,17 +168,6 @@ def _spawn_resolvable_names() -> frozenset:
 
         _spawn_names = frozenset(_build_default_registry()._by_alias)
     return _spawn_names
-
-
-def _process_worker_init(env_overrides: Optional[Dict[str, str]] = None) -> None:
-    """Initialiser run once inside each worker process.
-
-    Applies environment overrides before any solver touches the shared pools
-    (the parent typically pins ``QROSS_READ_WORKERS`` so that nested per-read
-    thread pools in the workers do not oversubscribe the machine).
-    """
-    if env_overrides:
-        os.environ.update({str(k): str(v) for k, v in env_overrides.items()})
 
 
 #: Bound on decoded models memoised per worker, keyed by fingerprint — an LRU,
@@ -351,11 +344,6 @@ class ProcessPoolBackend(ExecutionBackend):
         every worker a fresh interpreter — no inherited locks, thread pools or
         solver state — which is the only start method that is safe under an
         actively multi-threaded parent on every platform.
-    worker_env:
-        Environment overrides applied inside each worker before it executes
-        anything.  Defaults to pinning ``QROSS_READ_WORKERS=1`` so nested
-        per-read thread pools don't oversubscribe the machine once several
-        worker processes run engine calls concurrently.
 
     Solver instances whose configuration cannot be expressed as a registry
     spec (:class:`~repro.service.registry.SpecSerializationError`) are run
@@ -370,15 +358,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self,
         max_workers: Optional[int] = None,
         mp_context: str = "spawn",
-        worker_env: Optional[Dict[str, str]] = None,
     ) -> None:
         if max_workers is not None and max_workers <= 0:
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers or default_worker_count()
         self.mp_context = mp_context
-        self.worker_env = (
-            {"QROSS_READ_WORKERS": "1"} if worker_env is None else dict(worker_env)
-        )
         self._fallback = ThreadExecutionBackend()
         self._lock = threading.Lock()
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -404,8 +388,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers,
                     mp_context=multiprocessing.get_context(self.mp_context),
-                    initializer=_process_worker_init,
-                    initargs=(self.worker_env,),
                 )
             return self._pool
 

@@ -57,8 +57,8 @@ from repro.service.distributed.backends import (
     SolverSpecCache,
     ThreadExecutionBackend,
     _WORKER_MODEL_LIMIT,
+    default_worker_count,
 )
-from repro.service.executor import default_worker_count
 from repro.service.registry import SpecSerializationError
 from repro.service.remote.protocol import (
     DeadlineExceeded,

@@ -49,8 +49,7 @@ from typing import Dict, List, Optional, Tuple
 from repro import obs
 from repro.service.admission import AdmissionGate
 from repro.service.distributed import wire
-from repro.service.distributed.backends import EngineCallRunner
-from repro.service.executor import default_worker_count
+from repro.service.distributed.backends import EngineCallRunner, default_worker_count
 from repro.service.remote.protocol import (
     RemoteTransportError,
     recv_message,
@@ -443,11 +442,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     host, port = parse_bind(args.bind)
 
     configure_logging()
-
-    # Engine calls already run concurrently across connections; nested
-    # per-read thread pools inside each call would oversubscribe the host
-    # (same reasoning as the process pool's worker initialiser).
-    os.environ.setdefault("QROSS_READ_WORKERS", "1")
 
     server = WorkerServer(
         host=host,

@@ -50,8 +50,11 @@ from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleSet
 from repro.service.admission import AdmissionGate, max_pending_from_env
 from repro.service.cache import CachedEvaluation, SolverCallCache
-from repro.service.distributed.backends import BackendLike, resolve_backend
-from repro.service.executor import default_worker_count
+from repro.service.distributed.backends import (
+    BackendLike,
+    default_worker_count,
+    resolve_backend,
+)
 from repro.service.registry import SolverRegistry
 from repro.service.requests import SolveRequest, SolveResult
 from repro.solvers.base import QUBOSolver

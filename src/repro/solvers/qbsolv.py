@@ -13,11 +13,14 @@ until a full pass over all windows yields no improvement.  The paper used
 qbsolv's classical simulator backend; this module implements the same
 decomposition loop on top of :class:`~repro.solvers.tabu.TabuSearchSolver`.
 
-Reads are independent restarts of the whole decomposition, so a batch of
-``num_reads > 1`` runs them concurrently on the shared service read pool
-(:mod:`repro.service.executor`).  Each read draws from its own child RNG
-stream spawned from the call's generator, which keeps seeded results
-independent of thread scheduling.
+Reads are independent runs of the whole decomposition, and a call runs all
+of them in lock step: every read visits the same window positions, so the
+windows of the reads still improving stack into one ``(R, w, w)`` array that
+:meth:`~repro.solvers.tabu.TabuSearchSolver.refine_many` searches in one
+batched loop.  The per-read host work (initial draw, window order, clamping,
+acceptance) stays per read, and each read draws only from its own child RNG
+stream spawned from the call's generator.  A read therefore returns exactly
+what it would return if it were solved on its own.
 """
 
 from __future__ import annotations
@@ -94,41 +97,31 @@ class QbsolvSolver(QUBOSolver):
     def _sample(
         self, model: QUBOModel, num_reads: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, Optional[dict]]:
-        # One child stream per read: results are deterministic for a given
-        # seed whether the reads run serially or across the thread pool.
+        # One child stream per read, each consumed in the order a read solved
+        # on its own would consume it: seeded results do not depend on which
+        # reads share a batch.
         streams = spawn_rngs(rng, num_reads)
-        if num_reads == 1:
-            assignments = [self._solve_read(model, streams[0])]
-            workers = 1
-        else:
-            # Deferred import: repro.service imports the solver package to
-            # register backends, so binding at call time avoids the cycle.
-            from repro.service.executor import read_executor, read_worker_count
-
-            executor = read_executor()
-            if executor is None:
-                assignments = [self._solve_read(model, stream) for stream in streams]
-                workers = 1
-            else:
-                assignments = list(
-                    executor.map(lambda stream: self._solve_read(model, stream), streams)
-                )
-                workers = read_worker_count()
-        return np.array(assignments), {"read_workers": workers}
+        best_x = [None] * num_reads
+        best_energy = [np.inf] * num_reads
+        for _ in range(self.config.num_restarts):
+            for r, x in enumerate(self._decompose(model, streams)):
+                energy = model.energy(x)
+                if energy < best_energy[r]:
+                    best_energy[r] = energy
+                    best_x[r] = x
+        return np.array(best_x), None
 
     # ------------------------------------------------------------------ internals
-    def _solve_read(self, model: QUBOModel, rng: np.random.Generator) -> np.ndarray:
-        """One read: the best of ``num_restarts`` full decomposition runs."""
-        best_x: Optional[np.ndarray] = None
-        best_energy = np.inf
-        for _ in range(self.config.num_restarts):
-            x = self._solve_once(model, rng)
-            energy = model.energy(x)
-            if energy < best_energy:
-                best_energy = energy
-                best_x = x
-        return best_x
-    def _solve_once(self, model: QUBOModel, rng: np.random.Generator) -> np.ndarray:
+    def _decompose(
+        self, model: QUBOModel, streams: list[np.random.Generator]
+    ) -> list[np.ndarray]:
+        """One full decomposition run per stream, all runs in lock step.
+
+        Every read walks the same window positions, so the windows of all
+        active reads stack into one ``(R, w, w)`` array for a single
+        :meth:`~repro.solvers.tabu.TabuSearchSolver.refine_many` call.  A read
+        leaves the active set after a round without improvement.
+        """
         n = model.num_variables
         window = min(self.config.subproblem_size, n)
         # Branch on the auto-selected operator kind — a function of size and
@@ -146,7 +139,7 @@ class QbsolvSolver(QUBOSolver):
             def full_field(x: np.ndarray) -> np.ndarray:
                 return op.right_multiply(x[None, :])[0]
 
-            def clamp(x: np.ndarray, block: np.ndarray) -> QUBOModel:
+            def clamp(x: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
                 clamped = x.copy()
                 clamped[block] = 0.0
                 clamped_energy = model.energy(clamped) - model.offset
@@ -159,33 +152,42 @@ class QbsolvSolver(QUBOSolver):
             def full_field(x: np.ndarray) -> np.ndarray:
                 return Q @ x
 
-            def clamp(x: np.ndarray, block: np.ndarray) -> QUBOModel:
+            def clamp(x: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
                 return self._clamp_dense(model, Q, x, block)
 
-        x = rng.integers(0, 2, size=n).astype(np.float64)
-        energy = model.energy(x)
+        X = [rng.integers(0, 2, size=n).astype(np.float64) for rng in streams]
+        energies = [model.energy(x) for x in X]
+        active = list(range(len(streams)))
 
         for _ in range(self.config.max_rounds):
-            improved = False
-            order = self._impact_order(full_field(x), diag, x, rng)
+            orders = [
+                self._impact_order(full_field(X[r]), diag, X[r], streams[r]) for r in active
+            ]
+            improved = set()
             for start in range(0, n, window):
-                block = order[start : start + window]
-                if block.size < 2:
+                blocks = [order[start : start + window] for order in orders]
+                if blocks[0].size < 2:
                     continue
-                sub_model = clamp(x, block)
-                sub_x0 = x[block].astype(np.int8)
-                sub_x = self._subsolver.refine(sub_model, sub_x0, rng=rng)
-                candidate = x.copy()
-                candidate[block] = sub_x
-                candidate_energy = model.energy(candidate)
-                if candidate_energy < energy - 1e-12:
-                    x = candidate
-                    energy = candidate_energy
-                    improved = True
-            if not improved:
+                windows = [clamp(X[r], block) for r, block in zip(active, blocks)]
+                refined = self._subsolver.refine_many(
+                    np.stack([sub_Q for sub_Q, _ in windows]),
+                    [offset for _, offset in windows],
+                    np.stack([X[r][block] for r, block in zip(active, blocks)]),
+                    [streams[r] for r in active],
+                )
+                for r, block, sub_x in zip(active, blocks, refined):
+                    candidate = X[r].copy()
+                    candidate[block] = sub_x
+                    candidate_energy = model.energy(candidate)
+                    if candidate_energy < energies[r] - 1e-12:
+                        X[r] = candidate
+                        energies[r] = candidate_energy
+                        improved.add(r)
+            active = [r for r in active if r in improved]
+            if not active:
                 break
 
-        return x.astype(np.int8)
+        return [x.astype(np.int8) for x in X]
 
     @staticmethod
     def _impact_order(
@@ -208,8 +210,8 @@ class QbsolvSolver(QUBOSolver):
         Q: np.ndarray,
         x: np.ndarray,
         block: np.ndarray,
-    ) -> QUBOModel:
-        """Sub-QUBO over ``block`` with all other variables clamped at ``x``.
+    ) -> tuple[np.ndarray, float]:
+        """Sub-QUBO ``(Q, offset)`` over ``block``, other variables clamped at ``x``.
 
         Operates on the full dense ``Q`` with the exact historical submatrix
         gathers — seeded dense-model results are bit-for-bit stable (the
@@ -225,7 +227,7 @@ class QbsolvSolver(QUBOSolver):
         clamped_energy = float(
             x[outside] @ Q[np.ix_(np.where(outside)[0], np.where(outside)[0])] @ x[outside]
         )
-        return QUBOModel(sub_Q, offset=model.offset + clamped_energy, name="qbsolv-sub")
+        return sub_Q, model.offset + clamped_energy
 
     @staticmethod
     def _clamp_rows(
@@ -234,8 +236,8 @@ class QbsolvSolver(QUBOSolver):
         x: np.ndarray,
         block: np.ndarray,
         clamped_energy: float,
-    ) -> QUBOModel:
-        """Sub-QUBO over ``block`` built from a dense row gather (sparse path).
+    ) -> tuple[np.ndarray, float]:
+        """Sub-QUBO ``(Q, offset)`` over ``block`` from a dense row gather (sparse path).
 
         ``rows`` is ``Q[block]`` gathered from the CSR operator and
         ``clamped_energy`` the quadratic energy of the clamped (outside) part,
@@ -247,6 +249,4 @@ class QbsolvSolver(QUBOSolver):
         # Interaction with clamped variables becomes a linear (diagonal) term.
         cross = 2.0 * rows[:, outside] @ x[outside]
         sub_Q[np.diag_indices_from(sub_Q)] += cross
-        return QUBOModel(
-            sub_Q, offset=model.offset + float(clamped_energy), name="qbsolv-sub"
-        )
+        return sub_Q, model.offset + float(clamped_energy)

@@ -11,13 +11,16 @@ when that replica stalls.
 All ``num_reads`` searches propagate together: each step computes the full
 ``(num_reads, n)`` delta matrix, one argmin per replica, and one batched
 local-field update — so the wall time of a batch grows far slower than
-``num_reads`` serial searches.
+``num_reads`` serial searches.  :meth:`TabuSearchSolver.refine_many` batches
+the other way round for qbsolv: many small sub-problems, each with its own
+coefficients and RNG stream, step together while each one keeps the exact
+trajectory of a single-replica search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from repro.compute.backend import resolve_array_backend, validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import AnnealingState
-from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -183,11 +185,104 @@ class TabuSearchSolver(QUBOSolver):
                 tabu_until[restart] = -1
                 stall[restart] = 0
 
-    def refine(self, model: QUBOModel, x0: np.ndarray, rng: RngLike = None) -> np.ndarray:
-        """Run tabu search starting from an existing assignment (used by qbsolv)."""
-        rng = ensure_rng(rng)
-        x0 = np.asarray(x0, dtype=np.float64)
+    def refine_many(
+        self,
+        sub_Q: np.ndarray,
+        offsets: Sequence[float],
+        X0: np.ndarray,
+        rngs: Sequence[np.random.Generator],
+    ) -> np.ndarray:
+        """Refine ``R`` independent sub-problems from given starts (used by qbsolv).
+
+        Row ``r`` runs tabu search on ``x^T sub_Q[r] x + offsets[r]`` from
+        ``X0[r]`` and draws its restart perturbations from ``rngs[r]`` alone.
+        ``sub_Q`` is an ``(R, w, w)`` stack of window QUBOs.  Every row follows
+        the trajectory :meth:`_search_single` takes on its own problem,
+        element for element: the rows share only the Python dispatch of each
+        step.  Returns the best state of every row as an ``(R, w)`` int8 array.
+        """
+        sub_Q = np.asarray(sub_Q, dtype=np.float64)
+        X0 = np.array(X0, dtype=np.float64)
+        num_rows, n = X0.shape
+        if sub_Q.shape != (num_rows, n, n) or len(offsets) != num_rows or len(rngs) != num_rows:
+            raise ValueError(
+                f"refine_many needs sub_Q of shape ({num_rows}, {n}, {n}) and "
+                f"{num_rows} offsets and rngs, got {sub_Q.shape}, {len(offsets)} "
+                f"and {len(rngs)}"
+            )
+        # Symmetrise as QUBOModel does (exact for the symmetric windows qbsolv
+        # builds), so both kernels below see the same coefficients.
+        sub_Q = (sub_Q + sub_Q.transpose(0, 2, 1)) / 2.0
         ab = resolve_array_backend(self.config.array_backend, self.config.dtype)
-        state = AnnealingState(model, 1, initial_states=x0[None, :], array_backend=ab)
-        self._search(state, rng)
-        return state.best_states_host()[0].astype(np.int8)
+        if num_rows == 1 and ab.kind == "numpy":
+            # A lone row runs the scalar kernel: it steps about twice as fast
+            # as a batch of one.
+            model = QUBOModel(sub_Q[0], offset=offsets[0])
+            state = AnnealingState(model, 1, initial_states=X0, array_backend=ab)
+            self._search_single(state, rngs[0])
+            return state.best_states_host().astype(np.int8)
+        return self._search_stacked(ab, sub_Q, offsets, X0, rngs)
+
+    def _search_stacked(self, ab, sub_Q, offsets, X0, rngs) -> np.ndarray:
+        """:meth:`_search_single` on every row of a window-QUBO stack at once.
+
+        Each line applies the scalar kernel's arithmetic row-wise.  The moves
+        of a step address the state through flat indices (``row * w + col``),
+        the cheapest gather and scatter; restarts are rare, so they run per
+        row on that row's own host stream.
+        """
+        num_rows, n = X0.shape
+        tenure = self.config.tenure if self.config.tenure is not None else min(20, n // 4 + 1)
+        num_flips = max(1, n // 10)
+        xp = ab.xp
+        Q = ab.asarray(sub_Q)
+        Q_rows = Q.reshape(num_rows * n, n)
+        diag = ab.asarray(np.diagonal(sub_Q, axis1=1, axis2=2).copy())
+        two_diag = 2.0 * diag
+        offset = ab.asarray(offsets)
+        X = ab.from_numpy(X0)
+        H = (X[:, None, :] @ Q)[:, 0, :]
+        energy = (X * H).sum(axis=1) + offset
+        best_X = ab.copy(X)
+        best_energy = ab.copy(energy)
+        tabu_until = xp.full((num_rows, n), -1, dtype=xp.int64)
+        stall = xp.zeros(num_rows, dtype=xp.int64)
+        # Flat views share memory with X / tabu_until: writes land in both.
+        X_flat = X.reshape(-1)
+        tabu_flat = tabu_until.reshape(-1)
+        row_start = ab.asindex(np.arange(num_rows) * n)
+        inf = xp.asarray(xp.inf, dtype=ab.dtype)
+
+        for step in range(self.config.num_steps):
+            delta = (1.0 - 2.0 * X) * (diag + 2.0 * H - two_diag * X)
+            allowed = tabu_until < step
+            # Aspiration: a tabu move that beats the incumbent is always allowed.
+            allowed |= (energy[:, None] + delta) < best_energy[:, None]
+            any_allowed = xp.any(allowed, axis=1)
+            if not any_allowed.all():
+                allowed[~any_allowed] = True
+            flat = row_start + xp.argmin(xp.where(allowed, delta, inf), axis=1)
+
+            x = X_flat[flat]
+            dx = 1.0 - 2.0 * x
+            X_flat[flat] = x + dx
+            energy += delta.reshape(-1)[flat]
+            H += dx[:, None] * Q_rows[flat]
+            tabu_flat[flat] = step + tenure
+
+            improved = energy < best_energy - 1e-12
+            best_energy = xp.where(improved, energy, best_energy)
+            best_X = xp.where(improved[:, None], X, best_X)
+            stall = xp.where(improved, 0, stall + 1)
+            restart = stall >= self.config.restart_after
+            if not restart.any():
+                continue
+            for r in np.flatnonzero(ab.to_numpy(restart)):
+                flips = ab.asindex(rngs[r].choice(n, size=num_flips, replace=False))
+                X[r] = best_X[r]
+                X[r, flips] = 1.0 - X[r, flips]
+                H[r] = (X[r][None, :] @ Q[r])[0]
+                energy[r] = (X[r] * H[r]).sum() + offset[r]
+                tabu_until[r] = -1
+                stall[r] = 0
+        return ab.to_numpy(best_X).astype(np.int8)

@@ -31,7 +31,6 @@ from repro.service import (
 )
 from repro.service.cache import CachedEvaluation
 from repro.service.distributed import wire
-from repro.service.executor import READ_WORKERS_ENV, read_executor, shutdown_read_executor
 from repro.solvers.base import QUBOSolver
 from repro.solvers.simulated_annealing import (
     SimulatedAnnealingConfig,
@@ -766,34 +765,3 @@ class TestRunnerBackendKnob:
 
         with pytest.raises(ValueError, match="not both"):
             self._comparison(service=default_service(), backend="thread")
-
-
-# ------------------------------------------------------------ read-pool rebuild
-class TestReadExecutorRebuild:
-    def test_old_pool_survives_width_change(self, monkeypatch):
-        shutdown_read_executor()
-        try:
-            monkeypatch.setenv(READ_WORKERS_ENV, "2")
-            old_pool = read_executor()
-            assert old_pool is not None
-            monkeypatch.setenv(READ_WORKERS_ENV, "3")
-            new_pool = read_executor()
-            assert new_pool is not old_pool
-            # Regression: the retired pool must still accept work from callers
-            # that fetched it before the rebuild (it used to be shut down).
-            assert old_pool.submit(lambda: 41 + 1).result() == 42
-        finally:
-            shutdown_read_executor()
-
-    def test_shutdown_drains_retired_pools(self, monkeypatch):
-        shutdown_read_executor()
-        try:
-            monkeypatch.setenv(READ_WORKERS_ENV, "2")
-            old_pool = read_executor()
-            monkeypatch.setenv(READ_WORKERS_ENV, "3")
-            read_executor()
-            shutdown_read_executor()
-            with pytest.raises(RuntimeError):
-                old_pool.submit(lambda: None)
-        finally:
-            shutdown_read_executor()

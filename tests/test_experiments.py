@@ -16,9 +16,15 @@ from repro.experiments.metrics import (
 )
 from repro.experiments.profiles import PAPER, SMALL, SMOKE, resolve_profile
 from repro.experiments.reporting import format_gap_summaries, format_table, sparkline
-from repro.experiments.runner import default_bounds
+from repro.experiments.runner import (
+    baseline_tuner_factories,
+    default_bounds,
+    run_comparison,
+    tune_instance,
+)
 from repro.solvers.random_solver import RandomSolver
 from repro.tuning.base import TrialHistory, TrialResult
+from repro.tuning.random_search import RandomSearchTuner
 
 
 def history_from(entries) -> TrialHistory:
@@ -191,6 +197,57 @@ class TestSolverCallCache:
         value = restored.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0)
         assert restored.hits == 1
         assert 0.0 <= value.probability_of_feasibility <= 1.0
+
+    def test_tune_instance_fills_an_empty_caller_cache(self, tsp_problem):
+        # Regression: ``cache or SolverCallCache()`` replaced an empty caller
+        # cache (falsy through ``__len__``) with a private one.
+        cache = SolverCallCache()
+        tuner = RandomSearchTuner(default_bounds(tsp_problem), rng=0)
+        tune_instance(
+            tsp_problem,
+            RandomSolver(),
+            tuner,
+            num_trials=3,
+            num_reads=4,
+            rng=0,
+            cache=cache,
+            backend="thread",
+        )
+        assert cache.misses == 3 and len(cache) == 3
+
+    def test_run_comparison_fills_a_shared_cache(self, tsp_problem):
+        cache = SolverCallCache()
+        run_comparison(
+            [tsp_problem],
+            RandomSolver(),
+            {"Random": baseline_tuner_factories()["Random"]},
+            num_trials=3,
+            num_reads=4,
+            rng=0,
+            cache=cache,
+            backend="thread",
+        )
+        assert cache.hits + cache.misses == 3 and len(cache) == cache.misses > 0
+
+    def test_outcome_log_records_trials_without_feasible_reads(self, tsp_problem):
+        # Regression: a trial with Pf = 0 has no best fitness, and logging it
+        # used to raise on ``float(None)``.
+        from repro.portfolio.outcomes import OutcomeLog
+
+        log = OutcomeLog()
+        tuner = RandomSearchTuner(default_bounds(tsp_problem), rng=0)
+        history = tune_instance(
+            tsp_problem,
+            RandomSolver(),
+            tuner,
+            num_trials=2,
+            num_reads=2,
+            rng=0,
+            backend="thread",
+            outcome_log=log,
+        )
+        assert [t.best_fitness for t in history] == [None, None]
+        assert [record.best_fitness for record in log] == [None, None]
 
 
 class TestDefaultBounds:

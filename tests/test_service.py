@@ -23,7 +23,7 @@ from repro.service import (
 )
 from repro.service.registry import parse_value
 from repro.solvers.digital_annealer import DigitalAnnealerSolver
-from repro.solvers.qbsolv import QbsolvConfig, QbsolvSolver
+from repro.solvers.qbsolv import QbsolvSolver
 from repro.solvers.quantum_annealer import QuantumAnnealerSolver
 from repro.solvers.random_solver import RandomSolver
 from repro.solvers.simulated_annealing import SimulatedAnnealingConfig, SimulatedAnnealingSolver
@@ -396,22 +396,3 @@ class TestTuningThroughService:
         assert [t.probability_of_feasibility for t in history] == [
             t.probability_of_feasibility for t in legacy
         ]
-
-
-# ------------------------------------------------------------------ qbsolv reads
-class TestQbsolvConcurrentReads:
-    def test_multi_read_deterministic_and_reports_workers(self, model):
-        solver = QbsolvSolver(QbsolvConfig(subproblem_size=6, max_rounds=2))
-        first = solver.sample(model, num_reads=4, rng=11)
-        second = solver.sample(model, num_reads=4, rng=11)
-        np.testing.assert_array_equal(first.assignments, second.assignments)
-        assert first.info["read_workers"] >= 1
-
-    def test_serial_override_matches_pool_results(self, model, monkeypatch):
-        solver = QbsolvSolver(QbsolvConfig(subproblem_size=6, max_rounds=2))
-        pooled = solver.sample(model, num_reads=3, rng=7)
-        monkeypatch.setenv("QROSS_READ_WORKERS", "1")
-        serial = solver.sample(model, num_reads=3, rng=7)
-        assert serial.info["read_workers"] == 1
-        np.testing.assert_array_equal(pooled.assignments, serial.assignments)
-        np.testing.assert_array_equal(pooled.energies, serial.energies)

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.problems.tsp.generator import generate_instance
+from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
 from repro.qubo.precision import AnalogNoiseModel
 from repro.solvers.digital_annealer import DigitalAnnealerConfig, DigitalAnnealerSolver
@@ -18,6 +22,7 @@ from repro.solvers.schedules import (
 )
 from repro.solvers.simulated_annealing import SimulatedAnnealingConfig, SimulatedAnnealingSolver
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
+from repro.utils.sparse import scipy_sparse
 
 
 class TestSchedules:
@@ -118,8 +123,40 @@ class TestTabuSearch:
         model = random_qubo(12, rng=4)
         solver = TabuSearchSolver(TabuSearchConfig(num_steps=150))
         start = np.random.default_rng(0).integers(0, 2, size=12).astype(np.int8)
-        refined = solver.refine(model, start, rng=0)
+        refined = solver.refine_many(
+            model.Q[None], [model.offset], start[None], [np.random.default_rng(0)]
+        )[0]
         assert model.energy(refined.astype(float)) <= model.energy(start.astype(float)) + 1e-9
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_refine_many_rows_match_single_row_refines(self, dtype):
+        # Each row of a stacked refine must equal a one-row refine (the scalar
+        # kernel) of that row on its own stream, and leave that stream at the
+        # same position.  Short stalls force several restarts per row.
+        rng = np.random.default_rng(5)
+        rows, n = 6, 17
+        sub_Q = np.stack([random_qubo(n, rng=seed).Q for seed in range(rows)])
+        offsets = list(rng.normal(scale=1e3, size=rows))
+        X0 = rng.integers(0, 2, size=(rows, n)).astype(np.int8)
+        solver = TabuSearchSolver(
+            TabuSearchConfig(num_steps=120, restart_after=7, dtype=dtype)
+        )
+        streams = [np.random.default_rng(100 + r) for r in range(rows)]
+        stacked = solver.refine_many(sub_Q, offsets, X0, streams)
+        assert stacked.shape == (rows, n) and stacked.dtype == np.int8
+        restarted = 0
+        for r in range(rows):
+            own = np.random.default_rng(100 + r)
+            single = solver.refine_many(sub_Q[r : r + 1], offsets[r : r + 1], X0[r : r + 1], [own])
+            np.testing.assert_array_equal(stacked[r], single[0])
+            restarted += own.bit_generator.state != np.random.default_rng(100 + r).bit_generator.state
+            assert streams[r].random() == own.random()
+        assert restarted == rows
+
+    def test_refine_many_rejects_mismatched_shapes(self):
+        solver = TabuSearchSolver()
+        with pytest.raises(ValueError, match="refine_many"):
+            solver.refine_many(np.zeros((2, 4, 4)), [0.0], np.zeros((2, 4)), [None, None])
 
     def test_auto_tenure_for_small_problems(self):
         solver = TabuSearchSolver(TabuSearchConfig(num_steps=30))
@@ -149,6 +186,123 @@ class TestQbsolv:
         single_best = single.sample(model, num_reads=1, rng=5).best.energy
         multi_best = multi.sample(model, num_reads=1, rng=5).best.energy
         assert multi_best <= single_best + 1e-9
+
+
+#: Tabu sub-solver of the smoke profile, pinned to the numpy/float64 reference.
+_SMOKE_TABU = TabuSearchConfig(
+    num_steps=80, restart_after=26, array_backend="numpy", dtype="float64"
+)
+
+
+def _smoke_qbsolv(subproblem_size=24, subsolver_config=_SMOKE_TABU, **kwargs):
+    return QbsolvConfig(
+        subproblem_size=subproblem_size, subsolver_config=subsolver_config, **kwargs
+    )
+
+
+def _tsp_model(cities, multiplier):
+    problem = TSPProblem(generate_instance(cities, rng=cities, name=f"digest-tsp{cities}"))
+    return problem.build_qubo(multiplier * problem.relaxation_scale())
+
+
+def _csr_model():
+    if scipy_sparse is None:
+        pytest.skip("scipy not available")
+    rng = np.random.default_rng(9)
+    n, nnz = 600, 1800
+    rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
+    Q = scipy_sparse.coo_array((rng.normal(size=nnz), (rows, cols)), shape=(n, n)).tocsr()
+    model = QUBOModel(Q, offset=0.75, name="digest-sparse")
+    assert model.in_sparse_regime()
+    return model
+
+
+#: sha256 of ``assignments`` + ``energies`` of seeded qbsolv calls, recorded
+#: when every read still ran on its own; batching the reads must not move them.
+#: Entries: model builder, config, num_reads, seed, digest.
+_QBSOLV_DIGESTS = {
+    "tsp36-A0.5-r16": (
+        lambda: _tsp_model(6, 0.5), _smoke_qbsolv(), 16, 5,
+        "860f17ff20e237fd3e643a9cb75829f6953e8b834847b5c8899e4e94a3f5022c",
+    ),
+    "tsp36-A2.0-r16": (
+        lambda: _tsp_model(6, 2.0), _smoke_qbsolv(), 16, 5,
+        "9ce9b5a1ec1cc43c0ec5d0f335632e0a4e926102b940e49df1544c3f535e9e1a",
+    ),
+    # n = 49 with w = 24: the last block holds one variable and is skipped.
+    "tsp49-A0.5-r16": (
+        lambda: _tsp_model(7, 0.5), _smoke_qbsolv(), 16, 5,
+        "fc2127de68da5f2d423b5ceebe152cc0d4cababfefd8fd27b4b225f4d02c45d9",
+    ),
+    "tsp49-A2.0-r16": (
+        lambda: _tsp_model(7, 2.0), _smoke_qbsolv(), 16, 5,
+        "83c3ce7d00ee4fbb3d746e0e2d7afda6452e48942fd5e836168b8ebb353e55f1",
+    ),
+    "tsp64-A0.5-r16": (
+        lambda: _tsp_model(8, 0.5), _smoke_qbsolv(), 16, 5,
+        "f80b014df6727ff6350aade4ef924b96f1b9064a4376fb998ca25a23a533b855",
+    ),
+    "tsp64-A2.0-r16": (
+        lambda: _tsp_model(8, 2.0), _smoke_qbsolv(), 16, 5,
+        "da4cd771265d7603682b42c091c04e0c757af8e22ef3d069d8fc202c95f8040e",
+    ),
+    "tsp49-r1": (
+        lambda: _tsp_model(7, 1.0), _smoke_qbsolv(), 1, 3,
+        "6ab580913abd82b6db60cf93a73c396b064bdcc2f1eb26452d38752fedba36c0",
+    ),
+    "tsp36-restarts3-r4": (
+        lambda: _tsp_model(6, 1.0), _smoke_qbsolv(num_restarts=3), 4, 7,
+        "cd7d9bf6dfe7bf47da94f9ecea2b29140f0cb569cf74eacd753e7eb265b82cdf",
+    ),
+    "window-covers-n-r4": (
+        lambda: random_qubo(20, rng=4), _smoke_qbsolv(subproblem_size=32), 4, 8,
+        "3eb520c9df3aa199749d8187fded625f6671e86450f244c93483fed875a17ec9",
+    ),
+    "last-block-of-one-r4": (
+        lambda: random_qubo(25, rng=6), _smoke_qbsolv(subproblem_size=12), 4, 9,
+        "796a30596e87efbead2406cef2ff377ca6de9cdfd8a29d6f164cd375aba525d0",
+    ),
+    "csr600-r4": (
+        _csr_model,
+        _smoke_qbsolv(
+            subproblem_size=32,
+            max_rounds=2,
+            subsolver_config=TabuSearchConfig(
+                num_steps=30, restart_after=10, array_backend="numpy", dtype="float64"
+            ),
+        ),
+        4, 10,
+        "69a936305fe51478c7d0e6263455f6bf887e8f795e54da8aa134cd3f42a1b400",
+    ),
+    "tsp64-default-config-r4": (
+        lambda: _tsp_model(8, 1.0), QbsolvConfig(array_backend="numpy", dtype="float64"), 4, 11,
+        "a584c9eb94fc2599b2644b828e38d2bc3865ad63b93da7ded5cc6199946fc3e7",
+    ),
+}
+
+
+class TestQbsolvLockStep:
+    @pytest.mark.parametrize("case", sorted(_QBSOLV_DIGESTS))
+    def test_seeded_reads_match_recorded_digest(self, case):
+        build, config, num_reads, seed, digest = _QBSOLV_DIGESTS[case]
+        samples = QbsolvSolver(config).sample(build(), num_reads=num_reads, rng=seed)
+        payload = np.asarray(samples.assignments, dtype=np.int8).tobytes() + np.asarray(
+            samples.energies, dtype=np.float64
+        ).tobytes()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+    def test_read_does_not_depend_on_its_batch(self):
+        # Spawned read streams are prefix-stable in num_reads, and a read
+        # consumes only its own stream: the reads of a smaller batch reappear
+        # in a larger one (whose reads leave the lock-step loop at different
+        # rounds), and a lone read takes the scalar kernel.  Sample sets sort
+        # by energy, so compare reads as sets.
+        model = _tsp_model(6, 1.0)
+        solver = QbsolvSolver(_smoke_qbsolv())
+        many = {row.tobytes() for row in solver.sample(model, num_reads=6, rng=21).assignments}
+        for k in (1, 2):
+            few = solver.sample(model, num_reads=k, rng=21).assignments
+            assert {row.tobytes() for row in few} <= many
 
 
 class TestQuantumAnnealer:

@@ -164,6 +164,15 @@ class TestSolveParity:
         # size/density, not storage), so both storages of an in-regime model
         # follow the same trajectory — required for the storage-invariant
         # fingerprint to be a sound cache/grouping key.
+        self._assert_qbsolv_storage_parity(num_reads=1)
+
+    def test_qbsolv_multi_read_seeded_solve_byte_identical_across_storage(self):
+        # Several reads take the batched lock-step loop (one read takes the
+        # scalar kernel), so pin storage invariance on that path too.
+        self._assert_qbsolv_storage_parity(num_reads=4)
+
+    @staticmethod
+    def _assert_qbsolv_storage_parity(num_reads):
         results = {}
         for storage in ("dense", "sparse"):
             problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02, storage)
@@ -172,7 +181,7 @@ class TestSolveParity:
                     problem=problem,
                     relaxation_parameter=2.0,
                     solver="qbsolv?subproblem_size=32&max_rounds=1",
-                    num_reads=1,
+                    num_reads=num_reads,
                     seed=9,
                 )
         assert np.array_equal(
