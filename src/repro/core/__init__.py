@@ -8,7 +8,6 @@ from repro.core.dataset import (
     collect_instance_records,
     collect_training_data,
     energy_scale,
-    evaluate_parameter,
     parameter_scale,
 )
 from repro.core.features import (
@@ -47,7 +46,6 @@ __all__ = [
     "FeatureNormalizer",
     "collect_training_data",
     "collect_instance_records",
-    "evaluate_parameter",
     "parameter_scale",
     "energy_scale",
     "SolverSurrogate",

@@ -2,7 +2,9 @@
 
 One *record* corresponds to one solver call: a problem instance ``g``, a
 relaxation parameter ``A`` and the resulting batch statistics ``Pf``, ``Eavg``
-and ``Estd`` (paper Section 3.3).  This module handles
+and ``Estd`` (paper Section 3.3).  Each call is one
+:meth:`~repro.service.service.SolveService.evaluate` on the default service,
+the same path every tuning trial takes.  This module handles
 
 * running a solver over a collection of instances and a well-chosen set of
   parameter values (covering the sigmoid slope *and* both plateaus),
@@ -19,6 +21,8 @@ import numpy as np
 
 from repro.core.features import FeatureExtractor, default_extractor_for
 from repro.problems.base import ConstrainedProblem
+from repro.service.cache import CachedEvaluation
+from repro.service.service import default_service
 from repro.solvers.base import QUBOSolver
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -189,42 +193,6 @@ class SamplingPlan:
             raise ValueError("num_reads must be positive")
 
 
-def summarise_samples(
-    problem: ConstrainedProblem, samples
-) -> tuple[float, float, float, Optional[float]]:
-    """Aggregate one batch of reads into ``(Pf, Eavg, Estd, best_fitness)``.
-
-    Split out of :func:`evaluate_parameter` so callers that obtained the
-    sample set elsewhere — e.g. from a distributed execution backend running
-    the solver in another process — compute the identical statistics.
-    """
-    pf = samples.probability_of_feasibility(problem.is_feasible)
-    energy_mean, energy_std = samples.energy_statistics()
-    best_fitness: Optional[float] = None
-    if pf > 0:
-        fitnesses = [
-            problem.fitness(assignment)
-            for assignment in samples.assignments
-            if problem.is_feasible(assignment)
-        ]
-        if fitnesses:
-            best_fitness = float(min(fitnesses))
-    return pf, energy_mean, energy_std, best_fitness
-
-
-def evaluate_parameter(
-    problem: ConstrainedProblem,
-    solver: QUBOSolver,
-    parameter: float,
-    num_reads: int,
-    rng: RngLike = None,
-) -> tuple[float, float, float, Optional[float]]:
-    """Run one solver call and return ``(Pf, Eavg, Estd, best_fitness)``."""
-    model = problem.build_qubo(parameter)
-    samples = solver.sample(model, num_reads=num_reads, rng=rng)
-    return summarise_samples(problem, samples)
-
-
 def collect_instance_records(
     problem: ConstrainedProblem,
     solver: QUBOSolver,
@@ -232,18 +200,24 @@ def collect_instance_records(
     plan: SamplingPlan,
     rng: RngLike = None,
 ) -> List[SurrogateRecord]:
-    """Collect training records for a single instance following ``plan``."""
+    """Collect training records for a single instance following ``plan``.
+
+    Every evaluation draws one child seed from ``rng``, so the records are
+    byte-identical on every execution backend of the default service.
+    """
     rng = ensure_rng(rng)
+    service = default_service()
     features = extractor.extract(problem)
     a_scale = parameter_scale(problem)
     e_scale = energy_scale(problem)
 
-    evaluated: dict[float, tuple[float, float, float, Optional[float]]] = {}
+    evaluated: dict[float, CachedEvaluation] = {}
 
     def evaluate(parameter: float) -> None:
-        if parameter in evaluated:
-            return
-        evaluated[parameter] = evaluate_parameter(problem, solver, parameter, plan.num_reads, rng=rng)
+        if parameter not in evaluated:
+            evaluated[parameter] = service.evaluate(
+                problem, solver, parameter, plan.num_reads, rng=rng
+            )
 
     for multiplier in plan.coarse_multipliers:
         evaluate(multiplier * a_scale)
@@ -251,7 +225,7 @@ def collect_instance_records(
     # Refine the transition region so the sigmoid slope is well sampled.
     if plan.num_refinement_points > 0:
         parameters = np.array(sorted(evaluated))
-        pf_values = np.array([evaluated[p][0] for p in parameters])
+        pf_values = np.array([evaluated[p].probability_of_feasibility for p in parameters])
         on_slope = (pf_values > 0.0) & (pf_values < 1.0)
         if on_slope.any():
             low = parameters[on_slope].min()
@@ -269,23 +243,21 @@ def collect_instance_records(
         for parameter in np.linspace(low, high, plan.num_refinement_points + 2)[1:-1]:
             evaluate(float(parameter))
 
-    records = []
-    for parameter, (pf, energy_mean, energy_std, best_fitness) in sorted(evaluated.items()):
-        records.append(
-            SurrogateRecord(
-                instance_name=problem.name,
-                features=features,
-                parameter=parameter,
-                normalized_parameter=parameter / a_scale,
-                probability_of_feasibility=pf,
-                energy_mean=energy_mean,
-                energy_std=energy_std,
-                normalized_energy_mean=energy_mean / e_scale,
-                normalized_energy_std=energy_std / e_scale,
-                best_fitness=best_fitness,
-            )
+    return [
+        SurrogateRecord(
+            instance_name=problem.name,
+            features=features,
+            parameter=parameter,
+            normalized_parameter=parameter / a_scale,
+            probability_of_feasibility=entry.probability_of_feasibility,
+            energy_mean=entry.energy_mean,
+            energy_std=entry.energy_std,
+            normalized_energy_mean=entry.energy_mean / e_scale,
+            normalized_energy_std=entry.energy_std / e_scale,
+            best_fitness=entry.best_fitness,
         )
-    return records
+        for parameter, entry in sorted(evaluated.items())
+    ]
 
 
 def collect_training_data(

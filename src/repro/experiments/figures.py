@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dataset import evaluate_parameter
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.experiments.datasets import (
     ExperimentDatasets,
@@ -272,6 +271,7 @@ def figure6_mvc_penalty(
         ),
     }
     accumulated = {name: np.zeros(weights.size) for name in solvers}
+    service = default_service()
 
     for _ in range(num_runs):
         instance = generate_mvc_instance(
@@ -285,9 +285,9 @@ def figure6_mvc_penalty(
         for name, solver in solvers.items():
             best_weights = []
             for weight in weights:
-                pf, _, _, best_fitness = evaluate_parameter(
+                best_fitness = service.evaluate(
                     problem, solver, float(weight), profile.num_reads, rng=rng
-                )
+                ).best_fitness
                 if best_fitness is None:
                     # No feasible cover found: charge the cost of the full vertex set.
                     best_fitness = float(instance.weights.sum())

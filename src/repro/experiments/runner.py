@@ -20,10 +20,10 @@ from repro.core.features import model_feature_vector
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.core.surrogate import SolverSurrogate
 from repro.core.tuner import QROSSTuner
-from repro.experiments.cache import SolverCallCache
 from repro.experiments.metrics import GapSummary, gap_curve, summarise_gap_curves
 from repro.portfolio.outcomes import OutcomeLog, OutcomeRecord, solver_spec_or_label
 from repro.problems.base import ConstrainedProblem
+from repro.service.cache import SolverCallCache
 from repro.service.distributed.backends import BackendLike
 from repro.service.service import SolveService, default_service
 from repro.solvers.base import QUBOSolver
@@ -168,11 +168,11 @@ def tune_instance(
 ) -> TrialHistory:
     """Run one tuner on one instance for ``num_trials`` solver calls.
 
-    Every evaluation flows through the solve service (the shared default one
-    unless ``service`` is given); the RNG is passed through unchanged, so on
-    an in-process backend seeded results are identical to the historical
-    direct-call path.  ``backend`` selects where the engine calls execute
-    (``"thread"``, ``"process"``, or an
+    Every evaluation flows through :meth:`SolveService.evaluate` (on the
+    shared default service unless ``service`` is given), which draws one child
+    seed from ``rng`` per cache miss, so a seeded history is byte-identical on
+    every execution backend.  ``backend`` selects where the engine calls
+    execute (``"thread"``, ``"process"``, or an
     :class:`~repro.service.distributed.backends.ExecutionBackend`) without
     constructing a service by hand.
 
@@ -260,13 +260,16 @@ def run_comparison(
     pairs are therefore *independent tuning loops* that can run concurrently.
     ``backend`` selects the execution backend (``"process"`` fans the
     Python-heavy annealing loops out across cores); when it is given, the
-    pairs are dispatched over the service pool (width ``max_parallel``,
-    default: the service's worker count) instead of sequentially.  With the
-    default per-pair caches (``cache=None``), results are identical either
-    way: the per-pair streams are pre-spawned, so scheduling order cannot
-    perturb them.  A *shared* ``cache=`` weakens that — which pair wins a
-    concurrent miss on a common evaluation key decides whose stream advances,
-    so parallel runs may then differ from sequential ones.
+    pairs are dispatched over a thread pool of their own (width
+    ``max_parallel``, default: the service's worker count) instead of
+    sequentially.  Every trial hands its engine call one seed drawn from the
+    pair's stream, so results are identical on every backend.  With the
+    default per-pair caches (``cache=None``), they are also identical whether
+    the pairs run in parallel or not: the per-pair streams are pre-spawned, so
+    scheduling order cannot perturb them.  A *shared* ``cache=`` weakens that
+    — which pair wins a concurrent miss on a common evaluation key decides
+    whose stream advances, so parallel runs may then differ from sequential
+    ones.
 
     ``solver`` may be a spec string (``"da"``, ``"portfolio?members=sa,tabu"``)
     or ``None`` for the ``QROSS_COMPARISON_SOLVER`` default; ``outcome_log``

@@ -31,7 +31,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import obs
 from repro.utils.io import atomic_write_bytes
@@ -39,12 +39,10 @@ from repro.utils.io import atomic_write_bytes
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (distributed imports us)
     from repro.service.distributed.sharded_cache import ShardedResultCache
 
-from repro.core.dataset import evaluate_parameter
 from repro.problems.base import ConstrainedProblem
 from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleSet
 from repro.solvers.base import QUBOSolver
-from repro.utils.rng import RngLike, ensure_rng
 
 
 @dataclass(frozen=True)
@@ -55,6 +53,22 @@ class CachedEvaluation:
     energy_mean: float
     energy_std: float
     best_fitness: Optional[float]
+
+    @classmethod
+    def from_samples(cls, problem: ConstrainedProblem, samples: SampleSet) -> "CachedEvaluation":
+        """Aggregate one batch of reads into ``(Pf, Eavg, Estd, best_fitness)``."""
+        pf = samples.probability_of_feasibility(problem.is_feasible)
+        energy_mean, energy_std = samples.energy_statistics()
+        best_fitness: Optional[float] = None
+        if pf > 0:
+            fitnesses = [
+                problem.fitness(assignment)
+                for assignment in samples.assignments
+                if problem.is_feasible(assignment)
+            ]
+            if fitnesses:
+                best_fitness = float(min(fitnesses))
+        return cls(pf, energy_mean, energy_std, best_fitness)
 
     def to_json_dict(self) -> dict:
         """The JSON shape shared by every persistence path (save files, disk tiers)."""
@@ -143,15 +157,15 @@ class SolverCallCache:
     ) -> str:
         """Cache key of an aggregate (instance, solver, parameter, reads) evaluation.
 
-        Deliberately seed-free (the historical within-run dedup semantics):
-        two evaluations of the same tuple are treated as interchangeable
-        estimates.  That also means the key does not distinguish *execution
-        backends* — the in-process path consumes the caller's live stream
-        while out-of-process backends derive a child seed, so a cache shared
-        across differently-backed services serves whichever stream's
-        statistics landed first.  Callers that need stream-exact results
-        should key on the sample path (:meth:`sample_key`, which includes the
-        seed) or use per-run caches.
+        Deliberately seed-free: within a run, two evaluations of the same
+        tuple are treated as interchangeable estimates.  Every execution
+        backend runs the same seeded engine call, so the key needs no backend
+        either.  Callers that need stream-exact
+        results should key on the sample path (:meth:`sample_key`, which
+        includes the seed) or use per-run caches.
+
+        The parameter enters as ``float.hex()``, so two distinct parameters
+        never share an entry, however close they are.
         """
         fingerprint = getattr(problem, "instance", problem)
         fingerprint = getattr(fingerprint, "fingerprint", lambda: problem.name)()
@@ -159,10 +173,7 @@ class SolverCallCache:
         # with different configs (e.g. SA with 100 vs 1000 sweeps) produce very
         # different statistics, so the config fingerprint is part of the key.
         solver_id = f"{solver.name}:{solver.config_fingerprint()}"
-        return f"{fingerprint}|{solver_id}|{parameter:.9g}|{num_reads}"
-
-    # Backwards-compatible private alias (pre-service callers used _key).
-    _key = evaluation_key
+        return f"{fingerprint}|{solver_id}|{float(parameter).hex()}|{num_reads}"
 
     @staticmethod
     def sample_key(model: QUBOModel, solver: QUBOSolver, num_reads: int, seed: int) -> str:
@@ -244,32 +255,6 @@ class SolverCallCache:
         while len(self._samples) > self.max_sample_entries:
             self._samples.popitem(last=False)
             self._evict_metric.inc()
-
-    def evaluate(
-        self,
-        problem: ConstrainedProblem,
-        solver: QUBOSolver,
-        parameter: float,
-        num_reads: int,
-        rng: RngLike = None,
-    ) -> CachedEvaluation:
-        """Evaluate a parameter through the cache."""
-        key = self.evaluation_key(problem, solver, parameter, num_reads)
-        entry = self.lookup(key)
-        if entry is not None:
-            return entry
-        rng = ensure_rng(rng)
-        pf, energy_mean, energy_std, best_fitness = evaluate_parameter(
-            problem, solver, parameter, num_reads, rng=rng
-        )
-        entry = CachedEvaluation(
-            probability_of_feasibility=pf,
-            energy_mean=energy_mean,
-            energy_std=energy_std,
-            best_fitness=best_fitness,
-        )
-        self.store(key, entry)
-        return entry
 
     # ------------------------------------------------------------ persistence
     def save(self, path: str | Path) -> None:

@@ -6,8 +6,8 @@ The :class:`~repro.service.service.SolveService` orchestrates requests
 :class:`ExecutionBackend`:
 
 * :class:`ThreadExecutionBackend` runs the call in the submitting thread.
-  This is the historical behaviour: numpy kernels release the GIL, states
-  never cross a process boundary, and live caller RNG streams are supported.
+  This is the default: numpy kernels release the GIL and states never cross
+  a process boundary.
 * :class:`ProcessPoolBackend` ships the call to a pool of worker processes
   over the :mod:`~repro.service.distributed.wire` format.  The Python-level
   portions of the annealing loops (schedule bookkeeping, tabu steps, qbsolv
@@ -15,12 +15,14 @@ The :class:`~repro.service.service.SolveService` orchestrates requests
   serialising on one GIL.
 
 Determinism contract: every backend receives a *concrete integer seed* and
-runs ``default_rng(seed)``, so a seeded request produces byte-identical
-assignments and energies on every backend.  The worker re-resolves its solver
-from the registry spec string (:meth:`SolverRegistry.spec_for` guarantees the
-spec reproduces the parent solver's config fingerprint); solvers whose config
-cannot be spec-serialised fall back to in-process execution — transparently,
-because the seed discipline makes both paths produce the same samples.
+runs ``default_rng(seed)``, so the same call produces byte-identical
+assignments and energies on every backend.  A seed is the only way randomness
+enters an engine call; no backend accepts a live generator.  The worker
+re-resolves its solver from the registry spec string
+(:meth:`SolverRegistry.spec_for` guarantees the spec reproduces the parent
+solver's config fingerprint); solvers whose config cannot be spec-serialised
+fall back to in-process execution — transparently, because the seed
+discipline makes both paths produce the same samples.
 
 A third backend lives in :mod:`repro.service.remote`:
 :class:`~repro.service.remote.backend.RemoteBackend` ships the same frames
@@ -45,7 +47,7 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -70,38 +72,20 @@ class ExecutionBackend(abc.ABC):
 
     ``run`` is blocking — the service calls it from its own worker threads, so
     a backend only needs to execute one call at a time per calling thread and
-    may parallelise across calls however it likes.
+    may parallelise across calls however it likes.  The call's randomness is
+    the integer ``seed`` alone: ``run`` must return what
+    ``solver.sample(model, num_reads, rng=default_rng(seed))`` returns, which
+    is what makes every backend interchangeable.
     """
 
     #: Short name used in specs, logs and result metadata.
     name: str = "backend"
-    #: Whether calls run inside the calling process.  In-process backends
-    #: additionally support :meth:`run_with_rng` (live generator streams),
-    #: which the service uses to keep legacy paths byte-identical.
-    in_process: bool = False
 
     @abc.abstractmethod
     def run(
         self, model: QUBOModel, solver: QUBOSolver, num_reads: int, seed: int
     ) -> SampleSet:
         """Execute one engine call with the deterministic stream ``default_rng(seed)``."""
-
-    def run_with_rng(
-        self,
-        model: QUBOModel,
-        solver: QUBOSolver,
-        num_reads: int,
-        rng: np.random.Generator,
-    ) -> SampleSet:
-        """Execute one engine call consuming a live caller generator.
-
-        Only in-process backends can honour the caller's stream state; the
-        service consults :attr:`in_process` before using this entry point.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} cannot consume a live RNG stream; "
-            f"derive a seed and use run()"
-        )
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
@@ -122,21 +106,11 @@ class ThreadExecutionBackend(ExecutionBackend):
     """Run engine calls in the submitting thread (the historical behaviour)."""
 
     name = "thread"
-    in_process = True
 
     def run(
         self, model: QUBOModel, solver: QUBOSolver, num_reads: int, seed: int
     ) -> SampleSet:
         return solver.sample(model, num_reads=num_reads, rng=np.random.default_rng(int(seed)))
-
-    def run_with_rng(
-        self,
-        model: QUBOModel,
-        solver: QUBOSolver,
-        num_reads: int,
-        rng: np.random.Generator,
-    ) -> SampleSet:
-        return solver.sample(model, num_reads=num_reads, rng=rng)
 
 
 # ------------------------------------------------------------ worker process side
@@ -352,7 +326,6 @@ class ProcessPoolBackend(ExecutionBackend):
     """
 
     name = "process"
-    in_process = False
 
     def __init__(
         self,
@@ -544,25 +517,23 @@ def _create_backend(name: str, options: Dict[str, object]) -> ExecutionBackend:
     )
 
 
-def resolve_backend(backend: BackendLike) -> Tuple[ExecutionBackend, bool]:
-    """Resolve a ``backend=`` argument into ``(instance, service_owns_it)``.
+def resolve_backend(backend: BackendLike) -> ExecutionBackend:
+    """Resolve a ``backend=`` argument into an :class:`ExecutionBackend`.
 
     ``None`` reads :data:`EXECUTION_BACKEND_ENV` (default ``"thread"``);
     strings resolve through :func:`shared_backend`; instances pass through.
-    The boolean is ``True`` only for instances the caller should close —
-    shared and caller-provided backends outlive any one service, so it is
-    currently always ``False``; the flag keeps the ownership contract explicit
-    at the call sites.
+    Neither kind belongs to the service that resolves it: shared backends are
+    closed at interpreter exit, caller-provided ones by their caller.
     """
     if isinstance(backend, ExecutionBackend):
-        return backend, False
+        return backend
     if backend is None:
         backend = os.environ.get(EXECUTION_BACKEND_ENV) or ThreadExecutionBackend.name
     if not isinstance(backend, str):
         raise ValueError(
             f"backend must be a spec string or an ExecutionBackend, got {backend!r}"
         )
-    return shared_backend(backend), False
+    return shared_backend(backend)
 
 
 @atexit.register

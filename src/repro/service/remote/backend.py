@@ -162,7 +162,6 @@ class RemoteBackend(ExecutionBackend):
     """
 
     name = "remote"
-    in_process = False
 
     def __init__(
         self,

@@ -13,22 +13,25 @@ objects and
   merged reads back to the requests through an unbiased random permutation,
 * dedupes *seeded* requests through :class:`SolverCallCache`: identical
   requests run the engine exactly once, and
-* derives deterministic RNG streams: a seeded request is byte-identical to
+* hands every engine call one concrete integer seed: a seeded request is
+  byte-identical to
   ``solver.sample(model, num_reads, rng=np.random.default_rng(seed))``
-  regardless of pool width or submission order; unseeded requests draw child
-  streams from the service's root generator.
+  regardless of pool width or submission order; unseeded requests draw their
+  seed from the service's root generator, and :meth:`SolveService.sample` and
+  :meth:`SolveService.evaluate` draw one from the caller's ``rng``.
 
-The aggregate-statistics path used by the tuners
-(:meth:`SolveService.evaluate`) and the raw passthrough
+The aggregate-statistics path used by training-data collection and the
+tuners (:meth:`SolveService.evaluate`) and the raw passthrough
 (:meth:`SolveService.sample`) run on the same pool, so every solver call in
 the library flows through one seam.
 
 Where the engine call itself executes is delegated to an
 :class:`~repro.service.distributed.backends.ExecutionBackend`: the default
-``"thread"`` backend runs it on the service's pool threads (byte-identical to
-the historical behaviour), while ``"process"`` ships it to a pool of worker
-processes over the wire format — the Python-level portions of the annealing
-loops then scale across cores instead of serialising on the GIL.  Select a
+``"thread"`` backend runs it on the service's pool threads, while
+``"process"`` ships it to a pool of worker processes over the wire format —
+the Python-level portions of the annealing loops then scale across cores
+instead of serialising on the GIL.  Only the seed crosses that boundary, so
+every request path returns the same results on every backend.  Select a
 backend per service (``SolveService(backend="process")``) or globally via the
 ``QROSS_EXECUTION_BACKEND`` environment variable.
 """
@@ -44,7 +47,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro import obs
-from repro.core.dataset import summarise_samples
 from repro.problems.base import ConstrainedProblem
 from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleSet
@@ -64,6 +66,11 @@ SolverLike = Union[str, QUBOSolver]
 
 #: Sentinel: the ``max_pending`` bound was not given, read ``QROSS_MAX_PENDING``.
 _MAX_PENDING_FROM_ENV = object()
+
+
+def _draw_seed(rng: np.random.Generator) -> int:
+    """One child seed from ``rng``: the only randomness an engine call receives."""
+    return int(rng.integers(0, 2**63 - 1))
 
 
 class SolveService:
@@ -113,7 +120,7 @@ class SolveService:
             raise ValueError("max_workers must be positive")
         if max_pending is _MAX_PENDING_FROM_ENV:
             max_pending = max_pending_from_env()
-        self.backend, self._owns_backend = resolve_backend(backend)
+        self.backend = resolve_backend(backend)
         if max_workers is None:
             # An out-of-process backend is fed by this service's threads, so
             # the thread pool must be at least as wide as the worker pool or
@@ -169,17 +176,15 @@ class SolveService:
     def close(self) -> None:
         """Shut the request pool down; further submissions raise.
 
-        Shared execution backends (resolved from spec strings) are left
-        running for other services; only a backend this service exclusively
-        owns is closed with it.
+        The execution backend is left running: a shared one (resolved from a
+        spec string) serves other services, and a caller-provided one is
+        closed by its caller.
         """
         with self._lock:
             self._closed = True
             executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True)
-        if self._owns_backend:
-            self.backend.close()
 
     def __enter__(self) -> "SolveService":
         return self
@@ -200,7 +205,7 @@ class SolveService:
         call lands.
         """
         with self._lock:
-            return int(self._root_rng.integers(0, 2**63 - 1))
+            return _draw_seed(self._root_rng)
 
     def _spawn_rng(self) -> np.random.Generator:
         """Thread-safe child stream for an unseeded request."""
@@ -417,12 +422,9 @@ class SolveService:
         request receives an exchangeable (unbiased) subset of the reads rather
         than a slice of the energy-sorted batch.
 
-        An in-process backend consumes ``rng`` directly (byte-identical to the
-        historical path: the engine advances the stream, then the permutation
-        draws from it).  An out-of-process backend cannot return a stream's
-        state, so the engine gets a child seed derived from ``rng`` instead —
-        merged groups are unseeded by construction, so no determinism contract
-        is affected.
+        ``rng`` is the group's child stream of the service root: the engine
+        call gets one seed drawn from it, then the permutation draws from it,
+        so a merged group deals the same reads on every backend.
         """
         started = time.perf_counter()
         model = entries[0].resolve_model()
@@ -434,10 +436,7 @@ class SolveService:
             num_reads=total,
             group_size=len(entries),
         ):
-            if self.backend.in_process:
-                samples = self.backend.run_with_rng(model, solver, total, rng)
-            else:
-                samples = self.backend.run(model, solver, total, int(rng.integers(0, 2**63 - 1)))
+            samples = self.backend.run(model, solver, total, _draw_seed(rng))
         self._latency["merged"].observe(time.perf_counter() - started)
         permutation = rng.permutation(total)
         results: List[SolveResult] = []
@@ -520,24 +519,13 @@ class SolveService:
     ) -> SampleSet:
         """Raw passthrough: run one solver call on the pool with the caller's RNG.
 
-        Unlike :meth:`submit` this accepts a live generator, which lets legacy
-        sequential pipelines keep their exact seeded behaviour while still
-        routing every engine call through the service.  On an in-process
-        backend the engine consumes the caller's stream directly —
-        byte-identical to a direct ``solver.sample`` call.  On an
-        out-of-process backend a live stream's state cannot cross the
-        boundary, so one child seed is drawn from ``rng`` (advancing it by
-        exactly one ``integers`` draw) and the call routes through the
-        configured backend like every other engine call — previously this
-        path silently bypassed the backend and ran on a service thread.
+        One child seed is drawn from ``rng`` (advancing it by exactly one
+        ``integers`` draw) and the call routes through the configured backend
+        like every other engine call, so the result is byte-identical on every
+        backend: ``backend.run(model, solver, num_reads, seed)``.
         """
         resolved = self.resolve_solver(solver)
-        rng = ensure_rng(rng)
-        if self.backend.in_process:
-            return self._admit_submit(
-                self.backend.run_with_rng, model, resolved, num_reads, rng
-            ).result()
-        seed = int(rng.integers(0, 2**63 - 1))
+        seed = _draw_seed(ensure_rng(rng))
         return self._admit_submit(
             self.backend.run, model, resolved, num_reads, seed
         ).result()
@@ -551,63 +539,31 @@ class SolveService:
         rng: RngLike = None,
         cache: Optional[SolverCallCache] = None,
     ) -> CachedEvaluation:
-        """Aggregate-statistics evaluation used by the tuning loops.
+        """Aggregate statistics of one solver call at relaxation parameter ``A``.
 
-        On an in-process backend this is byte-compatible with the legacy
-        ``SolverCallCache.evaluate`` path: the same cache-key discipline, the
-        same RNG consumption (a cache hit does not advance the stream), the
-        same statistics — just executed on the service pool.  On an
-        out-of-process backend the engine call runs in a worker with a child
-        seed drawn from ``rng`` (one draw), the relaxed model is composed on a
-        service thread and the statistics are computed here against the exact
-        problem; results are still fully deterministic for a seeded ``rng``,
-        but follow a different (per-backend documented) stream than the thread
-        path — live generator state cannot cross a process boundary.
+        This is the paper's unit of work — training-data collection and every
+        tuning trial are built from it.  A cache hit returns the stored entry
+        and leaves ``rng`` untouched.  A miss draws one child seed from
+        ``rng``, then one pool task builds the relaxed model, runs the engine
+        call on the execution backend with that seed and summarises the reads
+        against the exact problem, all on one thread.  The result is therefore
+        byte-identical on every backend.
 
-        ``cache=None`` uses a throwaway cache (no cross-call memory), matching
-        the old behaviour of a fresh cache per tuning run.
+        ``cache=None`` uses a throwaway cache (no cross-call memory).  Never
+        call this from a task running on this service's own pool: the call
+        blocks on a second task of the same pool.
         """
         resolved = self.resolve_solver(solver)
         cache = cache if cache is not None else SolverCallCache()
         key = cache.evaluation_key(problem, resolved, parameter, num_reads)
         entry = cache.lookup(key)
-        if entry is not None:
-            return entry
-        rng = ensure_rng(rng)
-        if self.backend.in_process:
-            # Same decomposition as the legacy evaluate_parameter (build,
-            # sample, summarise) with the engine call routed through the
-            # backend — byte-identical on the thread backend, and a custom
-            # in-process backend (e.g. GPU) sees the tuning traffic too.
-            pf, energy_mean, energy_std, best_fitness = self._admit_submit(
-                self._evaluate_with_rng, problem, resolved, parameter, num_reads, rng
-            ).result()
-        else:
-            seed = int(rng.integers(0, 2**63 - 1))
-            pf, energy_mean, energy_std, best_fitness = self._admit_submit(
+        if entry is None:
+            seed = _draw_seed(ensure_rng(rng))
+            entry = self._admit_submit(
                 self._evaluate_on_backend, problem, resolved, parameter, num_reads, seed
             ).result()
-        entry = CachedEvaluation(
-            probability_of_feasibility=pf,
-            energy_mean=energy_mean,
-            energy_std=energy_std,
-            best_fitness=best_fitness,
-        )
-        cache.store(key, entry)
+            cache.store(key, entry)
         return entry
-
-    def _evaluate_with_rng(
-        self,
-        problem: ConstrainedProblem,
-        solver: QUBOSolver,
-        parameter: float,
-        num_reads: int,
-        rng: np.random.Generator,
-    ) -> Tuple[float, float, float, Optional[float]]:
-        """One tuning evaluation on an in-process backend (live caller stream)."""
-        model = problem.build_qubo(parameter)
-        samples = self.backend.run_with_rng(model, solver, num_reads, rng)
-        return summarise_samples(problem, samples)
 
     def _evaluate_on_backend(
         self,
@@ -616,11 +572,11 @@ class SolveService:
         parameter: float,
         num_reads: int,
         seed: int,
-    ) -> Tuple[float, float, float, Optional[float]]:
-        """One tuning evaluation with the engine call on the execution backend."""
+    ) -> CachedEvaluation:
+        """Build, run and summarise one evaluation (one pool task, one thread)."""
         model = problem.build_qubo(parameter)
         samples = self.backend.run(model, solver, num_reads, seed)
-        return summarise_samples(problem, samples)
+        return CachedEvaluation.from_samples(problem, samples)
 
 
 _default_service: Optional[SolveService] = None

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -13,12 +15,12 @@ from repro.core.dataset import (
     collect_instance_records,
     collect_training_data,
     energy_scale,
-    evaluate_parameter,
     parameter_scale,
 )
 from repro.core.features import TSPStatisticsExtractor
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
+from repro.service import SolverCallCache, default_service
 from repro.solvers.digital_annealer import DigitalAnnealerConfig, DigitalAnnealerSolver
 from repro.solvers.random_solver import RandomSolver
 
@@ -127,7 +129,11 @@ class TestSamplingPlan:
 class TestEvaluateParameter:
     def test_returns_consistent_statistics(self, tsp_problem, fast_da_solver):
         parameter = 1.2 * tsp_problem.relaxation_scale()
-        pf, mean, std, best = evaluate_parameter(tsp_problem, fast_da_solver, parameter, 12, rng=0)
+        pf, mean, std, best = astuple(
+            default_service().evaluate(
+                tsp_problem, fast_da_solver, parameter, 12, rng=0, cache=SolverCallCache()
+            )
+        )
         assert 0.0 <= pf <= 1.0
         assert std >= 0.0
         if pf > 0:
@@ -139,7 +145,11 @@ class TestEvaluateParameter:
         # A tiny parameter makes constraint violations nearly free; random
         # assignments are essentially never valid tours.
         parameter = 1e-6 * tsp_problem.relaxation_scale()
-        pf, _, _, best = evaluate_parameter(tsp_problem, RandomSolver(), parameter, 16, rng=0)
+        pf, _, _, best = astuple(
+            default_service().evaluate(
+                tsp_problem, RandomSolver(), parameter, 16, rng=0, cache=SolverCallCache()
+            )
+        )
         assert pf == 0.0
         assert best is None
 

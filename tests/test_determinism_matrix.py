@@ -3,11 +3,13 @@
 One parameterized sweep over *every* registry-listed solver backend, run on
 the thread, process and remote (localhost two-worker TCP fleet) execution
 backends with two seeds each, asserting the resulting :class:`SampleSet`s are
-byte-identical per ``(spec, seed)``.  The
-spec list is built from ``SolverRegistry.names()`` at collection time, so a
-newly registered solver (parallel tempering and multi-flip DA landed this
-way) is covered the moment it registers — a backend that cannot keep the
-seeded thread/process byte-parity contract fails here before anything else.
+byte-identical per ``(spec, seed)``.  The spec list is built from
+``SolverRegistry.names()`` at collection time, so a newly registered solver
+(parallel tempering and multi-flip DA landed this way) is covered the moment
+it registers — a backend that cannot keep the seeded thread/process
+byte-parity contract fails here before anything else.  The service's
+live-``rng`` entry points, ``SolveService.sample`` and
+``SolveService.evaluate``, are pinned the same way across the three backends.
 
 The process pool is module-scoped (spawn-starting a pool per test would
 dominate the suite) — pool reuse cannot mask failures because every
@@ -20,9 +22,13 @@ import numpy as np
 import pytest
 
 from repro.compute import available_array_backends
+from repro.problems.tsp.generator import generate_instance
+from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import random_qubo
 from repro.service import (
+    CachedEvaluation,
     ProcessPoolBackend,
+    SolveService,
     SolverRegistry,
     ThreadExecutionBackend,
     make_solver,
@@ -130,6 +136,82 @@ def test_seeded_solve_is_byte_identical_on_remote_fleet(
     assert np.array_equal(reference.energies, remote.energies)
     assert np.array_equal(reference.num_occurrences, remote.num_occurrences)
     assert reference.assignments.dtype == remote.assignments.dtype
+
+
+# --------------------------------------------------------------------------
+# Service axis.
+#
+# ``SolveService.sample`` and ``SolveService.evaluate`` take the caller's live
+# ``rng`` but hand the engine call one seed drawn from it, so both return the
+# same bytes on every execution backend and move the caller's stream by
+# exactly one ``integers`` draw.
+# --------------------------------------------------------------------------
+
+SERVICE_SPECS = ["sa?num_sweeps=8", "da?num_steps=60"]
+
+
+@pytest.fixture(scope="module")
+def services(process_backend, remote_backend):
+    """One service per execution backend (closing a service leaves its backend)."""
+    services = {
+        "thread": SolveService(max_workers=2, backend="thread"),
+        "process": SolveService(max_workers=2, backend=process_backend),
+        "remote": SolveService(max_workers=2, backend=remote_backend),
+    }
+    yield services
+    for service in services.values():
+        service.close()
+
+
+@pytest.fixture(scope="module")
+def tsp_problem():
+    return TSPProblem(generate_instance(5, rng=0, name="matrix-tsp"))
+
+
+def _child_seed(seed: int):
+    """The seed a service call draws from ``default_rng(seed)``, and the
+    caller stream's state after that one draw."""
+    rng = np.random.default_rng(seed)
+    child = int(rng.integers(0, 2**63 - 1))
+    return child, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("spec", SERVICE_SPECS)
+@pytest.mark.parametrize("seed", [11, 20210614])
+def test_service_sample_is_byte_identical_across_backends(spec, seed, model, services):
+    child, advanced = _child_seed(seed)
+    expected = ThreadExecutionBackend().run(model, make_solver(spec), 4, child)
+    for name, service in services.items():
+        rng = np.random.default_rng(seed)
+        samples = service.sample(model, spec, 4, rng=rng)
+        assert rng.bit_generator.state == advanced, (
+            f"{name}: sample() must advance the caller's rng by exactly one draw"
+        )
+        assert np.array_equal(samples.assignments, expected.assignments), (
+            f"{spec!r} seed {seed}: {name} sample() assignments differ"
+        )
+        assert np.array_equal(samples.energies, expected.energies)
+        assert np.array_equal(samples.num_occurrences, expected.num_occurrences)
+
+
+@pytest.mark.parametrize("spec", SERVICE_SPECS)
+@pytest.mark.parametrize("seed", [11, 20210614])
+def test_service_evaluate_is_byte_identical_across_backends(
+    spec, seed, tsp_problem, services
+):
+    parameter = float(tsp_problem.relaxation_scale())
+    child, advanced = _child_seed(seed)
+    model = tsp_problem.build_qubo(parameter)
+    expected = CachedEvaluation.from_samples(
+        tsp_problem, ThreadExecutionBackend().run(model, make_solver(spec), 6, child)
+    )
+    for name, service in services.items():
+        rng = np.random.default_rng(seed)
+        entry = service.evaluate(tsp_problem, spec, parameter, 6, rng=rng)
+        assert rng.bit_generator.state == advanced, (
+            f"{name}: evaluate() must advance the caller's rng by exactly one draw"
+        )
+        assert entry == expected, f"{spec!r} seed {seed}: {name} evaluate() differs"
 
 
 def test_matrix_covers_every_registered_backend():

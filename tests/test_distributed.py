@@ -268,18 +268,14 @@ class TestSpecFor:
 class TestBackendResolution:
     def test_env_default_is_thread(self, monkeypatch):
         monkeypatch.delenv("QROSS_EXECUTION_BACKEND", raising=False)
-        backend, owned = resolve_backend(None)
-        assert isinstance(backend, ThreadExecutionBackend) and not owned
+        assert isinstance(resolve_backend(None), ThreadExecutionBackend)
 
     def test_env_selects_backend(self, monkeypatch):
         monkeypatch.setenv("QROSS_EXECUTION_BACKEND", "thread")
-        backend, _ = resolve_backend(None)
-        assert backend.name == "thread"
+        assert resolve_backend(None).name == "thread"
 
     def test_spec_strings_resolve_to_shared_instances(self):
-        first, _ = resolve_backend("thread")
-        second, _ = resolve_backend("thread")
-        assert first is second
+        assert resolve_backend("thread") is resolve_backend("thread")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown execution backend"):
@@ -287,16 +283,15 @@ class TestBackendResolution:
 
     def test_instance_passes_through(self):
         backend = ThreadExecutionBackend()
-        resolved, owned = resolve_backend(backend)
-        assert resolved is backend and not owned
+        assert resolve_backend(backend) is backend
 
     def test_closed_shared_backend_is_replaced(self):
         # A distinctive spec so the module-scoped fixture's pool is untouched;
         # the pool is lazy, so closing an unused backend costs nothing.
         spec = "process?max_workers=1&mp_context=spawn"
-        first, _ = resolve_backend(spec)
+        first = resolve_backend(spec)
         first.close()
-        second, _ = resolve_backend(spec)
+        second = resolve_backend(spec)
         assert second is not first and not second.closed
 
 

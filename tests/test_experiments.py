@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.cache import SolverCallCache
 from repro.experiments.metrics import (
     INFEASIBLE_GAP,
     GapSummary,
@@ -22,6 +21,8 @@ from repro.experiments.runner import (
     run_comparison,
     tune_instance,
 )
+from repro.service.cache import SolverCallCache
+from repro.service.service import default_service
 from repro.solvers.random_solver import RandomSolver
 from repro.tuning.base import TrialHistory, TrialResult
 from repro.tuning.random_search import RandomSearchTuner
@@ -146,8 +147,9 @@ class TestSolverCallCache:
         cache = SolverCallCache()
         solver = RandomSolver()
         parameter = tsp_problem.relaxation_scale()
-        first = cache.evaluate(tsp_problem, solver, parameter, num_reads=8, rng=0)
-        second = cache.evaluate(tsp_problem, solver, parameter, num_reads=8, rng=1)
+        service = default_service()
+        first = service.evaluate(tsp_problem, solver, parameter, num_reads=8, rng=0, cache=cache)
+        second = service.evaluate(tsp_problem, solver, parameter, num_reads=8, rng=1, cache=cache)
         assert cache.hits == 1
         assert cache.misses == 1
         assert first == second
@@ -155,9 +157,26 @@ class TestSolverCallCache:
     def test_different_parameters_are_separate_entries(self, tsp_problem):
         cache = SolverCallCache()
         solver = RandomSolver()
-        cache.evaluate(tsp_problem, solver, 1.0, num_reads=4, rng=0)
-        cache.evaluate(tsp_problem, solver, 2.0, num_reads=4, rng=0)
+        service = default_service()
+        service.evaluate(tsp_problem, solver, 1.0, num_reads=4, rng=0, cache=cache)
+        service.evaluate(tsp_problem, solver, 2.0, num_reads=4, rng=0, cache=cache)
         assert len(cache) == 2
+
+    def test_adjacent_float_parameters_are_separate_entries(self, tsp_problem):
+        # Regression: the key formatted the parameter with ``:.9g``, so A and
+        # the next float up shared one entry and the second call silently
+        # returned the first one's statistics.
+        cache = SolverCallCache()
+        solver = RandomSolver()
+        parameter = float(tsp_problem.relaxation_scale())
+        service = default_service()
+        service.evaluate(tsp_problem, solver, parameter, num_reads=4, rng=0, cache=cache)
+        service.evaluate(
+            tsp_problem, solver, float(np.nextafter(parameter, np.inf)), num_reads=4, rng=0,
+            cache=cache,
+        )
+        assert len(cache) == 2
+        assert cache.misses == 2 and cache.hits == 0
 
     def test_same_backend_different_configs_do_not_collide(self, tsp_problem):
         # Regression: the key used to contain only `solver.name`, so two SA
@@ -172,29 +191,32 @@ class TestSolverCallCache:
         short = SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=5))
         long = SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=50))
         parameter = tsp_problem.relaxation_scale()
-        cache.evaluate(tsp_problem, short, parameter, num_reads=4, rng=0)
-        cache.evaluate(tsp_problem, long, parameter, num_reads=4, rng=0)
+        service = default_service()
+        service.evaluate(tsp_problem, short, parameter, num_reads=4, rng=0, cache=cache)
+        service.evaluate(tsp_problem, long, parameter, num_reads=4, rng=0, cache=cache)
         assert len(cache) == 2
         assert cache.misses == 2 and cache.hits == 0
         # Identically-configured solver instances still share an entry.
-        cache.evaluate(
+        service.evaluate(
             tsp_problem,
             SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=5)),
             parameter,
             num_reads=4,
             rng=1,
+            cache=cache,
         )
         assert cache.hits == 1 and len(cache) == 2
 
     def test_persistence_roundtrip(self, tsp_problem, tmp_path):
         cache = SolverCallCache()
         solver = RandomSolver()
-        cache.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0)
+        service = default_service()
+        service.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0, cache=cache)
         path = tmp_path / "cache.json"
         cache.save(path)
         restored = SolverCallCache.load(path)
         assert len(restored) == 1
-        value = restored.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0)
+        value = service.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0, cache=restored)
         assert restored.hits == 1
         assert 0.0 <= value.probability_of_feasibility <= 1.0
 

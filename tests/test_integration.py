@@ -13,7 +13,6 @@ pytestmark = pytest.mark.slow  # end-to-end pipeline runs, seconds per test
 
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.core.tuner import QROSSTuner
-from repro.experiments.cache import SolverCallCache
 from repro.experiments.datasets import build_problems, make_solver, train_surrogate_for_solver
 from repro.experiments.figures import figure1_landscape, figure6_mvc_penalty
 from repro.experiments.profiles import SMOKE
@@ -27,6 +26,7 @@ from repro.experiments.runner import (
 )
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
+from repro.service.cache import SolverCallCache
 from repro.solvers.digital_annealer import DigitalAnnealerConfig, DigitalAnnealerSolver
 from repro.tuning.random_search import RandomSearchTuner
 

@@ -679,21 +679,13 @@ class TestServiceAdmission:
 # --------------------------------------------------------------- RNG gap closed
 class TestSampleAndEvaluateRouting:
     def test_sample_thread_path_pinned_byte_identical(self, model):
-        """The historical contract: service.sample == a direct solver call."""
-        solver = make_solver(SPEC)
+        """On the thread backend too, one child seed is drawn from the stream."""
         with SolveService(max_workers=2, backend="thread") as service:
             routed = service.sample(model, SPEC, 4, rng=np.random.default_rng(21))
-        direct = solver.sample(model, num_reads=4, rng=np.random.default_rng(21))
-        assert np.array_equal(routed.assignments, direct.assignments)
-        assert np.array_equal(routed.energies, direct.energies)
-
-    def test_sample_advances_caller_stream_like_the_old_path(self, model):
-        rng_service = np.random.default_rng(8)
-        rng_direct = np.random.default_rng(8)
-        with SolveService(max_workers=2, backend="thread") as service:
-            service.sample(model, SPEC, 3, rng=rng_service)
-        make_solver(SPEC).sample(model, num_reads=3, rng=rng_direct)
-        assert rng_service.integers(0, 2**31) == rng_direct.integers(0, 2**31)
+        seed = int(np.random.default_rng(21).integers(0, 2**63 - 1))
+        expected = reference(model, 4, seed)
+        assert np.array_equal(routed.assignments, expected.assignments)
+        assert np.array_equal(routed.energies, expected.energies)
 
     def test_sample_routes_through_remote_backend(self, model):
         """The ROADMAP-flagged gap: sample() must not bypass the backend."""

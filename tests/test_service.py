@@ -13,6 +13,7 @@ from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
 from repro.service import (
+    CachedEvaluation,
     SolveRequest,
     SolveResult,
     SolverCallCache,
@@ -334,17 +335,6 @@ class TestSolveService:
         with pytest.raises(ValueError):
             SolveService(max_workers=0)
 
-    def test_evaluate_matches_legacy_cache_path(self, problem):
-        solver = SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=20))
-        parameter = float(problem.relaxation_scale())
-        legacy = SolverCallCache().evaluate(problem, solver, parameter, 6, rng=5)
-        # Byte-parity with the legacy live-RNG path is an in-process-backend
-        # guarantee, so pin backend="thread" (out-of-process backends derive a
-        # child seed instead — deterministic, but a different stream).
-        with SolveService(max_workers=2, backend="thread") as service:
-            via_service = service.evaluate(problem, solver, parameter, 6, rng=5)
-        assert via_service == legacy
-
     def test_evaluate_respects_shared_cache(self, problem):
         solver = SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=20))
         cache = SolverCallCache()
@@ -362,17 +352,15 @@ class TestTuningThroughService:
         solver = SimulatedAnnealingSolver(SimulatedAnnealingConfig(num_sweeps=20))
         bounds = default_bounds(problem)
 
-        # Pin the in-process backend: the legacy replay below consumes the
-        # rng stream inside the engine call, which only the thread path does.
-        with SolveService(max_workers=2, backend="thread") as service:
+        # Any backend: every trial's engine call receives a concrete seed.
+        with SolveService(max_workers=2) as service:
             history = tune_instance(
                 problem, solver, RandomSearchTuner(bounds, rng=0),
                 num_trials=4, num_reads=6, rng=0, service=service,
             )
 
-        # Replay the pre-service loop: tuner suggestions evaluated directly
-        # through a SolverCallCache with the same seeds.
-        cache = SolverCallCache()
+        # Replay the loop by hand: each trial draws one child seed from the
+        # tuning stream, samples the relaxed model with it and summarises.
         tuner = RandomSearchTuner(bounds, rng=0)
         rng = np.random.default_rng(0)
         from repro.tuning.base import TrialHistory, TrialResult
@@ -380,7 +368,11 @@ class TestTuningThroughService:
         legacy = TrialHistory()
         for _ in range(4):
             parameter = tuner.bounds.clip(tuner.suggest(legacy))
-            outcome = cache.evaluate(problem, solver, parameter, 6, rng=rng)
+            seed = int(rng.integers(0, 2**63 - 1))
+            samples = solver.sample(
+                problem.build_qubo(parameter), num_reads=6, rng=np.random.default_rng(seed)
+            )
+            outcome = CachedEvaluation.from_samples(problem, samples)
             trial = TrialResult(
                 parameter=parameter,
                 probability_of_feasibility=outcome.probability_of_feasibility,
