@@ -91,7 +91,7 @@ def test_remote_fleet_throughput(record_report):
             wall, latencies, stats = _drive_fleet(
                 [server.address for server in servers], model, solver
             )
-            served = sum(server.stats()["served"] for server in servers)
+            served = sum(server.stats()["served_total"] for server in servers)
         finally:
             for server in servers:
                 server.close()
@@ -101,7 +101,7 @@ def test_remote_fleet_throughput(record_report):
             f"{fleet_size:>8} {REQUESTS / wall:>8.1f} "
             f"{1e3 * _percentile(latencies, 0.50):>8.1f} "
             f"{1e3 * _percentile(latencies, 0.99):>8.1f} "
-            f"{stats['dials']:>6} {stats['model_reships']:>8}"
+            f"{stats['dials_total']:>6} {stats['model_reships_total']:>8}"
         )
     record_report("bench_remote", "\n".join(lines))
 
@@ -135,7 +135,7 @@ def test_remote_shed_regime(record_report):
         no_retry_wall = time.perf_counter() - started
         backend.close()
         no_retry = dict(outcomes)
-        worker_sheds = server.stats()["shed"]
+        worker_sheds = server.stats()["shed_total"]
 
         # Every call resolved to a typed outcome, and the bound actually bit.
         assert no_retry["served"] + no_retry["shed"] == burst
@@ -157,7 +157,7 @@ def test_remote_shed_regime(record_report):
         retry_wall = time.perf_counter() - started
         retry_stats = backend.stats()
         backend.close()
-        assert retry_stats["served"] == burst
+        assert retry_stats["served_total"] == burst
 
     record_report(
         "bench_remote_shed",
@@ -169,8 +169,8 @@ def test_remote_shed_regime(record_report):
                 f"retries=0: served {no_retry['served']}, shed "
                 f"{no_retry['shed']} (typed ServiceOverloaded), "
                 f"worker shed counter {worker_sheds}, wall {no_retry_wall:.2f}s",
-                f"retries=8: served {retry_stats['served']}/{burst} after "
-                f"{retry_stats['overload_retries']} overload retries, "
+                f"retries=8: served {retry_stats['served_total']}/{burst} after "
+                f"{retry_stats['overload_retries_total']} overload retries, "
                 f"wall {retry_wall:.2f}s",
             ]
         ),

@@ -1,16 +1,17 @@
 """Process-wide metrics registry: named counters, gauges and histograms.
 
-This is the *substrate* under every ``stats()`` readout in the library — the
+This is the one store under every ``stats()`` readout in the library.  The
 solve service, the admission gates, the remote fleet client, the worker
-control plane and the cache tiers all count into one registry, so a single
-snapshot answers "what has this process done" without chasing four divergent
-ad-hoc dicts.  The registry is always live (an increment is one short
-lock-guarded integer add — the same cost the ad-hoc counters already paid);
-the ``QROSS_METRICS`` environment variable additionally dumps a
-Prometheus-text snapshot to a file at interpreter exit.
+control plane and the cache tiers each hold their counts as per-instance
+children (:meth:`Counter.child`, :meth:`Gauge.child`) of the families below.
+One update moves the child and its family together, so an object's
+``stats()`` is a read of its children and a registry snapshot is their sum
+over every instance in the process.  The registry is always live (an update
+is one short lock-guarded add); the ``QROSS_METRICS`` environment variable
+additionally dumps a Prometheus-text snapshot to a file at interpreter exit.
 
-Key schema (``qross.stats/1``)
-------------------------------
+Metric names
+------------
 Metric names follow Prometheus conventions — ``qross_<component>_<what>`` with
 ``_total`` on monotonic counters and ``_seconds`` on latency histograms;
 low-cardinality dimensions are labels:
@@ -50,9 +51,9 @@ low-cardinality dimensions are labels:
 ``qross_portfolio_cancellations_total``   members cancelled by the strategy
 ========================================  =====================================
 
-The legacy per-instance ``stats()`` dicts remain (their old keys are aliases
-for one release — see the ``schema`` field they now carry); the registry is
-the cross-instance, cross-component aggregate.
+Every ``stats()`` dict carries ``schema`` = :data:`STATS_SCHEMA` and one key
+per quantity: ``<what>_total`` for counts, plus ``pending``, ``peak_pending``
+and ``max_pending`` for admission.
 
 Everything here is stdlib-only and RNG-free: observing a metric can never
 perturb a seeded solve.
@@ -72,9 +73,8 @@ from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 #: is always live).
 METRICS_ENV = "QROSS_METRICS"
 
-#: Version tag of the unified stats key schema carried by every ``stats()``
-#: dict that has been migrated onto the registry.
-STATS_SCHEMA = "qross.stats/1"
+#: Version tag of the key schema carried by every ``stats()`` dict.
+STATS_SCHEMA = "qross.stats/2"
 
 #: Latency histogram buckets (seconds): microbenchmark floor to minutes-long
 #: solves.  Explicit buckets keep ``observe`` allocation-free and O(log n).
@@ -102,51 +102,63 @@ def _render_labels(items: Sequence[Tuple[str, str]], extra: str = "") -> str:
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
-class Counter:
+class _Value:
+    """A number behind a lock, optionally the child of a metric of its kind.
+
+    A child shares its parent's lock, so one update moves the child and every
+    ancestor in one critical section: a per-instance child and the family it
+    came from never disagree.  Updating a parent leaves its children alone.
+    """
+
+    def __init__(self, parent: "Optional[_Value]" = None) -> None:
+        self._parent = parent
+        self._lock = threading.Lock() if parent is None else parent._lock
+        self._value = 0
+
+    def _add(self, amount: float) -> None:
+        """Move this metric and its ancestors; the caller holds ``_lock``."""
+        node = self
+        while node is not None:
+            node._value += amount
+            node = node._parent
+
+    @property
+    def value(self) -> float:
+        with self._lock:
+            return self._value
+
+    def child(self):
+        """A per-instance metric whose updates also move this one."""
+        return type(self)(parent=self)
+
+
+class Counter(_Value):
     """Monotonic counter.  ``inc`` is one lock-guarded add — safe anywhere."""
 
     kind = "counter"
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError("counters only go up; use a gauge for deltas")
         with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
+            self._add(amount)
 
 
-class Gauge:
+class Gauge(_Value):
     """A value that goes up and down (pending work, pool sizes)."""
 
     kind = "gauge"
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
     def set(self, value: float) -> None:
         with self._lock:
-            self._value = float(value)
+            self._add(value - self._value)
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         with self._lock:
-            self._value += amount
+            self._add(amount)
 
-    def dec(self, amount: float = 1.0) -> None:
+    def dec(self, amount: float = 1) -> None:
         self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
 
 
 class Histogram:

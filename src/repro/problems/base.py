@@ -11,9 +11,9 @@ A :class:`ConstrainedProblem` bundles three things:
 QROSS, the baseline tuners and the experiment harness only talk to this
 interface, so adding a new problem class (the paper mentions QAP, vehicle
 routing, resource allocation) only requires implementing it.  Subclasses
-implement :meth:`_encode` (preferred — build the objective and penalty through
-a :class:`~repro.qubo.expression.QUBOAccumulator` so large sparse instances
-never densify) or, for backwards compatibility, override :meth:`builder`.
+implement :meth:`_encode`, building the objective and penalty through a
+:class:`~repro.qubo.expression.QUBOAccumulator` so large sparse instances
+never densify.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro.qubo.builder import PenaltyQUBOBuilder
 from repro.qubo.expression import RelaxedEncoding
 from repro.qubo.model import QUBOModel
 
@@ -54,25 +53,9 @@ class ConstrainedProblem(abc.ABC):
             self._cached_encoding = cached
         return cached
 
+    @abc.abstractmethod
     def _encode(self) -> RelaxedEncoding:
-        """Build the encoding.  Default: adapt a legacy :meth:`builder` override."""
-        if type(self).builder is ConstrainedProblem.builder:
-            raise NotImplementedError(
-                f"{type(self).__name__} must implement _encode() (or the legacy builder())"
-            )
-        return self.builder().encoding
-
-    def builder(self) -> PenaltyQUBOBuilder:
-        """Penalty builder combining the objective and constraint QUBOs.
-
-        Kept for backwards compatibility; derived from :meth:`encode` (and
-        cached alongside it) unless a subclass still overrides it directly.
-        """
-        cached = getattr(self, "_cached_builder", None)
-        if cached is None:
-            cached = PenaltyQUBOBuilder.from_encoding(self.encode())
-            self._cached_builder = cached
-        return cached
+        """Build the ``(H_B, H_A)`` encoding (called once, by :meth:`encode`)."""
 
     def build_qubo(self, relaxation_parameter: float) -> QUBOModel:
         """Relaxed QUBO ``H_B + A * H_A`` for the given parameter (lazily cached)."""

@@ -1,6 +1,6 @@
 """QUBO substrate: model representation, penalty construction and sample batches."""
 
-from repro.qubo.builder import LinearConstraints, PenaltyQUBOBuilder, slack_encode_inequality
+from repro.qubo.builder import LinearConstraints, slack_encode_inequality
 from repro.qubo.expression import QUBOAccumulator, RelaxedEncoding
 from repro.qubo.model import IsingModel, QUBOModel, random_qubo
 from repro.qubo.precision import AnalogNoiseModel, QuantizationModel
@@ -13,7 +13,6 @@ __all__ = [
     "QUBOAccumulator",
     "RelaxedEncoding",
     "LinearConstraints",
-    "PenaltyQUBOBuilder",
     "slack_encode_inequality",
     "AnalogNoiseModel",
     "QuantizationModel",

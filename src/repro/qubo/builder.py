@@ -19,11 +19,11 @@ small helper for inequality constraints via slack variables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.qubo.expression import QUBOAccumulator, RelaxedEncoding
+from repro.qubo.expression import QUBOAccumulator
 from repro.qubo.model import QUBOModel
 
 from repro.utils.sparse import scipy_sparse as _sparse
@@ -102,82 +102,6 @@ class LinearConstraints:
         accumulator.add_linear(nonzero, linear[nonzero])
         accumulator.add_constant(float(self.d @ self.d))
         return accumulator.build(name="penalty", storage=storage)
-
-
-class PenaltyQUBOBuilder:
-    """Combine an objective QUBO with constraint penalties scaled by ``A``.
-
-    A thin compatibility wrapper over :class:`~repro.qubo.expression.RelaxedEncoding`:
-    the builder owns an encoding and :meth:`build` delegates to
-    :meth:`RelaxedEncoding.relax`, which composes ``H_B + A * H_A``
-    storage-preservingly and caches the most recent relaxed models.
-
-    Parameters
-    ----------
-    objective:
-        QUBO encoding the original objective (the paper's ``H_B``).
-    constraints:
-        Linear equality constraints, or a pre-built penalty QUBO (``H_A``).
-    """
-
-    def __init__(
-        self,
-        objective: QUBOModel,
-        constraints: LinearConstraints | QUBOModel,
-    ) -> None:
-        if isinstance(constraints, LinearConstraints):
-            if constraints.num_variables != objective.num_variables:
-                raise ValueError(
-                    "constraints are defined over a different number of variables "
-                    f"({constraints.num_variables} vs {objective.num_variables})"
-                )
-            self._constraints: Optional[LinearConstraints] = constraints
-            penalty = constraints.penalty_qubo()
-        else:
-            if constraints.num_variables != objective.num_variables:
-                raise ValueError("penalty QUBO size does not match the objective")
-            self._constraints = None
-            penalty = constraints
-        self._encoding = RelaxedEncoding(
-            objective=objective, penalty=penalty, name=objective.name or "relaxed"
-        )
-
-    @classmethod
-    def from_encoding(cls, encoding: RelaxedEncoding) -> "PenaltyQUBOBuilder":
-        """Wrap an existing encoding (shares its per-parameter relaxation cache)."""
-        builder = cls.__new__(cls)
-        builder._constraints = None
-        builder._encoding = encoding
-        return builder
-
-    @property
-    def encoding(self) -> RelaxedEncoding:
-        """The frozen ``(objective, penalty)`` encoding behind this builder."""
-        return self._encoding
-
-    @property
-    def objective(self) -> QUBOModel:
-        return self._encoding.objective
-
-    @property
-    def penalty(self) -> QUBOModel:
-        return self._encoding.penalty
-
-    def build(self, relaxation_parameter: float) -> QUBOModel:
-        """Return ``objective + A * penalty`` for the given relaxation parameter."""
-        return self._encoding.relax(relaxation_parameter)
-
-    def objective_energy(self, x: np.ndarray) -> float:
-        """Original objective value of an assignment (independent of ``A``)."""
-        return self._encoding.objective_energy(x)
-
-    def penalty_energy(self, x: np.ndarray) -> float:
-        """Constraint-violation energy of an assignment (independent of ``A``)."""
-        return self._encoding.penalty_energy(x)
-
-    def is_feasible(self, x: np.ndarray, tol: float = 1e-6) -> bool:
-        """Whether an assignment satisfies the constraints (penalty energy ~ 0)."""
-        return self._encoding.is_feasible(x, tol=tol)
 
 
 def slack_encode_inequality(

@@ -54,49 +54,39 @@ class AdmissionGate:
         self.max_pending = max_pending
         self.name = name
         self._lock = threading.Lock()
-        self._pending = 0
         self._peak_pending = 0
-        self._admitted = 0
-        self._shed = 0
-        # Registry mirrors, labelled by the gate's component (the first word
-        # of its name — "service", "worker", ... — so per-instance suffixes
-        # like a worker's host:port never explode label cardinality).  The
-        # exact per-gate numbers stay in the counters above.
-        component = (name.split() or ["service"])[0]
-        self._admitted_metric = obs.counter(
+        # Children of families labelled by the gate's component (the first
+        # word of its name — "service", "worker", ... — so per-instance
+        # suffixes like a worker's host:port never explode label cardinality).
+        # The pending child is the store the bound check reads, under _lock.
+        labels = {"component": (name.split() or ["service"])[0]}
+        self._admitted = obs.counter(
             "qross_admission_admitted_total",
-            labels={"component": component},
+            labels=labels,
             help="Work units admitted past an admission gate",
-        )
-        self._shed_metric = obs.counter(
+        ).child()
+        self._shed = obs.counter(
             "qross_admission_shed_total",
-            labels={"component": component},
+            labels=labels,
             help="Work units shed at an admission gate bound",
-        )
-        self._pending_gauge = obs.gauge(
+        ).child()
+        self._pending = obs.gauge(
             "qross_admission_pending",
-            labels={"component": component},
+            labels=labels,
             help="Admitted-but-unfinished work units",
-        )
+        ).child()
 
     # ---------------------------------------------------------------- admission
     def try_acquire(self) -> bool:
         """Admit one unit of work; ``False`` (and a counted shed) when full."""
         with self._lock:
-            if self.max_pending is not None and self._pending >= self.max_pending:
-                self._shed += 1
-                shed = True
-            else:
-                self._pending += 1
-                self._admitted += 1
-                if self._pending > self._peak_pending:
-                    self._peak_pending = self._pending
-                shed = False
-        if shed:
-            self._shed_metric.inc()
-            return False
-        self._admitted_metric.inc()
-        self._pending_gauge.inc()
+            pending = self._pending.value
+            if self.max_pending is not None and pending >= self.max_pending:
+                self._shed.inc()
+                return False
+            self._pending.inc()
+            self._admitted.inc()
+            self._peak_pending = max(self._peak_pending, pending + 1)
         return True
 
     def acquire(self) -> None:
@@ -110,37 +100,32 @@ class AdmissionGate:
     def release(self) -> None:
         """Mark one admitted unit finished (success or failure alike)."""
         with self._lock:
-            if self._pending <= 0:
+            if self._pending.value <= 0:
                 raise RuntimeError(f"{self.name}: release() without a matching acquire()")
-            self._pending -= 1
-        self._pending_gauge.dec()
+            self._pending.dec()
 
     # ------------------------------------------------------------------ readouts
     @property
     def pending(self) -> int:
-        with self._lock:
-            return self._pending
+        return self._pending.value
 
     def stats(self) -> Dict[str, Optional[int]]:
-        """Counter snapshot: admitted / completed / pending / peak / shed.
+        """Counter snapshot in the :data:`repro.obs.STATS_SCHEMA` keys.
 
-        Keys follow the unified :data:`repro.obs.STATS_SCHEMA` (canonical
-        ``*_total`` names plus ``pending``/``peak_pending``); the historical
-        bare names (``admitted``/``completed``/``shed``) remain as aliases
-        for one release.
+        ``admitted_total`` / ``completed_total`` / ``shed_total`` count work
+        units; ``pending`` / ``peak_pending`` / ``max_pending`` describe the
+        bound.
         """
         with self._lock:
+            admitted, pending = self._admitted.value, self._pending.value
             return {
                 "schema": obs.STATS_SCHEMA,
                 "max_pending": self.max_pending,
-                "admitted": self._admitted,
-                "completed": self._admitted - self._pending,
-                "pending": self._pending,
+                "admitted_total": admitted,
+                "completed_total": admitted - pending,
+                "shed_total": self._shed.value,
+                "pending": pending,
                 "peak_pending": self._peak_pending,
-                "shed": self._shed,
-                "admitted_total": self._admitted,
-                "completed_total": self._admitted - self._pending,
-                "shed_total": self._shed,
             }
 
 

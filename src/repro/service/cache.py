@@ -131,24 +131,21 @@ class SolverCallCache:
         self.persistent = persistent
         self.persist_evaluations = persist_evaluations
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        # Process-wide registry mirrors of the per-instance counters above.
-        self._hit_metric = obs.counter(
+        self._hits = obs.counter(
             "qross_cache_lookups_total",
             labels={"cache": "call", "result": "hit"},
             help="Solver-call cache lookups by outcome",
-        )
-        self._miss_metric = obs.counter(
+        ).child()
+        self._misses = obs.counter(
             "qross_cache_lookups_total",
             labels={"cache": "call", "result": "miss"},
             help="Solver-call cache lookups by outcome",
-        )
-        self._evict_metric = obs.counter(
+        ).child()
+        self._evictions = obs.counter(
             "qross_cache_evictions_total",
             labels={"cache": "call"},
             help="Sample-set entries evicted at the LRU bound",
-        )
+        ).child()
 
     # ----------------------------------------------------------------- keying
     @staticmethod
@@ -185,6 +182,14 @@ class SolverCallCache:
         return len(self._entries)
 
     @property
+    def hits(self) -> int:
+        return self._hits.value
+
+    @property
+    def misses(self) -> int:
+        return self._misses.value
+
+    @property
     def num_sample_entries(self) -> int:
         return len(self._samples)
 
@@ -193,24 +198,13 @@ class SolverCallCache:
         """Fetch an aggregate entry (memory, then the opt-in persistent tier)."""
         with self._lock:
             entry = self._entries.get(key)
+        if entry is None and self.persist_evaluations:
+            # Disk I/O happens outside the lock; a hit re-populates memory.
+            entry = self.persistent.lookup_evaluation(key)
             if entry is not None:
-                self.hits += 1
-                self._hit_metric.inc()
-                return entry
-            if not self.persist_evaluations:
-                self.misses += 1
-                self._miss_metric.inc()
-                return None
-        # Disk I/O happens outside the lock; a hit re-populates memory.
-        entry = self.persistent.lookup_evaluation(key)
-        with self._lock:
-            if entry is None:
-                self.misses += 1
-                self._miss_metric.inc()
-            else:
-                self.hits += 1
-                self._hit_metric.inc()
-                self._entries[key] = entry
+                with self._lock:
+                    self._entries[key] = entry
+        (self._misses if entry is None else self._hits).inc()
         return entry
 
     def store(self, key: str, entry: CachedEvaluation) -> None:
@@ -224,23 +218,13 @@ class SolverCallCache:
         with self._lock:
             samples = self._samples.get(key)
             if samples is not None:
-                self.hits += 1
-                self._hit_metric.inc()
                 self._samples.move_to_end(key)
-                return samples
-            if self.persistent is None:
-                self.misses += 1
-                self._miss_metric.inc()
-                return None
-        samples = self.persistent.lookup_samples(key)
-        with self._lock:
-            if samples is None:
-                self.misses += 1
-                self._miss_metric.inc()
-            else:
-                self.hits += 1
-                self._hit_metric.inc()
-                self._store_samples_locked(key, samples)
+        if samples is None and self.persistent is not None:
+            samples = self.persistent.lookup_samples(key)
+            if samples is not None:
+                with self._lock:
+                    self._store_samples_locked(key, samples)
+        (self._misses if samples is None else self._hits).inc()
         return samples
 
     def store_samples(self, key: str, samples: SampleSet) -> None:
@@ -254,7 +238,7 @@ class SolverCallCache:
         self._samples.move_to_end(key)
         while len(self._samples) > self.max_sample_entries:
             self._samples.popitem(last=False)
-            self._evict_metric.inc()
+            self._evictions.inc()
 
     # ------------------------------------------------------------ persistence
     def save(self, path: str | Path) -> None:

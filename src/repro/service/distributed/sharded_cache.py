@@ -34,10 +34,9 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro import obs
 from repro.qubo.sampleset import SampleSet
@@ -50,6 +49,8 @@ LAYOUT_VERSION = 1
 
 _SAMPLES_SUFFIX = ".samples"
 _EVAL_SUFFIX = ".eval.json"
+
+T = TypeVar("T")
 
 
 class ShardedResultCache:
@@ -65,76 +66,72 @@ class ShardedResultCache:
     def __init__(self, root: "str | Path") -> None:
         self.root = Path(root).expanduser()
         self._version_dir = self.root / f"v{LAYOUT_VERSION}"
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        # Process-wide registry mirrors of the per-instance counters above.
-        self._hit_metric = obs.counter(
+        self._hits = obs.counter(
             "qross_cache_lookups_total",
             labels={"cache": "sharded", "result": "hit"},
             help="Sharded disk-cache lookups by outcome",
-        )
-        self._miss_metric = obs.counter(
+        ).child()
+        self._misses = obs.counter(
             "qross_cache_lookups_total",
             labels={"cache": "sharded", "result": "miss"},
             help="Sharded disk-cache lookups by outcome",
-        )
-        self._corrupt_metric = obs.counter(
+        ).child()
+        self._corrupt_removed = obs.counter(
             "qross_cache_corrupt_removed_total",
             labels={"cache": "sharded"},
             help="Corrupt/truncated disk entries removed on read",
-        )
+        ).child()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"ShardedResultCache(root={str(self.root)!r})"
+
+    @property
+    def hits(self) -> int:
+        return self._hits.value
+
+    @property
+    def misses(self) -> int:
+        return self._misses.value
 
     # ------------------------------------------------------------------ layout
     def _entry_path(self, key: str, suffix: str) -> Path:
         digest = hashlib.sha256(key.encode("utf-8")).hexdigest()
         return self._version_dir / digest[:2] / f"{digest}{suffix}"
 
-    def _read(self, path: Path) -> Optional[bytes]:
+    def _lookup(self, key: str, suffix: str, decode: Callable[[bytes], T]) -> Optional[T]:
+        """Read and decode one entry, counting the lookup once, after decoding.
+
+        A partial/corrupt entry is worth less than a miss: it is removed and
+        counted as a miss.
+        """
+        path = self._entry_path(key, suffix)
         try:
             data = path.read_bytes()
         except OSError:
-            with self._lock:
-                self.misses += 1
-            self._miss_metric.inc()
+            self._misses.inc()
             return None
-        with self._lock:
-            self.hits += 1
-        self._hit_metric.inc()
-        return data
-
-    def _drop_corrupt(self, path: Path) -> None:
-        """A partial/corrupt entry is worth less than a miss: remove it."""
         try:
-            path.unlink()
-        except OSError:
-            pass
-        with self._lock:
-            self.hits -= 1
-            self.misses += 1
-        # Registry counters are monotonic, so the premature hit inc cannot be
-        # reversed; the corrupt-removed counter is the correction signal.
-        self._miss_metric.inc()
-        self._corrupt_metric.inc()
+            value = decode(data)
+        except (KeyError, TypeError, ValueError):
+            # WireFormatError, UnicodeDecodeError and JSONDecodeError are
+            # ValueErrors; TypeError covers e.g. np.dtype() on a bit-flipped
+            # dtype string.
+            try:
+                path.unlink()
+            except OSError:
+                pass
+            self._corrupt_removed.inc()
+            self._misses.inc()
+            return None
+        self._hits.inc()
+        return value
 
     # ------------------------------------------------------------- sample sets
     def lookup_samples(self, key: str) -> Optional[SampleSet]:
         """Fetch a stored seeded solver call, or ``None``."""
         from repro.service.distributed import wire
 
-        path = self._entry_path(key, _SAMPLES_SUFFIX)
-        data = self._read(path)
-        if data is None:
-            return None
-        try:
-            return wire.decode_sample_set(data)
-        except (wire.WireFormatError, ValueError, KeyError, TypeError):
-            # TypeError covers e.g. np.dtype() on a bit-flipped dtype string.
-            self._drop_corrupt(path)
-            return None
+        return self._lookup(key, _SAMPLES_SUFFIX, wire.decode_sample_set)
 
     def store_samples(self, key: str, samples: SampleSet) -> None:
         """Persist one seeded solver call atomically."""
@@ -145,15 +142,11 @@ class ShardedResultCache:
     # ------------------------------------------------------------- evaluations
     def lookup_evaluation(self, key: str) -> Optional[CachedEvaluation]:
         """Fetch a stored aggregate evaluation, or ``None``."""
-        path = self._entry_path(key, _EVAL_SUFFIX)
-        data = self._read(path)
-        if data is None:
-            return None
-        try:
-            return CachedEvaluation.from_json_dict(json.loads(data.decode("utf-8")))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError):
-            self._drop_corrupt(path)
-            return None
+        return self._lookup(
+            key,
+            _EVAL_SUFFIX,
+            lambda data: CachedEvaluation.from_json_dict(json.loads(data.decode("utf-8"))),
+        )
 
     def store_evaluation(self, key: str, entry: CachedEvaluation) -> None:
         """Persist one aggregate evaluation atomically.
@@ -210,7 +203,7 @@ class ShardedResultCache:
         readers and writers: a reader that loses the race simply records a
         miss (and re-runs the deterministic call), a concurrent writer
         re-creates its entry with a fresh mtime.  Files that vanish mid-scan
-        (another pruner, a concurrent ``_drop_corrupt``) are skipped.
+        (another pruner, a concurrent corrupt-entry removal) are skipped.
 
         Returns ``{"kept": n, "kept_bytes": b, "removed": m,
         "removed_expired": e, "removed_tmp": t}`` (``removed`` includes the

@@ -121,11 +121,11 @@ def parse_worker_list(
 class _WorkerState:
     """Client-side view of one fleet member: health, connections, shipped models."""
 
-    def __init__(self, address: Tuple[str, int]) -> None:
+    def __init__(self, address: Tuple[str, int], served: obs.metrics.Counter) -> None:
         self.address = address
         self.failures = 0
         self.down_until = 0.0
-        self.served = 0
+        self.served = served.child()
         self.idle: List[socket.socket] = []
         self.shipped: "OrderedDict[str, bool]" = OrderedDict()
 
@@ -183,7 +183,23 @@ class RemoteBackend(ExecutionBackend):
         self.retries = int(retries)
         self.backoff_base = float(backoff_base)
         self.backoff_max = float(backoff_max)
-        self._workers = [_WorkerState(a) for a in parse_worker_list(workers)]
+        # One child per counted event, reported by ``stats()`` as
+        # ``<event>_total``; each worker's ``served`` is a child of "served".
+        self._counts = {
+            event: obs.counter(f"qross_remote_{event}_total").child()
+            for event in (
+                "requests",
+                "served",
+                "fallback",
+                "transport_retries",
+                "overload_retries",
+                "model_reships",
+                "dials",
+            )
+        }
+        self._workers = [
+            _WorkerState(a, self._counts["served"]) for a in parse_worker_list(workers)
+        ]
         #: Width hint for the service thread pool: enough submitters to keep
         #: every fleet member busy even when each runs several calls at once.
         self.max_workers = max(default_worker_count(), 2 * len(self._workers))
@@ -194,26 +210,6 @@ class RemoteBackend(ExecutionBackend):
         self._lock = threading.Lock()
         self._rr = 0
         self._closed = False
-        self._counters = {
-            "requests": 0,
-            "served": 0,
-            "fallback_in_process": 0,
-            "transport_retries": 0,
-            "overload_retries": 0,
-            "model_reships": 0,
-            "dials": 0,
-        }
-        # Per-instance exact counts stay in ``_counters`` (``stats()`` reads
-        # them); the process-wide registry aggregates the same events across
-        # every backend instance in the process.
-        self._metrics = {
-            key: obs.counter(
-                "qross_remote_fallback_total"
-                if key == "fallback_in_process"
-                else f"qross_remote_{key}_total"
-            )
-            for key in self._counters
-        }
         self._rpc_seconds = obs.histogram(
             "qross_remote_rpc_seconds",
             help="Single-attempt remote engine-call round-trip latency",
@@ -246,15 +242,11 @@ class RemoteBackend(ExecutionBackend):
             # Same graceful degradation as the process pool: a solver the
             # wire cannot express runs here, byte-identically (same seed
             # discipline on every backend).
-            with self._lock:
-                self._counters["fallback_in_process"] += 1
-            self._metrics["fallback_in_process"].inc()
+            self._counts["fallback"].inc()
             return self._fallback.run(model, solver, num_reads, seed)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("RemoteBackend is closed")
-            self._counters["requests"] += 1
-        self._metrics["requests"].inc()
+        if self._closed:
+            raise RuntimeError("RemoteBackend is closed")
+        self._counts["requests"].inc()
         deadline = (
             None
             if self.request_timeout is None
@@ -282,15 +274,10 @@ class RemoteBackend(ExecutionBackend):
                     counter = "overload_retries"
                 else:
                     self._mark_healthy(worker)
-                    with self._lock:
-                        self._counters["served"] += 1
-                    self._metrics["served"].inc()
                     sp.set(worker=worker.label, attempts=attempt + 1)
                     return samples
                 if attempt < self.retries:
-                    with self._lock:
-                        self._counters[counter] += 1
-                    self._metrics[counter].inc()
+                    self._counts[counter].inc()
                     self._backoff(attempt, deadline)
             assert last_error is not None
             raise last_error
@@ -333,8 +320,7 @@ class RemoteBackend(ExecutionBackend):
                 # same connection.
                 with self._lock:
                     worker.shipped.pop(fingerprint, None)
-                    self._counters["model_reships"] += 1
-                self._metrics["model_reships"].inc()
+                self._counts["model_reships"].inc()
                 sp.set(model_reshipped=True)
                 reply = self._roundtrip(
                     conn,
@@ -348,9 +334,10 @@ class RemoteBackend(ExecutionBackend):
                     worker.shipped.move_to_end(fingerprint)
                     while len(worker.shipped) > _WORKER_MODEL_LIMIT:
                         worker.shipped.popitem(last=False)
-                    worker.served += 1
                 self._rpc_seconds.observe(time.perf_counter() - started)
-                return SampleSet.from_wire(header, buffers)
+                samples = SampleSet.from_wire(header, buffers)
+                worker.served.inc()
+                return samples
             if kind == "error":
                 self._raise_for_error(worker, header)
             raise RemoteProtocolError(
@@ -493,9 +480,7 @@ class RemoteBackend(ExecutionBackend):
                 raise RemoteTransportError(
                     f"cannot connect to worker {worker.label}: {exc}"
                 ) from exc
-            with self._lock:
-                self._counters["dials"] += 1
-            self._metrics["dials"].inc()
+            self._counts["dials"].inc()
             try:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 reply = self._roundtrip(conn, wire.encode_hello(), deadline, io_timeout=timeout)
@@ -574,32 +559,25 @@ class RemoteBackend(ExecutionBackend):
     def stats(self) -> dict:
         """Counter snapshot: traffic, retries and per-worker health.
 
-        Keys follow the unified :data:`repro.obs.STATS_SCHEMA` (canonical
-        ``*_total`` names); the historical bare names (``requests``,
-        ``served``, ``fallback_in_process``, ...) remain as aliases for one
-        release.
+        Keys follow :data:`repro.obs.STATS_SCHEMA`: ``requests_total``,
+        ``served_total``, ``fallback_total``, ``transport_retries_total``,
+        ``overload_retries_total``, ``model_reships_total``, ``dials_total``,
+        plus ``workers`` (health and ``served_total`` per fleet member).
         """
+        data = {f"{event}_total": count.value for event, count in self._counts.items()}
         with self._lock:
             now = time.monotonic()
-            data = dict(self._counters)
-            data["name"] = self.name
             data["workers"] = {
                 w.label: {
                     "healthy": w.down_until <= now,
                     "consecutive_failures": w.failures,
-                    "served": w.served,
+                    "served_total": w.served.value,
                     "pooled_connections": len(w.idle),
                 }
                 for w in self._workers
             }
+        data["name"] = self.name
         data["schema"] = obs.STATS_SCHEMA
-        data["requests_total"] = data["requests"]
-        data["served_total"] = data["served"]
-        data["fallback_total"] = data["fallback_in_process"]
-        data["transport_retries_total"] = data["transport_retries"]
-        data["overload_retries_total"] = data["overload_retries"]
-        data["model_reships_total"] = data["model_reships"]
-        data["dials_total"] = data["dials"]
         return data
 
     def fleet_metrics(self, timeout: Optional[float] = None) -> Dict[str, float]:

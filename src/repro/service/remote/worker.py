@@ -17,12 +17,13 @@ The server speaks the length-prefixed transport of
   ``version_mismatch`` error when the client offers no version this build
   speaks.
 * ``heartbeat`` — liveness probe; answered with ``heartbeat_ack`` carrying
-  the live load counters (served / shed / inflight / pending), which clients
-  use to evict dead workers and rebalance.
+  the live load counters of :meth:`WorkerServer.stats` (``served_total`` /
+  ``errors_total`` / ``shed_total`` / ``pending`` / ``peak_pending``), which
+  clients use to evict dead workers and rebalance.
 * ``stats`` — explicit runtime-stats probe; answered with ``stats_ack``
-  carrying the same admission / served / shed counters.  This is the
-  control-plane read :meth:`RemoteBackend.check_workers` uses, kept separate
-  from the liveness heartbeat.
+  carrying the same counters plus the process-wide metrics snapshot.  This
+  is the control-plane read :meth:`RemoteBackend.check_workers` uses, kept
+  separate from the liveness heartbeat.
 * ``engine_call`` — one solver call, executed through the same
   :class:`~repro.service.distributed.backends.EngineCallRunner` the process
   pool uses (spec-resolved solvers, per-worker model memoisation with
@@ -166,16 +167,12 @@ class WorkerServer:
         self._closed = threading.Event()
         self._accept_thread: Optional[threading.Thread] = None
         self._connections: Dict[socket.socket, threading.Thread] = {}
-        self._served = 0
-        self._errors = 0
-        # Exact per-server counts live above; the registry aggregates across
-        # every server in the process and travels in ``stats_ack`` frames.
-        self._served_metric = obs.counter(
+        self._served = obs.counter(
             "qross_worker_served_total", help="Engine calls this worker executed"
-        )
-        self._errors_metric = obs.counter(
+        ).child()
+        self._errors = obs.counter(
             "qross_worker_solve_errors_total", help="Engine calls that raised"
-        )
+        ).child()
 
     # ----------------------------------------------------------------- lifecycle
     def start(self) -> "WorkerServer":
@@ -339,14 +336,10 @@ class WorkerServer:
                         response = self._runner.execute(payload)
                     finally:
                         self._slots.release()
-            with self._lock:
-                self._served += 1
-            self._served_metric.inc()
+            self._served.inc()
             return response
         except Exception as exc:  # noqa: BLE001 - worker must not die on bad calls
-            with self._lock:
-                self._errors += 1
-            self._errors_metric.inc()
+            self._errors.inc()
             logger.warning(
                 "engine call failed",
                 extra={"error_type": type(exc).__name__, "error": str(exc)},
@@ -361,29 +354,22 @@ class WorkerServer:
     def stats(self, include_metrics: bool = False) -> dict:
         """Live load/health counters (also shipped in heartbeat acks).
 
-        Keys follow the unified :data:`repro.obs.STATS_SCHEMA` (canonical
-        ``*_total`` / ``pending`` names); the historical names (``served``,
-        ``solve_errors``, ``shed``, ``inflight``, ``peak_inflight``) remain as
-        aliases for one release.  ``include_metrics=True`` attaches the
-        process-wide metrics registry snapshot (used by ``stats_ack``).
+        Keys follow :data:`repro.obs.STATS_SCHEMA`: ``served_total``,
+        ``errors_total``, ``shed_total``, ``pending`` and ``peak_pending``,
+        beside the worker's identity and bounds.  ``include_metrics=True``
+        attaches the process-wide metrics registry snapshot (used by
+        ``stats_ack``).
         """
         gate = self._gate.stats()
-        with self._lock:
-            served, errors = self._served, self._errors
         data = {
+            "schema": obs.STATS_SCHEMA,
             "pid": os.getpid(),
             "address": f"{self.address[0]}:{self.address[1]}",
             "max_concurrency": self.max_concurrency,
             "max_pending": self.max_pending,
-            "served": served,
-            "solve_errors": errors,
-            "shed": gate["shed"],
-            "inflight": gate["pending"],
-            "peak_inflight": gate["peak_pending"],
-            "schema": obs.STATS_SCHEMA,
-            "served_total": served,
-            "errors_total": errors,
-            "shed_total": gate["shed"],
+            "served_total": self._served.value,
+            "errors_total": self._errors.value,
+            "shed_total": gate["shed_total"],
             "pending": gate["pending"],
             "peak_pending": gate["peak_pending"],
         }
@@ -478,7 +464,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         server.serve_forever()
     finally:
         server.close()
-        logger.info("worker stopped", extra={"served": server.stats()["served"]})
+        logger.info("worker stopped", extra={"served_total": server.stats()["served_total"]})
     return 0
 
 

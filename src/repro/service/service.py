@@ -141,18 +141,14 @@ class SolveService:
         self._executor: Optional[ThreadPoolExecutor] = None
         self._closed = False
         self._gate = AdmissionGate(max_pending=max_pending, name="service")
-        self._served = 0
-        self._failed = 0
-        # Exact per-service outcome counts stay above; the registry aggregates
-        # the same events across every service instance in the process.
-        self._served_metric = obs.counter(
+        self._served = obs.counter(
             "qross_service_tasks_total",
             labels={"outcome": "served"},
             help="Settled service tasks by outcome",
-        )
-        self._failed_metric = obs.counter(
+        ).child()
+        self._failed = obs.counter(
             "qross_service_tasks_total", labels={"outcome": "failed"}
-        )
+        ).child()
         self._latency = {
             path: obs.histogram(
                 "qross_service_request_seconds",
@@ -220,7 +216,9 @@ class SolveService:
         Acquiring the gate may raise
         :class:`~repro.service.admission.ServiceOverloaded`; an admitted task
         releases its slot (and is counted served/failed) when its future
-        settles, whatever thread resolves it.
+        settles, whatever thread resolves it.  A submission the pool refuses
+        (the service is closed) settles at once as failed, so every admitted
+        request ends up served or failed.
 
         When tracing is enabled, the submitting thread's trace context is
         carried onto the pool thread, so spans opened inside the task nest
@@ -239,6 +237,7 @@ class SolveService:
         try:
             future = self._pool().submit(fn, *args)
         except BaseException:
+            self._failed.inc()
             self._gate.release()
             raise
         future.add_done_callback(self._task_done)
@@ -247,12 +246,7 @@ class SolveService:
     def _task_done(self, future: "Future") -> None:
         try:
             failed = future.cancelled() or future.exception() is not None
-            with self._lock:
-                if failed:
-                    self._failed += 1
-                else:
-                    self._served += 1
-            (self._failed_metric if failed else self._served_metric).inc()
+            (self._failed if failed else self._served).inc()
         finally:
             self._gate.release()
 
@@ -260,28 +254,24 @@ class SolveService:
         """Traffic counters: admission, outcomes and the backend's own stats.
 
         Returns the :class:`AdmissionGate` snapshot (``max_pending`` /
-        ``admitted`` / ``pending`` / ``peak_pending`` / ``shed``) plus
-        ``served`` / ``failed`` task outcomes, a ``retried`` total (transport
-        and overload retries, when the backend performs any) and the
-        backend's counter snapshot under ``"backend"``.  Keys follow the
-        unified :data:`repro.obs.STATS_SCHEMA`; the historical bare names
-        remain as aliases for one release.
+        ``admitted_total`` / ``completed_total`` / ``shed_total`` /
+        ``pending`` / ``peak_pending``) plus ``served_total`` /
+        ``failed_total`` task outcomes, a ``retried_total`` (transport and
+        overload retries, when the backend performs any) and the backend's
+        counter snapshot under ``"backend"``.  Keys follow
+        :data:`repro.obs.STATS_SCHEMA`.
         """
         data: dict = self._gate.stats()
-        with self._lock:
-            data["served"] = self._served
-            data["failed"] = self._failed
+        data["served_total"] = self._served.value
+        data["failed_total"] = self._failed.value
         backend_stats = getattr(self.backend, "stats", None)
         backend = (
             backend_stats() if callable(backend_stats) else {"name": self.backend.name}
         )
         data["backend"] = backend
-        data["retried"] = int(backend.get("transport_retries", 0)) + int(
-            backend.get("overload_retries", 0)
+        data["retried_total"] = backend.get("transport_retries_total", 0) + backend.get(
+            "overload_retries_total", 0
         )
-        data["served_total"] = data["served"]
-        data["failed_total"] = data["failed"]
-        data["retried_total"] = data["retried"]
         return data
 
     # ------------------------------------------------------------- single shot

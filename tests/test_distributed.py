@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
@@ -465,6 +466,29 @@ class TestShardedResultCache:
         path.write_bytes(path.read_bytes()[:10])
         assert store.lookup_samples("k") is None
         assert not path.exists()
+
+    @pytest.mark.parametrize("kind", ["samples", "evaluation"])
+    def test_corrupt_lookup_counts_one_miss(self, tmp_path, model, kind):
+        store = ShardedResultCache(tmp_path / "cache")
+        if kind == "samples":
+            solver = make_solver("sa?num_sweeps=10")
+            store.store_samples("k", solver.sample(model, 2, rng=np.random.default_rng(0)))
+            path, lookup = store._entry_path("k", ".samples"), store.lookup_samples
+        else:
+            store.store_evaluation("k", CachedEvaluation(1.0, 0.0, 0.0, None))
+            path, lookup = store._entry_path("k", ".eval.json"), store.lookup_evaluation
+        path.write_bytes(path.read_bytes()[:10])
+        before = obs.metrics_snapshot()
+        assert lookup("k") is None
+        after = obs.metrics_snapshot()
+
+        def moved(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert (store.hits, store.misses) == (0, 1)
+        assert moved('qross_cache_lookups_total{cache="sharded",result="hit"}') == 0
+        assert moved('qross_cache_lookups_total{cache="sharded",result="miss"}') == 1
+        assert moved('qross_cache_corrupt_removed_total{cache="sharded"}') == 1
 
     def test_writes_leave_no_temp_files(self, tmp_path):
         store = ShardedResultCache(tmp_path / "cache")

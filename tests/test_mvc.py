@@ -144,10 +144,10 @@ class TestSparseMVCInstance:
 class TestMVCProblem:
     def test_penalty_zero_iff_cover(self):
         problem = MVCProblem(triangle_instance())
-        builder = problem.builder()
+        encoding = problem.encode()
         for bits in range(8):
             x = np.array([(bits >> i) & 1 for i in range(3)], dtype=float)
-            penalty = builder.penalty_energy(x)
+            penalty = encoding.penalty_energy(x)
             if problem.instance.is_vertex_cover(x):
                 assert penalty == pytest.approx(0.0)
             else:
@@ -156,15 +156,15 @@ class TestMVCProblem:
     def test_objective_is_cover_weight(self):
         weights = np.array([1.0, 2.0, 3.0])
         problem = MVCProblem(triangle_instance(weights=weights))
-        builder = problem.builder()
+        encoding = problem.encode()
         x = np.array([1.0, 1.0, 0.0])
-        assert builder.objective_energy(x) == pytest.approx(3.0)
+        assert encoding.objective_energy(x) == pytest.approx(3.0)
 
     def test_penalty_counts_uncovered_edges(self):
         problem = MVCProblem(triangle_instance())
-        builder = problem.builder()
-        assert builder.penalty_energy(np.zeros(3)) == pytest.approx(3.0)
-        assert builder.penalty_energy(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
+        encoding = problem.encode()
+        assert encoding.penalty_energy(np.zeros(3)) == pytest.approx(3.0)
+        assert encoding.penalty_energy(np.array([1.0, 0.0, 0.0])) == pytest.approx(1.0)
 
     def test_fitness_and_feasibility(self):
         problem = MVCProblem(triangle_instance(weights=np.array([1.0, 2.0, 3.0])))

@@ -208,6 +208,57 @@ class TestMetrics:
         assert h.bucket_counts() == (1, 1, 1)
         assert h.sum == pytest.approx(10.55)
 
+    def test_child_moves_parent_not_vice_versa(self):
+        reg = MetricsRegistry()
+        for parent in (reg.counter("c_total"), reg.gauge("g")):
+            child = parent.child()
+            child.inc(2)
+            assert (child.value, parent.value) == (2, 2)
+            parent.inc(5)
+            assert (child.value, parent.value) == (2, 7)
+            # A grandchild moves its whole chain.
+            child.child().inc()
+            assert (child.value, parent.value) == (3, 8)
+
+    def test_gauge_child_moves_parent_by_its_delta(self):
+        parent = MetricsRegistry().gauge("g")
+        first, second = parent.child(), parent.child()
+        first.set(4)
+        first.dec()
+        second.set(2)
+        assert (first.value, second.value, parent.value) == (3, 2, 5)
+        first.set(0)
+        assert parent.value == 2
+
+    def test_negative_inc_on_a_counter_child_raises(self):
+        parent = MetricsRegistry().counter("c_total")
+        child = parent.child()
+        with pytest.raises(ValueError):
+            child.inc(-1)
+        assert (child.value, parent.value) == (0, 0)
+
+    def test_sibling_children_sum_into_parent_under_contention(self):
+        parent = MetricsRegistry().counter("c_total")
+        children = [parent.child() for _ in range(8)]
+
+        def bump(child):
+            for _ in range(2000):
+                child.inc()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=bump, args=(c,)) for c in children]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [child.value for child in children] == [2000] * len(children)
+        assert parent.value == 2000 * len(children)
+
     def test_get_or_create_and_label_fanout(self):
         reg = MetricsRegistry()
         a = reg.counter("x_total", labels={"k": "a"})

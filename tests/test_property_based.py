@@ -160,7 +160,7 @@ class TestTSPProperties:
         decoded = decode_assignment(assignment, instance.num_cities)
         np.testing.assert_array_equal(decoded, tour)
         assert problem.is_feasible(assignment)
-        assert problem.builder().objective_energy(assignment) == pytest.approx(
+        assert problem.encode().objective_energy(assignment) == pytest.approx(
             instance.tour_length(tour), rel=1e-9, abs=1e-6
         )
 

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.qubo.builder import LinearConstraints, PenaltyQUBOBuilder, slack_encode_inequality
+from repro.qubo.builder import LinearConstraints, slack_encode_inequality
+from repro.qubo.expression import RelaxedEncoding
 from repro.qubo.model import QUBOModel
 
 
@@ -46,54 +47,24 @@ class TestLinearConstraints:
             assert penalty.energy(x) == pytest.approx(constraints.violation(x))
 
 
-class TestPenaltyQUBOBuilder:
-    def test_build_combines_objective_and_penalty(self, one_hot_constraints):
-        objective = QUBOModel(np.diag([1.0, 2.0, 3.0]))
-        builder = PenaltyQUBOBuilder(objective, one_hot_constraints)
-        relaxed = builder.build(5.0)
-        x = np.array([1.0, 1.0, 0.0])
-        expected = objective.energy(x) + 5.0 * one_hot_constraints.violation(x)
-        assert relaxed.energy(x) == pytest.approx(expected)
-
-    def test_feasible_assignment_has_zero_penalty(self, one_hot_constraints):
-        objective = QUBOModel(np.diag([1.0, 2.0, 3.0]))
-        builder = PenaltyQUBOBuilder(objective, one_hot_constraints)
-        assert builder.is_feasible(np.array([0, 0, 1]))
-        assert not builder.is_feasible(np.array([1, 1, 0]))
+class TestConstraintPenaltyEncoding:
+    """``RelaxedEncoding`` over a penalty built from linear constraints."""
 
     def test_penalty_energy_independent_of_parameter(self, one_hot_constraints):
         objective = QUBOModel(np.zeros((3, 3)))
-        builder = PenaltyQUBOBuilder(objective, one_hot_constraints)
+        encoding = RelaxedEncoding(objective, one_hot_constraints.penalty_qubo())
         x = np.array([1, 1, 1])
-        assert builder.penalty_energy(x) == pytest.approx(one_hot_constraints.violation(x))
-
-    def test_accepts_prebuilt_penalty_qubo(self):
-        objective = QUBOModel(np.diag([1.0, 1.0]))
-        penalty = QUBOModel(np.array([[1.0, -1.0], [-1.0, 1.0]]))
-        builder = PenaltyQUBOBuilder(objective, penalty)
-        relaxed = builder.build(2.0)
-        x = np.array([1.0, 0.0])
-        assert relaxed.energy(x) == pytest.approx(objective.energy(x) + 2.0 * penalty.energy(x))
-
-    def test_rejects_size_mismatch(self):
-        objective = QUBOModel(np.eye(2))
-        constraints = LinearConstraints(C=np.ones((1, 3)), d=np.array([1.0]))
-        with pytest.raises(ValueError):
-            PenaltyQUBOBuilder(objective, constraints)
-
-    def test_rejects_non_positive_parameter(self, one_hot_constraints):
-        builder = PenaltyQUBOBuilder(QUBOModel(np.zeros((3, 3))), one_hot_constraints)
-        with pytest.raises(ValueError):
-            builder.build(0.0)
-        with pytest.raises(ValueError):
-            builder.build(-1.0)
+        violation = one_hot_constraints.violation(x)
+        assert encoding.penalty_energy(x) == pytest.approx(violation)
+        for parameter in (0.5, 5.0):
+            assert encoding.relax(parameter).energy(x) == pytest.approx(parameter * violation)
 
     def test_larger_parameter_weights_constraints_more(self, one_hot_constraints):
         objective = QUBOModel(np.diag([-1.0, -1.0, -1.0]))
-        builder = PenaltyQUBOBuilder(objective, one_hot_constraints)
+        encoding = RelaxedEncoding(objective, one_hot_constraints.penalty_qubo())
         infeasible = np.array([1.0, 1.0, 1.0])
-        small = builder.build(0.5).energy(infeasible)
-        large = builder.build(50.0).energy(infeasible)
+        small = encoding.relax(0.5).energy(infeasible)
+        large = encoding.relax(50.0).energy(infeasible)
         assert large > small
 
 

@@ -175,19 +175,19 @@ class TestControlPlaneFrames:
         assert header["info"]["pid"] == 42
 
     def test_heartbeat_ack_carries_stats(self):
-        kind, header, _ = wire.decode_frame(wire.encode_heartbeat_ack({"served": 7}))
+        kind, header, _ = wire.decode_frame(wire.encode_heartbeat_ack({"served_total": 7}))
         assert kind == "heartbeat_ack"
-        assert header["stats"]["served"] == 7
+        assert header["stats"]["served_total"] == 7
 
     def test_stats_frames_roundtrip(self):
         kind, header, _ = wire.decode_frame(wire.encode_stats_request({"who": "ci"}))
         assert kind == "stats"
         assert header["info"] == {"who": "ci"}
         kind, header, _ = wire.decode_frame(
-            wire.encode_stats_ack({"served": 3, "shed": 1})
+            wire.encode_stats_ack({"served_total": 3, "shed_total": 1})
         )
         assert kind == "stats_ack"
-        assert header["stats"] == {"served": 3, "shed": 1}
+        assert header["stats"] == {"served_total": 3, "shed_total": 1}
 
     def test_error_frame_roundtrip(self):
         kind, header, _ = wire.decode_frame(
@@ -225,10 +225,10 @@ class TestWorkerServer:
         assert kind == "stats_ack"
         stats = header["stats"]
         for key in (
-            "served",
-            "shed",
-            "solve_errors",
-            "inflight",
+            "served_total",
+            "shed_total",
+            "errors_total",
+            "pending",
             "max_concurrency",
             "max_pending",
         ):
@@ -251,7 +251,7 @@ class TestWorkerServer:
             # still serves well-formed traffic.
             kind, header, _ = _ask(conn, wire.encode_heartbeat())
             assert kind == "heartbeat_ack"
-            assert header["stats"]["solve_errors"] == 0
+            assert header["stats"]["errors_total"] == 0
 
     def test_engine_call_matches_thread_backend(self, worker, model):
         payload = wire.encode_engine_call(model, SPEC, 3, 77)
@@ -331,7 +331,7 @@ class TestWorkerAdmission:
             second = RemoteBackend(workers=[server.address], retries=1, **FAST)
             with pytest.raises(ServiceOverloaded, match="shed"):
                 second.run(model, make_solver(SPEC), 2, 6)
-            assert server.stats()["shed"] >= 2  # one per drained attempt
+            assert server.stats()["shed_total"] >= 2  # one per drained attempt
 
             runner.release.set()
             thread.join(timeout=30)
@@ -350,13 +350,13 @@ class TestRemoteBackendClient:
             solver = make_solver(SPEC)
             for seed in range(6):
                 backend.run(model, solver, 2, seed)
-            assert w1.stats()["served"] == 3
-            assert w2.stats()["served"] == 3
+            assert w1.stats()["served_total"] == 3
+            assert w2.stats()["served_total"] == 3
             # Ref-frames after the first full ship per worker: the model
             # travelled once per fleet member, not once per call.
             stats = backend.stats()
-            assert stats["served"] == 6
-            assert stats["dials"] == 2
+            assert stats["served_total"] == 6
+            assert stats["dials_total"] == 2
             backend.close()
 
     def test_worker_death_mid_solve_retries_on_survivor(self, model):
@@ -383,7 +383,7 @@ class TestRemoteBackendClient:
                 result.assignments, reference(model, 3, 11).assignments
             )
             stats = backend.stats()
-            assert stats["transport_retries"] >= 1
+            assert stats["transport_retries_total"] >= 1
             assert stats["workers"][f"{dying.address[0]}:{dying.address[1]}"][
                 "consecutive_failures"
             ] >= 1
@@ -406,7 +406,7 @@ class TestRemoteBackendClient:
             # Once marked down, the dead worker is skipped without burning
             # retries: a second call goes straight to the live one.
             backend.run(model, make_solver(SPEC), 2, 10)
-            assert live.stats()["served"] == 2
+            assert live.stats()["served_total"] == 2
             backend.close()
 
     def test_deadline_expiry_is_typed_and_prompt(self, model):
@@ -501,8 +501,8 @@ class TestRemoteBackendClient:
             solver = UnserialisableSolver()
             result = backend.run(model, solver, 2, 13)
             assert solver.calls == 1  # ran here, not on the worker
-            assert server.stats()["served"] == 0
-            assert backend.stats()["fallback_in_process"] == 1
+            assert server.stats()["served_total"] == 0
+            assert backend.stats()["fallback_total"] == 1
             direct = solver._inner.sample(model, 2, rng=np.random.default_rng(13))
             assert np.array_equal(result.assignments, direct.assignments)
             backend.close()
@@ -529,12 +529,12 @@ class TestRemoteBackendClient:
             backend = RemoteBackend(workers=[server.address], **FAST)
             before = backend.check_workers(timeout=2.0)
             label = f"{server.address[0]}:{server.address[1]}"
-            assert before[label]["served"] == 0
+            assert before[label]["served_total"] == 0
             backend.run(model, make_solver(SPEC), 2, 1)
             after = backend.check_workers(timeout=2.0)
-            assert after[label]["served"] == 1
-            assert after[label]["shed"] == 0
-            assert after[label]["solve_errors"] == 0
+            assert after[label]["served_total"] == 1
+            assert after[label]["shed_total"] == 0
+            assert after[label]["errors_total"] == 0
             backend.close()
 
     def test_worker_list_parsing(self, monkeypatch):
@@ -557,7 +557,7 @@ class TestRemoteBackendClient:
             )
             backend = RemoteBackend(**FAST)
             backend.run(model, make_solver(SPEC), 2, 4)
-            assert server.stats()["served"] == 1
+            assert server.stats()["served_total"] == 1
             backend.close()
 
     def test_spec_resolution_and_option_validation(self, model):
@@ -567,7 +567,7 @@ class TestRemoteBackendClient:
             assert backend.name == "remote"
             assert backend.retries == 1
             backend.run(model, make_solver(SPEC), 2, 8)
-            assert server.stats()["served"] == 1
+            assert server.stats()["served_total"] == 1
             backend.close()  # the fleet address dies with the test
         with pytest.raises(ValueError, match="unknown remote-backend option"):
             shared_backend("remote?bogus=1")
@@ -596,21 +596,15 @@ class TestServiceAdmission:
         gate.release()
         assert gate.try_acquire()
         stats = gate.stats()
-        expected = {
+        assert stats == {
+            "schema": "qross.stats/2",
             "max_pending": 2,
-            "admitted": 3,
-            "completed": 1,
+            "admitted_total": 3,
+            "completed_total": 1,
             "pending": 2,
             "peak_pending": 2,
-            "shed": 2,
+            "shed_total": 2,
         }
-        for key, value in expected.items():
-            assert stats[key] == value
-        # Unified schema: canonical *_total aliases ride along (qross.stats/1).
-        assert stats["schema"] == "qross.stats/1"
-        assert stats["admitted_total"] == 3
-        assert stats["completed_total"] == 1
-        assert stats["shed_total"] == 2
 
     def test_gate_rejects_unmatched_release_and_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -647,9 +641,9 @@ class TestServiceAdmission:
             ).result(timeout=30)
             assert result.samples is not None
             stats = service.stats()
-            assert stats["shed"] == 1
-            assert stats["served"] == 3
-            assert stats["failed"] == 0
+            assert stats["shed_total"] == 1
+            assert stats["served_total"] == 3
+            assert stats["failed_total"] == 0
             assert stats["pending"] == 0
             assert stats["backend"]["name"] == "thread"
 
@@ -672,8 +666,59 @@ class TestServiceAdmission:
             with pytest.raises(RuntimeError, match="exploded"):
                 future.result(timeout=30)
             stats = service.stats()
-            assert stats["failed"] == 1
+            assert stats["failed_total"] == 1
             assert stats["pending"] == 0  # the slot came back
+
+    def test_submit_after_close_settles_as_failed(self, model):
+        service = SolveService(max_workers=1)
+        service.solve(model, solver=SPEC, num_reads=2, seed=1)
+        service.close()
+        with pytest.raises(RuntimeError, match="closed"):
+            service.submit(SolveRequest(solver=SPEC, model=model, seed=2))
+        stats = service.stats()
+        assert stats["admitted_total"] == 2
+        assert stats["served_total"] == 1
+        assert stats["failed_total"] == 1
+        assert stats["pending"] == 0
+
+    def test_accounting_identity_at_quiescence(self, model):
+        """Concurrent seeded duplicates, a shed and a failing engine call."""
+
+        class CountingBackend(_BlockingBackend):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+                self.calls_lock = threading.Lock()
+
+            def run(self, model, solver, num_reads, seed):
+                with self.calls_lock:
+                    self.calls.append(seed)
+                assert self.release.wait(30), "test forgot to release the backend"
+                if seed == 13:
+                    raise RuntimeError("engine exploded")
+                return super().run(model, solver, num_reads, seed)
+
+        seeds = [1, 1, 1, 2, 2, 13]
+        backend = CountingBackend()
+        with SolveService(max_workers=4, backend=backend, max_pending=len(seeds)) as service:
+            futures = [
+                service.submit(SolveRequest(solver=SPEC, model=model, seed=seed))
+                for seed in seeds
+            ]
+            # Nothing settles before the release, so the gate is full.
+            with pytest.raises(ServiceOverloaded):
+                service.submit(SolveRequest(solver=SPEC, model=model, seed=3))
+            backend.release.set()
+            outcomes = [future.exception(timeout=30) for future in futures]
+        # close() joined the pool threads, so every done-callback has run.
+        stats = service.stats()
+        assert sum(outcome is not None for outcome in outcomes) == 1
+        assert stats["admitted_total"] == len(seeds)
+        assert stats["shed_total"] == 1
+        assert stats["admitted_total"] == stats["served_total"] + stats["failed_total"]
+        assert stats["failed_total"] == 1
+        assert stats["pending"] == 0
+        assert sorted(backend.calls) == [1, 2, 13]  # once per distinct key
 
 
 # --------------------------------------------------------------- RNG gap closed
@@ -693,7 +738,7 @@ class TestSampleAndEvaluateRouting:
             backend = RemoteBackend(workers=[server.address], **FAST)
             with SolveService(max_workers=2, backend=backend) as service:
                 routed = service.sample(model, SPEC, 3, rng=np.random.default_rng(17))
-            assert server.stats()["served"] == 1  # it ran on the fleet
+            assert server.stats()["served_total"] == 1  # it ran on the fleet
             backend.close()
         # Out-of-process contract: one child seed is drawn from the stream.
         seed = int(np.random.default_rng(17).integers(0, 2**63 - 1))
@@ -711,7 +756,7 @@ class TestSampleAndEvaluateRouting:
                 second = service.evaluate(
                     problem, SPEC, 9.0, 6, rng=np.random.default_rng(3)
                 )
-            assert server.stats()["served"] == 2  # both ran on the fleet
+            assert server.stats()["served_total"] == 2  # both ran on the fleet
             assert first == second  # seeded: deterministic across calls
             backend.close()
 

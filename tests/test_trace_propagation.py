@@ -10,6 +10,7 @@ changes a seeded result's bytes.
 from __future__ import annotations
 
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -216,24 +217,73 @@ class TestTracingNeutrality:
         # Everything in the summed view is numeric (JSON-safe snapshot).
         assert all(isinstance(v, (int, float)) for v in fleet.values())
 
-    def test_unified_stats_schema_aliases(self):
+    def test_stats_equal_registry_deltas(self):
+        """Every ``stats()`` count is its registry family's move over the run."""
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_address = probe.getsockname()[:2]
+        probe.close()
         model = random_qubo(10, rng=6)
+        spec = "sa?num_sweeps=10"
+        before = obs.metrics_snapshot()
         with WorkerServer() as server:
-            backend = RemoteBackend(workers=[server.address])
-            backend.run(model, make_solver("sa?num_sweeps=10"), 2, 1)
+            # The dead address costs transport retries; the closed-service
+            # submit settles as failed.
+            backend = RemoteBackend(
+                workers=[dead_address, server.address], retries=2, backoff_base=0.001
+            )
+            with SolveService(max_workers=2, backend=backend) as service:
+                for seed in (0, 0, 1):
+                    service.solve(model, solver=spec, num_reads=2, seed=seed)
+            with pytest.raises(RuntimeError, match="closed"):
+                service.solve(model, solver=spec, num_reads=2, seed=2)
+            service_stats = service.stats()
             remote_stats = backend.stats()
             backend.close()
             worker_stats = server.stats()
-        assert remote_stats["schema"] == obs.STATS_SCHEMA
-        # Canonical *_total keys mirror the legacy names, for one release.
-        assert remote_stats["requests_total"] == remote_stats["requests"]
-        assert remote_stats["served_total"] == remote_stats["served"]
-        assert remote_stats["dials_total"] == remote_stats["dials"]
-        assert worker_stats["served_total"] == worker_stats["served"]
-        assert worker_stats["shed_total"] == worker_stats["shed"]
+        after = obs.metrics_snapshot()
 
-        with SolveService(max_workers=1) as service:
-            service.solve(model, solver="sa?num_sweeps=10", num_reads=2, seed=0)
-            service_stats = service.stats()
-        assert service_stats["schema"] == obs.STATS_SCHEMA
-        assert service_stats["served_total"] == service_stats["served"]
+        def moved(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        service_gate = '{component="service"}'
+        worker_gate = '{component="worker"}'
+        families = [
+            (service_stats, "admitted_total", "qross_admission_admitted_total" + service_gate),
+            (service_stats, "shed_total", "qross_admission_shed_total" + service_gate),
+            (service_stats, "pending", "qross_admission_pending" + service_gate),
+            (service_stats, "served_total", 'qross_service_tasks_total{outcome="served"}'),
+            (service_stats, "failed_total", 'qross_service_tasks_total{outcome="failed"}'),
+            (worker_stats, "served_total", "qross_worker_served_total"),
+            (worker_stats, "errors_total", "qross_worker_solve_errors_total"),
+            (worker_stats, "shed_total", "qross_admission_shed_total" + worker_gate),
+            (worker_stats, "pending", "qross_admission_pending" + worker_gate),
+        ] + [
+            (remote_stats, f"{event}_total", f"qross_remote_{event}_total")
+            for event in (
+                "requests",
+                "served",
+                "fallback",
+                "transport_retries",
+                "overload_retries",
+                "model_reships",
+                "dials",
+            )
+        ]
+        for stats, key, family in families:
+            assert stats[key] == moved(family), (key, family)
+        assert service_stats["failed_total"] == 1
+        assert remote_stats["transport_retries_total"] >= 1
+        assert worker_stats["served_total"] == remote_stats["served_total"] == 2
+        worker_label = f"{server.address[0]}:{server.address[1]}"
+        assert remote_stats["workers"][worker_label]["served_total"] == 2
+
+        bare = {
+            "served", "failed", "retried", "admitted", "completed", "shed",
+            "inflight", "peak_inflight", "solve_errors", "requests", "dials",
+            "fallback_in_process", "transport_retries", "overload_retries",
+            "model_reships",
+        }
+        for stats in (service_stats, service_stats["backend"], remote_stats, worker_stats):
+            assert stats["schema"] == obs.STATS_SCHEMA == "qross.stats/2"
+            assert not bare & set(stats)

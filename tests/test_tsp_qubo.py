@@ -51,23 +51,23 @@ class TestTSPProblem:
 
     def test_feasible_energy_equals_tour_length(self, square_instance):
         problem = TSPProblem(square_instance)
-        builder = problem.builder()
+        encoding = problem.encode()
         tour = np.array([0, 1, 2, 3])
         assignment = assignment_from_tour(tour, 4)
-        assert builder.objective_energy(assignment) == pytest.approx(
+        assert encoding.objective_energy(assignment) == pytest.approx(
             square_instance.tour_length(tour)
         )
-        assert builder.penalty_energy(assignment) == pytest.approx(0.0)
+        assert encoding.penalty_energy(assignment) == pytest.approx(0.0)
 
     def test_relaxed_energy_equals_objective_plus_penalty(self, square_instance):
         problem = TSPProblem(square_instance)
-        builder = problem.builder()
+        encoding = problem.encode()
         rng = np.random.default_rng(0)
         A = 3.7
         model = problem.build_qubo(A)
         for _ in range(10):
             x = rng.integers(0, 2, size=16).astype(float)
-            expected = builder.objective_energy(x) + A * builder.penalty_energy(x)
+            expected = encoding.objective_energy(x) + A * encoding.penalty_energy(x)
             assert model.energy(x) == pytest.approx(expected, rel=1e-9)
 
     def test_every_permutation_is_feasible(self, square_instance):
@@ -88,12 +88,12 @@ class TestTSPProblem:
 
     def test_penalty_counts_constraint_violations(self, square_instance):
         problem = TSPProblem(square_instance)
-        builder = problem.builder()
+        encoding = problem.encode()
         # A valid permutation with one city moved onto another position
         # violates exactly two constraints (a row and a column), each by 1.
         assignment = assignment_from_tour(np.array([0, 1, 2, 3]), 4).reshape(4, 4)
         assignment[1, 1] = 0
-        assert builder.penalty_energy(assignment.reshape(-1)) == pytest.approx(2.0)
+        assert encoding.penalty_energy(assignment.reshape(-1)) == pytest.approx(2.0)
 
     def test_relaxation_scale_is_max_distance(self, square_instance):
         problem = TSPProblem(square_instance)
@@ -126,9 +126,9 @@ class TestTSPProblem:
         assert instance.tour_length(best_tour) == pytest.approx(optimal_length)
         assert best_energy == pytest.approx(optimal_length)
 
-    def test_builder_is_cached(self, square_instance):
+    def test_encoding_is_cached(self, square_instance):
         problem = TSPProblem(square_instance)
-        assert problem.builder() is problem.builder()
+        assert problem.encode() is problem.encode()
 
 
 class TestMVODMPreprocessing:
