@@ -281,15 +281,20 @@ _QBSOLV_DIGESTS = {
 }
 
 
+def _sample_digest(samples) -> str:
+    """sha256 of a sample set's int8 assignments followed by its energies."""
+    payload = np.asarray(samples.assignments, dtype=np.int8).tobytes() + np.asarray(
+        samples.energies, dtype=np.float64
+    ).tobytes()
+    return hashlib.sha256(payload).hexdigest()
+
+
 class TestQbsolvLockStep:
     @pytest.mark.parametrize("case", sorted(_QBSOLV_DIGESTS))
     def test_seeded_reads_match_recorded_digest(self, case):
         build, config, num_reads, seed, digest = _QBSOLV_DIGESTS[case]
         samples = QbsolvSolver(config).sample(build(), num_reads=num_reads, rng=seed)
-        payload = np.asarray(samples.assignments, dtype=np.int8).tobytes() + np.asarray(
-            samples.energies, dtype=np.float64
-        ).tobytes()
-        assert hashlib.sha256(payload).hexdigest() == digest
+        assert _sample_digest(samples) == digest
 
     def test_read_does_not_depend_on_its_batch(self):
         # Spawned read streams are prefix-stable in num_reads, and a read
@@ -303,6 +308,60 @@ class TestQbsolvLockStep:
         for k in (1, 2):
             few = solver.sample(model, num_reads=k, rng=21).assignments
             assert {row.tobytes() for row in few} <= many
+
+
+#: sha256 of ``assignments`` + ``energies`` of seeded float64 engine calls on
+#: one CSR-regime model, recorded while the CSR operator still gathered rows
+#: one at a time.  Every kernel that reads the operator is covered: SA's and
+#: PT's block products, DA's row gathers (single- and multi-flip), batched
+#: tabu's row gathers and the scalar tabu kernel's single rows.
+#: Entries: spec, num_reads, digest.
+_CSR_DIGESTS = {
+    "sa": (
+        "sa?num_sweeps=12&dtype=float64", 4,
+        "b8b687a6c0540386f2ec2311956b32e7eecf90a500a39eab7ff5d7b48d280a31",
+    ),
+    "sa-sequential": (
+        "sa?num_sweeps=6&block_size=1&dtype=float64", 4,
+        "f4a33932da231e2532f7947d4d5fc602fbb781ec457597009528f6fbc91546d2",
+    ),
+    "da": (
+        "da?num_steps=150&dtype=float64", 4,
+        "f364fceb6d44b8156e6189110af48ebcd4b222eab1f0991161bcd6902624b04b",
+    ),
+    "da-multi-flip": (
+        "da?num_steps=60&max_parallel_flips=8&dtype=float64", 4,
+        "9bdc8e720d2464951a6337b1ced7cf5ee47e3c854ad3d3044ad8f60a2a803620",
+    ),
+    "pt": (
+        "pt?num_sweeps=6&num_replicas=4&swap_interval=2&dtype=float64", 4,
+        "d857929486f5d633834f38426563fc14a64c60be9750116ac0ed4930c78f9e6f",
+    ),
+    "tabu-batched": (
+        "tabu?num_steps=120&restart_after=40&dtype=float64", 4,
+        "666d986d018cfab27b29f10d6994f8bf3273f502d65aa6c91a15203b6e3fbdb5",
+    ),
+    "tabu-scalar": (
+        "tabu?num_steps=120&restart_after=40&dtype=float64", 1,
+        "20befc59845e082bd9faef31d25f70decabc21d7446d4d9a98116ca234f325b9",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def csr_digest_model():
+    model = random_qubo(600, density=0.02, rng=3, storage="sparse")
+    assert model.operator().kind == "sparse"
+    return model
+
+
+@pytest.mark.parametrize("case", sorted(_CSR_DIGESTS))
+def test_seeded_csr_engine_calls_match_recorded_digest(case, csr_digest_model):
+    from repro.service import make_solver
+
+    spec, num_reads, digest = _CSR_DIGESTS[case]
+    samples = make_solver(spec).sample(csr_digest_model, num_reads=num_reads, rng=17)
+    assert _sample_digest(samples) == digest
 
 
 class TestQuantumAnnealer:
