@@ -1,18 +1,13 @@
-"""Compute-layer benchmark: engine sweep throughput, float64 vs float32.
+"""Engine precision benchmark: sweep throughput, float64 vs float32.
 
-The ``repro.compute`` refactor promises that routing every engine kernel
-through the array-backend handle costs nothing on the numpy/float64
-reference, and that the end-to-end float32 path (state, fields, operator
-values all single-precision; energies re-scored exact) at minimum holds
-throughput parity — float32 halves the kernel memory traffic, so it must
-never be a regression.  This benchmark measures SA, DA and PT sweeps/s on an
-``n = 1000`` random QUBO for each available backend × dtype combination and
-asserts the float32/float64 ratio per solver.  The two dtypes are timed in
-alternating pairs and the gate reads the median per-pair ratio, so host-speed
-drift during the run lands on both dtypes alike.
-
-Torch/CuPy enroll automatically when importable (the containerised run is
-numpy-only); the report records exactly which combinations ran.
+The float32 engine path (state, fields and operator values all single
+precision; returned energies re-scored exact) must at minimum hold
+throughput parity with float64 — float32 halves the kernel memory traffic,
+so it must never be a regression.  This benchmark measures SA, DA and PT
+sweeps/s on an ``n = 1000`` random QUBO in both dtypes and asserts the
+float32/float64 ratio per solver.  The two dtypes are timed in alternating
+pairs and the gate reads the median per-pair ratio, so host-speed drift
+during the run lands on both dtypes alike.
 
 Collected by the benchmark harness (auto-marked ``slow`` by
 ``benchmarks/conftest.py``); run with ``pytest benchmarks/bench_compute.py``.
@@ -24,7 +19,6 @@ import time
 
 import numpy as np
 
-from repro.compute import available_array_backends
 from repro.qubo.model import random_qubo
 from repro.service import make_solver
 
@@ -57,16 +51,13 @@ def _seconds(solver, model) -> float:
     return time.perf_counter() - started
 
 
-def _paired_seconds(base_spec: str, kind: str, model) -> np.ndarray:
+def _paired_seconds(base_spec: str, model) -> np.ndarray:
     """``(PAIRS, 2)`` wall times: column 0 is float64, column 1 float32.
 
     Each pair times both dtypes back to back, and the order flips from one
     pair to the next, so neither dtype always runs first.
     """
-    solvers = [
-        make_solver(f"{base_spec}&array_backend={kind}&dtype={dtype}")
-        for dtype in ("float64", "float32")
-    ]
+    solvers = [make_solver(f"{base_spec}&dtype={dtype}") for dtype in ("float64", "float32")]
     for solver in solvers:
         _seconds(solver, model)  # warm-up
     times = np.zeros((PAIRS, 2))
@@ -76,29 +67,24 @@ def _paired_seconds(base_spec: str, kind: str, model) -> np.ndarray:
     return times
 
 
-def test_float32_throughput_holds_parity(record_report):
+def test_float32_throughput_holds_parity(record_timing):
     model = random_qubo(N, density=0.5, rng=SEED)
-    backends = available_array_backends()
     lines = [
         f"engine sweep throughput at n={N}, {NUM_READS} reads (median of {PAIRS} "
         f"alternating float64/float32 pairs, total batched sweeps/s)",
-        f"  array backends available: {', '.join(backends)}",
     ]
     ratios = {}
     for label, template, sweeps, total in WORKLOADS:
         base_spec = template.format(sweeps=sweeps)
         lines.append(f"  {label:<5} ({base_spec!r})")
-        for kind in backends:
-            times = _paired_seconds(base_spec, kind, model)
-            for column, dtype in enumerate(("float64", "float32")):
-                rate = total(sweeps) / float(np.median(times[:, column]))
-                lines.append(f"    {kind}/{dtype:<8}: {rate:8.1f} sweeps/s")
-            # float32/float64 throughput is float64 time over float32 time.
-            ratio = float(np.median(times[:, 0] / times[:, 1]))
-            lines.append(f"    {kind} float32/float64 throughput ratio: {ratio:.2f}x")
-            if kind == "numpy":
-                ratios[label] = ratio
-    record_report("bench_compute", "\n".join(lines))
+        times = _paired_seconds(base_spec, model)
+        for column, dtype in enumerate(("float64", "float32")):
+            rate = total(sweeps) / float(np.median(times[:, column]))
+            lines.append(f"    {dtype:<8}: {rate:8.1f} sweeps/s")
+        # float32/float64 throughput is float64 time over float32 time.
+        ratios[label] = float(np.median(times[:, 0] / times[:, 1]))
+        lines.append(f"    float32/float64 throughput ratio: {ratios[label]:.2f}x")
+    record_timing("bench_compute", "\n".join(lines))
 
     for label, ratio in ratios.items():
         assert ratio >= MIN_FLOAT32_RATIO, (

@@ -74,7 +74,7 @@ def _comparison_wall_time(backend) -> float:
     return time.perf_counter() - started
 
 
-def test_process_backend_speeds_up_comparison(record_report):
+def test_process_backend_speeds_up_comparison(record_timing):
     cores = os.cpu_count() or 1
     process_backend = ProcessPoolBackend(max_workers=WORKERS)
     try:
@@ -103,7 +103,7 @@ def test_process_backend_speeds_up_comparison(record_report):
             f"  note: only {cores} core(s) — speedup not asserted (needs >= 4); "
             f"the process backend can only add dispatch overhead here"
         )
-    record_report("bench_distributed", "\n".join(lines))
+    record_timing("bench_distributed", "\n".join(lines))
 
     if cores >= 4:
         assert speedup >= 2.0, (
@@ -112,7 +112,7 @@ def test_process_backend_speeds_up_comparison(record_report):
         )
 
 
-def test_sharded_cache_rerun_is_free(record_report, tmp_path):
+def test_sharded_cache_rerun_is_free(record_timing, tmp_path):
     model = random_qubo(48, rng=3)
     requests = [
         SolveRequest(solver=SOLVER_SPEC, model=model, num_reads=4, seed=seed)
@@ -136,7 +136,7 @@ def test_sharded_cache_rerun_is_free(record_report, tmp_path):
     for a, b in zip(cold, warm):
         assert np.array_equal(a.samples.energies, b.samples.energies)
 
-    record_report(
+    record_timing(
         "bench_distributed_cache",
         "\n".join(
             [

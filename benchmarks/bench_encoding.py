@@ -64,7 +64,7 @@ def instances():
 
 class TestEncodingConstruction:
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"n{c[0]}")
-    def test_sparse_vs_dense_construction(self, case, instances, record_report):
+    def test_sparse_vs_dense_construction(self, case, instances, record_timing):
         instance = instances[case]
         # Warm the edge cache so both storages encode from identical inputs.
         instance.edges()
@@ -79,7 +79,7 @@ class TestEncodingConstruction:
                 f"  {storage:>6}: construction {elapsed * 1e3:8.2f} ms, "
                 f"peak RSS {rss_after:8.1f} MiB (delta {rss_after - rss_before:+7.1f})"
             )
-        record_report(f"bench_encoding_n{case[0]}", "\n".join(report_lines))
+        record_timing(f"bench_encoding_n{case[0]}", "\n".join(report_lines))
         assert results["sparse"].storage == "sparse"
         assert results["dense"].storage == "dense"
         assert results["sparse"].fingerprint() == results["dense"].fingerprint()

@@ -15,11 +15,11 @@ Two sections:
   more than the effect it would measure, so it is reported, not asserted.
 * **Trace shape** — one traced solve through a loopback remote fleet, with
   the resulting stitched tree rendered by ``python -m repro.obs.report``
-  embedded in the report, so the committed artefact documents what a trace
-  actually looks like.
+  embedded in the report, so the report documents what a trace actually
+  looks like.
 
 Run with ``pytest benchmarks/bench_obs.py``; the rendered report lands in
-``benchmarks/results/bench_obs.txt``.
+``benchmarks/results/timing/bench_obs.txt``.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ def _span_cost(trace_sink) -> float:
         obs.reset_tracing()
 
 
-def test_tracing_overhead(record_report, tmp_path):
+def test_tracing_overhead(record_timing, tmp_path):
     model = random_qubo(MODEL_SIZE, rng=13)
     off_walls, on_walls = [], []
     # Warm-up pass outside the measurement (imports, pool spin-up, JIT-warm
@@ -127,7 +127,7 @@ def test_tracing_overhead(record_report, tmp_path):
         f"tracing overhead per request: {100 * overhead:.4f}% "
         f"(budget {100 * OVERHEAD_BUDGET:.0f}%)",
     ]
-    record_report("bench_obs", "\n".join(lines))
+    record_timing("bench_obs", "\n".join(lines))
     assert overhead <= OVERHEAD_BUDGET, (
         f"tracing adds {100 * overhead:.2f}% per request, over the "
         f"{100 * OVERHEAD_BUDGET:.0f}% budget ({1e6 * span_on:.1f} us per "
@@ -135,7 +135,7 @@ def test_tracing_overhead(record_report, tmp_path):
     )
 
 
-def test_remote_trace_tree_renders(record_report, tmp_path):
+def test_remote_trace_tree_renders(record_timing, tmp_path):
     sink = tmp_path / "remote-trace.jsonl"
     model = random_qubo(MODEL_SIZE, rng=13)
     obs.configure_tracing(sink)
@@ -154,7 +154,7 @@ def test_remote_trace_tree_renders(record_report, tmp_path):
 
     rendered = io.StringIO()
     assert obs_report.render_report(str(sink), rendered) == 0
-    record_report(
+    record_timing(
         "bench_obs_trace",
         "one seeded remote solve, stitched and rendered by "
         "python -m repro.obs.report:\n\n" + rendered.getvalue().rstrip(),

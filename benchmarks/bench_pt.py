@@ -57,7 +57,7 @@ def sweeps_to_target(trajectory, target, tol=1e-9):
     return None
 
 
-def test_pt_reaches_target_in_fewer_sweeps_than_sa(record_report):
+def test_pt_reaches_target_in_fewer_sweeps_than_sa(record_timing):
     cores = os.cpu_count() or 1
     lines = [
         f"time-to-target on unweighted sparse MVC ({NUM_CHAINS} chains, "
@@ -128,7 +128,7 @@ def test_pt_reaches_target_in_fewer_sweeps_than_sa(record_report):
             f"  note: only {cores} core(s) — wall-clock comparison recorded, "
             f"not asserted (needs >= 4)"
         )
-    record_report("bench_pt", "\n".join(lines))
+    record_timing("bench_pt", "\n".join(lines))
 
     assert pt_wins >= 2, (
         f"parallel tempering beat SA to the best-known energy on only "

@@ -16,7 +16,7 @@ Two sections:
   by backing off until the fleet drains.
 
 Run with ``pytest benchmarks/bench_remote.py``; the rendered report lands in
-``benchmarks/results/bench_remote.txt``.
+``benchmarks/results/timing/bench_remote.txt``.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ def _drive_fleet(addresses, model, solver):
     return wall, sorted(latencies), stats
 
 
-def test_remote_fleet_throughput(record_report):
+def test_remote_fleet_throughput(record_timing):
     model = random_qubo(MODEL_SIZE, rng=7)
     solver = make_solver(SOLVER_SPEC)
     lines = [
@@ -103,10 +103,10 @@ def test_remote_fleet_throughput(record_report):
             f"{1e3 * _percentile(latencies, 0.99):>8.1f} "
             f"{stats['dials_total']:>6} {stats['model_reships_total']:>8}"
         )
-    record_report("bench_remote", "\n".join(lines))
+    record_timing("bench_remote", "\n".join(lines))
 
 
-def test_remote_shed_regime(record_report):
+def test_remote_shed_regime(record_timing):
     model = random_qubo(MODEL_SIZE, rng=7)
     solver = make_solver(SOLVER_SPEC)
     burst = 16
@@ -159,7 +159,7 @@ def test_remote_shed_regime(record_report):
         backend.close()
         assert retry_stats["served_total"] == burst
 
-    record_report(
+    record_timing(
         "bench_remote_shed",
         "\n".join(
             [

@@ -3,8 +3,10 @@
 Each benchmark module regenerates one figure or table from the paper on the
 profile selected by the ``QROSS_PROFILE`` environment variable (``smoke`` by
 default, ``small`` / ``paper`` for larger runs).  The rendered text report of
-every experiment is written to ``benchmarks/results/`` and echoed to stdout so
-``pytest benchmarks/ --benchmark-only`` leaves a readable record.
+every seeded experiment is written to ``benchmarks/results/`` and echoed to
+stdout so ``pytest benchmarks/ --benchmark-only`` leaves a readable record.
+Timing reports, whose numbers change from run to run, go to the untracked
+``benchmarks/results/timing/`` instead.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import pytest
 from repro.experiments.profiles import ExperimentProfile, resolve_profile
 
 RESULTS_DIR = Path(__file__).parent / "results"
+TIMING_DIR = RESULTS_DIR / "timing"
 
 
 def pytest_collection_modifyitems(items):
@@ -38,18 +41,24 @@ def profile() -> ExperimentProfile:
     return resolve_profile()
 
 
-@pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
-
-
-@pytest.fixture(scope="session")
-def record_report(results_dir: Path) -> Callable[[str, str], None]:
-    """Persist a rendered report and echo it for the benchmark log."""
+def _recorder(directory: Path) -> Callable[[str, str], None]:
+    """Write ``name.txt`` under ``directory`` and echo it for the benchmark log."""
 
     def _record(name: str, text: str) -> None:
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        directory.mkdir(parents=True, exist_ok=True)
+        (directory / f"{name}.txt").write_text(text + "\n")
         print(f"\n===== {name} =====\n{text}\n")
 
     return _record
+
+
+@pytest.fixture(scope="session")
+def record_report() -> Callable[[str, str], None]:
+    """Persist a seeded report (tracked: it must not change between runs)."""
+    return _recorder(RESULTS_DIR)
+
+
+@pytest.fixture(scope="session")
+def record_timing() -> Callable[[str, str], None]:
+    """Persist a timing report (untracked: its numbers vary run to run)."""
+    return _recorder(TIMING_DIR)

@@ -10,15 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.strategies.composed import ComposedStrategyConfig
-from repro.experiments.datasets import build_problems, make_solver, train_surrogate_for_solver
+from repro.experiments.datasets import build_problems, train_surrogate_for_solver
 from repro.experiments.reporting import format_gap_summaries
 from repro.experiments.runner import qross_tuner_factory, run_comparison
 
 
 def _run_ablation(profile):
     datasets = build_problems(profile)
-    surrogate, _, _ = train_surrogate_for_solver(profile, "da", datasets.train_problems)
-    solver = make_solver(profile, "da")
+    surrogate, solver, _ = train_surrogate_for_solver(profile, "da", datasets.train_problems)
     factories = {
         "QROSS-composed": qross_tuner_factory(
             surrogate, ComposedStrategyConfig(batch_size=profile.num_reads)

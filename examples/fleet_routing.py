@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import make_solver
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.core.tuner import QROSSTuner
-from repro.experiments.datasets import collect_surrogate_dataset, make_solver, train_surrogate
+from repro.experiments.datasets import collect_surrogate_dataset, solver_spec, train_surrogate
 from repro.experiments.profiles import resolve_profile
 from repro.experiments.runner import default_bounds, tune_instance
 from repro.problems.tsp.generator import SyntheticTSPConfig, generate_instance
@@ -41,7 +42,7 @@ def main() -> None:
     profile = resolve_profile()
     rng = ensure_rng(profile.seed)
     num_stops = profile.min_cities
-    solver = make_solver(profile, "da")
+    solver = make_solver(solver_spec(profile, "da"))
 
     # History: past mornings the fleet has already routed.
     history_problems = [morning_instance(day, num_stops, rng) for day in range(profile.num_train_instances)]

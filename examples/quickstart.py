@@ -20,7 +20,7 @@ from repro.core.tuner import QROSSTuner
 from repro.experiments.datasets import (
     build_problems,
     collect_surrogate_dataset,
-    make_solver,
+    solver_spec,
     train_surrogate,
 )
 from repro.experiments.profiles import resolve_profile
@@ -56,7 +56,7 @@ def main() -> None:
     )
 
     # 2.-3. Collect solver data and train the surrogate for the DA-style solver.
-    solver = make_solver(profile, "da")
+    solver = repro.make_solver(solver_spec(profile, "da"))
     dataset = collect_surrogate_dataset(datasets.train_problems, solver, profile)
     print(f"collected {len(dataset)} solver calls for training: {dataset.summary()}")
     surrogate = train_surrogate(dataset, profile)

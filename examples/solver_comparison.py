@@ -11,8 +11,9 @@ Run with:  python examples/solver_comparison.py
 
 from __future__ import annotations
 
+from repro import make_solver
 from repro.core.strategies.composed import ComposedStrategyConfig
-from repro.experiments.datasets import build_problems, make_solver, train_surrogate_for_solver
+from repro.experiments.datasets import build_problems, solver_spec, train_surrogate_for_solver
 from repro.experiments.profiles import resolve_profile
 from repro.experiments.reporting import format_table
 from repro.experiments.runner import qross_tuner_factory, run_comparison
@@ -33,8 +34,8 @@ def main() -> None:
 
     checkpoint = min(3, profile.num_trials)
     rows = []
-    # One solve service executes every (surrogate, solver) cell; the solver
-    # backends are constructed through the registry-backed make_solver shim.
+    # One solve service executes every (surrogate, solver) cell; each solver
+    # is built from its profile-sized registry spec.
     with SolveService() as service:
         for trained_on in backends:
             for evaluated_on in backends:
@@ -45,7 +46,7 @@ def main() -> None:
                 }
                 result = run_comparison(
                     datasets.test_problems,
-                    make_solver(profile, evaluated_on),
+                    make_solver(solver_spec(profile, evaluated_on)),
                     factories,
                     num_trials=checkpoint,
                     num_reads=profile.num_reads,

@@ -18,19 +18,22 @@ from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.generator import SyntheticTSPConfig, generate_dataset
 from repro.problems.tsp.qubo import TSPProblem
 from repro.problems.tsp.tsplib import bundled_tsplib_suite
-from repro.service.registry import SolverRegistry
+from repro.service.registry import SolverRegistry, make_solver
 from repro.solvers.base import QUBOSolver
 from repro.utils.rng import RngLike, ensure_rng
 
 
-def make_solver(profile: ExperimentProfile, backend: str) -> QUBOSolver:
-    """Construct a solver backend sized according to ``profile``.
+def solver_spec(profile: ExperimentProfile, backend: str) -> str:
+    """Registry spec string of the profile-sized solver for ``backend``.
 
-    Deprecation shim: construction now goes through the
-    :class:`~repro.service.registry.SolverRegistry` — ``backend`` is any
-    registry name or alias (``"da"``, ``"pt"``, ``"qbsolv"``, ``"sa"``,
-    ``"tabu"``, ``"qa"``, ``"random"``) and the profile supplies the sized
-    config.
+    ``backend`` is any registry name or alias (``"da"``, ``"pt"``,
+    ``"qbsolv"``, ``"sa"``, ``"tabu"``, ``"qa"``, ``"random"``,
+    ``"portfolio"``) and the profile supplies the sized config; build the
+    solver with :func:`repro.make_solver`.  The spec form is also what
+    crosses process boundaries: the distributed execution backends ship it
+    to their workers — the process pool's spawned interpreters and the
+    remote TCP fleet alike — which re-resolve a solver with the identical
+    config fingerprint.
     """
     registry = SolverRegistry.default()
     name = registry.canonical_name(backend)
@@ -44,21 +47,8 @@ def make_solver(profile: ExperimentProfile, backend: str) -> QUBOSolver:
         "portfolio": profile.portfolio_config,
     }
     factory = config_factories.get(name)
-    return registry.create(name, config=factory() if factory is not None else None)
-
-
-def solver_spec(profile: ExperimentProfile, backend: str) -> str:
-    """Registry spec string of the profile-sized solver for ``backend``.
-
-    The spec form is what crosses process boundaries: the distributed
-    execution backends ship it to their workers — the process pool's spawned
-    interpreters and the remote TCP fleet (``QROSS_EXECUTION_BACKEND=remote``
-    with ``QROSS_REMOTE_WORKERS=host:port,...``) alike — which re-resolve a
-    solver with the identical config fingerprint.  Handy for configuring
-    remote / multiprocess runs from a profile without shipping solver
-    objects.
-    """
-    return SolverRegistry.default().spec_for(make_solver(profile, backend))
+    solver = registry.create(name, config=factory() if factory is not None else None)
+    return registry.spec_for(solver)
 
 
 @dataclass(frozen=True)
@@ -165,7 +155,7 @@ def train_surrogate_for_solver(
     rng: RngLike = None,
 ) -> tuple[SolverSurrogate, QUBOSolver, SurrogateDataset]:
     """End-to-end helper: build datasets, collect solver data, train the surrogate."""
-    solver = make_solver(profile, backend)
+    solver = make_solver(solver_spec(profile, backend))
     if train_problems is None:
         train_problems = build_problems(profile).train_problems
     dataset = collect_surrogate_dataset(train_problems, solver, profile, rng=rng)

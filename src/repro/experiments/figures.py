@@ -20,7 +20,7 @@ from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.experiments.datasets import (
     ExperimentDatasets,
     build_problems,
-    make_solver,
+    solver_spec,
     train_surrogate_for_solver,
 )
 from repro.experiments.profiles import ExperimentProfile, resolve_profile
@@ -34,6 +34,7 @@ from repro.problems.mvc.generator import RandomMVCConfig, generate_mvc_instance
 from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.precision import AnalogNoiseModel, QuantizationModel
+from repro.service.registry import make_solver
 from repro.service.service import SolveService, default_service
 from repro.solvers.quantum_annealer import QuantumAnnealerConfig, QuantumAnnealerSolver
 from repro.solvers.simulated_annealing import SimulatedAnnealingSolver
@@ -78,7 +79,7 @@ def figure1_landscape(
 
     series: Dict[str, LandscapeSeries] = {}
     for backend, label in (("da", "Digital Annealer"), ("sa", "Simulated Annealing on CPU")):
-        solver = make_solver(profile, backend)
+        solver = make_solver(solver_spec(profile, backend))
         pf_values, min_energies, best_fitnesses = [], [], []
         for parameter in parameters:
             model = problem.build_qubo(float(parameter))
@@ -119,7 +120,7 @@ def _comparison_on(
     title: str,
     rng: RngLike,
 ) -> ComparisonFigure:
-    solver = make_solver(profile, backend)
+    solver = make_solver(solver_spec(profile, backend))
     qross_config = ComposedStrategyConfig(batch_size=profile.num_reads)
     factories = {"QROSS": qross_tuner_factory(surrogate, config=qross_config)}
     factories.update(baseline_tuner_factories())

@@ -78,14 +78,8 @@ class ExperimentProfile:
     portfolio_members: str = "sa,tabu"
     portfolio_strategy: str = "ucb"
     portfolio_sweep_budget: int = 320
-    # Compute: array backend and float precision the engine kernels run on for
-    # every solver this profile builds.  ``None`` inherits the process default
-    # (the ``QROSS_ARRAY_BACKEND`` / ``QROSS_ENGINE_DTYPE`` env vars, i.e. the
-    # numpy/float64 reference out of the box); ``array_backend="torch"`` +
-    # ``engine_dtype="float32"`` moves the sweeps to torch tensors in single
-    # precision where that pays (GPU hosts, large instances).
-    array_backend: str | None = None
-    engine_dtype: str | None = None
+    # Engine precision is not a profile knob: ``QROSS_ENGINE_DTYPE=float32``
+    # runs every solver a profile builds in single precision.
     # Reproducibility.
     seed: int = 2021
 
@@ -93,8 +87,6 @@ class ExperimentProfile:
         return DigitalAnnealerConfig(
             steps_per_variable=self.da_steps_per_variable,
             max_parallel_flips=self.da_max_parallel_flips,
-            array_backend=self.array_backend,
-            dtype=self.engine_dtype,
         )
 
     def parallel_tempering_config(self) -> ParallelTemperingConfig:
@@ -102,16 +94,10 @@ class ExperimentProfile:
             num_sweeps=self.sa_num_sweeps,
             num_replicas=self.pt_num_replicas,
             swap_interval=self.pt_swap_interval,
-            array_backend=self.array_backend,
-            dtype=self.engine_dtype,
         )
 
     def simulated_annealing_config(self) -> SimulatedAnnealingConfig:
-        return SimulatedAnnealingConfig(
-            num_sweeps=self.sa_num_sweeps,
-            array_backend=self.array_backend,
-            dtype=self.engine_dtype,
-        )
+        return SimulatedAnnealingConfig(num_sweeps=self.sa_num_sweeps)
 
     def qbsolv_config(self) -> QbsolvConfig:
         return QbsolvConfig(
@@ -123,8 +109,6 @@ class ExperimentProfile:
         return TabuSearchConfig(
             num_steps=self.qbsolv_tabu_steps,
             restart_after=max(20, self.qbsolv_tabu_steps // 3),
-            array_backend=self.array_backend,
-            dtype=self.engine_dtype,
         )
 
     def quantum_annealer_config(self) -> QuantumAnnealerConfig:

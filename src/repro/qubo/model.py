@@ -55,19 +55,20 @@ def _canonical_csr(matrix):
 
 
 class DenseOperator:
-    """Dense float64 view of ``Q`` exposing the kernels the solvers need.
+    """Dense view of ``Q`` in one float dtype, exposing the kernels the solvers need.
 
     The solver engine never touches ``Q`` directly; it goes through this small
-    interface (``right_multiply`` / ``rows`` / ``block_product``) so that the
-    same annealing code runs unchanged on the CSR backend.
+    interface (``right_multiply`` / ``rows`` / ``row`` / ``block_product``) so
+    that the same annealing code runs unchanged on the CSR operator.  Every
+    array it returns is in ``dtype``.
     """
 
     kind = "dense"
 
-    def __init__(self, Q: np.ndarray) -> None:
-        self._Q = np.ascontiguousarray(Q, dtype=np.float64)
+    def __init__(self, Q: np.ndarray, dtype="float64") -> None:
+        self.dtype = np.dtype(dtype)
+        self._Q = np.ascontiguousarray(Q, dtype=self.dtype)
         self.diag = np.ascontiguousarray(np.diag(self._Q))
-        self._adapted: Dict[tuple, object] = {}
 
     @property
     def num_variables(self) -> int:
@@ -75,113 +76,78 @@ class DenseOperator:
 
     def right_multiply(self, X: np.ndarray) -> np.ndarray:
         """``X @ Q`` for a batch of states — initialises local fields."""
-        return np.asarray(X @ self._Q, dtype=np.float64)
+        return np.asarray(X @ self._Q, dtype=self.dtype)
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Dense gather of the requested rows, shape ``(len(indices), n)``."""
         return self._Q[indices]
 
     def row(self, index: int) -> np.ndarray:
-        """Single dense row — a view for the dense backend (no copy)."""
+        """Single dense row — a view (no copy)."""
         return self._Q[index]
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
         """``dX_block @ Q[block, :]`` — the local-field update of a block flip."""
-        return np.asarray(dX_block @ self._Q[block], dtype=np.float64)
-
-    def to_backend(self, ab):
-        """This operator's coefficients on array backend ``ab`` (memoised).
-
-        Called by :meth:`repro.compute.ArrayBackend.adapt_operator` for every
-        non-reference backend; the reference numpy/float64 path uses ``self``
-        directly and never reaches here.
-        """
-        key = ab.cache_key()
-        cached = self._adapted.get(key)
-        if cached is None:
-            from repro.compute.operators import BackendDenseOperator
-
-            cached = self._adapted[key] = BackendDenseOperator(self._Q, self.diag, ab)
-        return cached
+        return np.asarray(dX_block @ self._Q[block], dtype=self.dtype)
 
 
 class SparseOperator:
-    """CSR float32 backend for sparse models (e.g. MVC QUBOs).
+    """CSR operator for sparse models (e.g. MVC QUBOs), in one float dtype.
 
-    Accepts either a dense symmetric ``Q`` or a canonical float64 CSR matrix —
-    both produce bit-identical operator data, so solver trajectories do not
-    depend on how the model was stored.  Coefficients are held in single
-    precision: the annealers only use them to steer the search, and every
-    returned energy is re-evaluated against the exact float64 model, so the
-    float32 rounding never leaks into reported results.  Local fields
-    accumulate in float64.
+    Accepts either a dense symmetric ``Q`` or a CSR matrix; both produce the
+    same operator data, so solver trajectories do not depend on how the model
+    was stored.  The coefficients the products and row gathers read are
+    rounded to single precision whatever ``dtype`` is: the annealers only use
+    them to steer the search, and every returned energy is re-evaluated
+    against the exact float64 model, so the rounding never leaks into
+    reported results.  ``diag`` stays exact, and products and local fields
+    accumulate in ``dtype``.
     """
 
     kind = "sparse"
 
-    def __init__(self, Q) -> None:
+    def __init__(self, Q, dtype="float64") -> None:
         if _sparse is None:  # pragma: no cover - defensive
             raise RuntimeError("scipy is required for the sparse QUBO backend")
-        if _is_sparse(Q):
-            exact = _canonical_csr(Q)
-            self._Q = exact.astype(np.float32)
-            self.diag = np.asarray(exact.diagonal(), dtype=np.float64)
-        else:
-            self._Q = _sparse.csr_array(np.asarray(Q, dtype=np.float32))
-            self.diag = np.asarray(np.diag(Q), dtype=np.float64)
-        # Raw CSR triplet: row gathers go through these directly because
-        # scipy's fancy row indexing spends ~100x the gather cost on index
-        # validation and matrix construction, which dominates per-step use.
-        self._indptr = self._Q.indptr
-        self._indices = self._Q.indices
-        self._data = self._Q.data.astype(np.float64)
-        self._adapted: Dict[tuple, object] = {}
+        self.dtype = np.dtype(dtype)
+        exact = _canonical_csr(Q)
+        self.diag = np.asarray(exact.diagonal(), dtype=self.dtype)
+        data = exact.data.astype(np.float32).astype(self.dtype)
+        self._csr = _sparse.csr_array((data, exact.indices, exact.indptr), shape=exact.shape)
+        # Raw CSR triplet: row gathers index these directly because scipy's
+        # fancy row indexing spends ~100x the gather cost on index validation
+        # and matrix construction, which dominates per-step use.
+        self._indptr, self._indices, self._data = self._csr.indptr, self._csr.indices, self._csr.data
 
     @property
     def num_variables(self) -> int:
-        return int(self._Q.shape[0])
+        return int(self._csr.shape[0])
 
     def right_multiply(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(X @ self._Q, dtype=np.float64)
+        return np.asarray(X @ self._csr, dtype=self.dtype)
 
     def rows(self, indices: np.ndarray) -> np.ndarray:
-        indices = np.asarray(indices)
-        out = np.zeros((indices.size, self.num_variables), dtype=np.float64)
-        for k, i in enumerate(indices):
-            start, end = self._indptr[i], self._indptr[i + 1]
-            out[k, self._indices[start:end]] = self._data[start:end]
+        """Dense rows ``Q[indices]``, gathered in one vectorised scatter."""
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        starts = self._indptr[idx]
+        counts = self._indptr[idx + 1] - starts
+        total = int(counts.sum())
+        out = np.zeros((idx.size, self.num_variables), dtype=self.dtype)
+        if total:
+            offsets = np.cumsum(counts) - counts
+            positions = np.repeat(starts - offsets, counts) + np.arange(total)
+            row_ids = np.repeat(np.arange(idx.size), counts)
+            out[row_ids, self._indices[positions]] = self._data[positions]
         return out
 
     def row(self, index: int) -> np.ndarray:
-        out = np.zeros(self.num_variables, dtype=np.float64)
+        out = np.zeros(self.num_variables, dtype=self.dtype)
         start, end = self._indptr[index], self._indptr[index + 1]
         out[self._indices[start:end]] = self._data[start:end]
         return out
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
         return dX_block @ self.rows(block)
-
-    def to_backend(self, ab):
-        """This operator's CSR triplet on array backend ``ab`` (memoised).
-
-        The float64 ``_data`` (not the float32 CSR) seeds the backend copy so
-        a float64 torch/CuPy run steers with the same precision the reference
-        engine would.
-        """
-        key = ab.cache_key()
-        cached = self._adapted.get(key)
-        if cached is None:
-            from repro.compute.operators import BackendSparseOperator
-
-            cached = self._adapted[key] = BackendSparseOperator(
-                self._data,
-                self._indices,
-                self._indptr,
-                self._Q.shape,
-                self.diag,
-                ab,
-            )
-        return cached
 
 
 @dataclass(frozen=True)
@@ -232,7 +198,7 @@ class QUBOModel:
             self._storage = "dense"
         self._offset = float(offset)
         self.name = name
-        self._operators: Dict[str, object] = {}
+        self._operators: Dict[Tuple[str, str], object] = {}
         self._coefficient_stats: Optional[Tuple[float, float]] = None
         self._density: Optional[float] = None
         self._fingerprint: Optional[str] = None
@@ -494,29 +460,33 @@ class QUBOModel:
                 self._density = float(np.count_nonzero(self._Q)) / float(n * n)
         return self._density
 
-    def operator(self, backend: str | None = None):
-        """Return the solver-facing coefficient backend for this model.
+    def operator(self, storage: str | None = None, dtype="float64"):
+        """Return the solver-facing coefficient operator for this model.
 
-        ``backend`` may be ``"dense"``, ``"sparse"`` or ``None`` for automatic
+        ``storage`` may be ``"dense"``, ``"sparse"`` or ``None`` for automatic
         selection: models with at least :data:`SPARSE_MIN_VARIABLES` variables
-        and density below :data:`SPARSE_DENSITY_THRESHOLD` get the CSR float32
-        backend, everything else the dense float64 one.  The selection rule
-        depends only on the coefficients, not on the storage, so a model built
-        sparse and the same model built dense drive the solvers identically.
-        Operators are cached on the model, so repeated solver calls reuse the
-        same arrays.
+        and density below :data:`SPARSE_DENSITY_THRESHOLD` get the CSR
+        operator, everything else the dense one.  The selection rule depends
+        only on the coefficients, not on the storage, so a model built sparse
+        and the same model built dense drive the solvers identically.
+        ``dtype`` (float64 or float32) is the dtype the operator computes in.
+        Operators are cached on the model per ``(storage, dtype)``, so
+        repeated solver calls reuse the same arrays.
         """
-        if backend is None:
+        if storage is None:
             use_sparse = _sparse is not None and self.in_sparse_regime()
-            backend = "sparse" if use_sparse else "dense"
-        if backend not in ("dense", "sparse"):
-            raise ValueError(f"unknown backend {backend!r}")
-        if backend not in self._operators:
-            if backend == "sparse":
-                self._operators[backend] = SparseOperator(self._Q)
+            storage = "sparse" if use_sparse else "dense"
+        if storage not in ("dense", "sparse"):
+            raise ValueError(f"unknown storage {storage!r}")
+        key = (storage, np.dtype(dtype).name)
+        op = self._operators.get(key)
+        if op is None:
+            if storage == "sparse":
+                op = SparseOperator(self._Q, dtype)
             else:
-                self._operators[backend] = DenseOperator(self._dense())
-        return self._operators[backend]
+                op = DenseOperator(self._dense(), dtype)
+            self._operators[key] = op
+        return op
 
     def coefficient_stats(self) -> Tuple[float, float]:
         """Cached ``(max_abs_row_sum, min_nonzero_abs)`` of the coefficients.

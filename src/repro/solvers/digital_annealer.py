@@ -33,10 +33,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compute.backend import resolve_array_backend, validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
-from repro.solvers.engine import AnnealingState, metropolis_accept
+from repro.solvers.engine import AnnealingState, metropolis_accept, validate_engine_dtype
 from repro.solvers.schedules import TemperatureSchedule, resolve_schedule
 
 
@@ -59,12 +58,9 @@ class DigitalAnnealerConfig:
         Accepted flips applied per step.  ``1`` (default) reproduces the
         published single-flip algorithm exactly; larger values apply the
         top-scoring accepted flips as one simultaneous block update.
-    array_backend:
-        Array backend the trial kernels run on (``None`` = environment /
-        numpy reference).
     dtype:
-        Engine float precision (``"float64"`` / ``"float32"``; ``None`` =
-        environment / float64).
+        Engine float precision (``"float64"`` / ``"float32"``; ``None``
+        defers to ``QROSS_ENGINE_DTYPE``, then float64).
     """
 
     num_steps: Optional[int] = None
@@ -72,7 +68,6 @@ class DigitalAnnealerConfig:
     offset_increase_rate: float = 0.3
     schedule: Optional[TemperatureSchedule] = None
     max_parallel_flips: int = 1
-    array_backend: Optional[str] = None
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -110,10 +105,10 @@ class DigitalAnnealerSolver(QUBOSolver):
 
         offset_step = self.config.offset_increase_rate * max(model.max_abs_coefficient(), 1e-12)
 
-        ab = resolve_array_backend(self.config.array_backend, self.config.dtype)
-        xp = ab.xp
-        state = AnnealingState(model, num_reads, rng=rng, array_backend=ab)
-        offsets = xp.zeros(num_reads, dtype=ab.dtype)
+        state = AnnealingState(model, num_reads, rng=rng, dtype=self.config.dtype)
+        offsets = np.zeros(num_reads, dtype=state.dtype)
+        zero = state.dtype.type(0.0)
+        unchosen = state.dtype.type(-1.0)
         replica_rows = np.arange(num_reads)
         max_flips = min(self.config.max_parallel_flips, n)
         all_cols = np.arange(n)
@@ -124,41 +119,32 @@ class DigitalAnnealerSolver(QUBOSolver):
             delta = state.flip_deltas()
             effective = delta - offsets[:, None]
             accept = metropolis_accept(
-                effective, temperature, ab.from_numpy(rng.random((num_reads, n))), ab=ab
+                effective, temperature, state.uniforms(rng, (num_reads, n))
             )
 
-            any_accepted = xp.any(accept, axis=1)
+            any_accepted = accept.any(axis=1)
             # Replicas with no accepted candidate raise their dynamic offset.
-            offsets = xp.where(any_accepted, xp.asarray(0.0, dtype=ab.dtype), offsets + offset_step)
-            if not xp.any(any_accepted):
+            offsets = np.where(any_accepted, zero, offsets + offset_step)
+            if not any_accepted.any():
                 continue
 
             if max_flips == 1:
                 # Pick one accepted flip per replica uniformly at random.
-                scores = xp.where(
-                    accept,
-                    ab.from_numpy(rng.random((num_reads, n))),
-                    xp.asarray(-1.0, dtype=ab.dtype),
-                )
-                chosen = xp.argmax(scores, axis=1)
-                mask = ab.to_numpy(any_accepted)
-                rows = replica_rows[mask]
-                cols = ab.to_numpy(chosen)[mask]
+                scores = np.where(accept, state.uniforms(rng, (num_reads, n)), unchosen)
+                chosen = scores.argmax(axis=1)
+                rows = replica_rows[any_accepted]
+                cols = chosen[any_accepted]
                 state.apply_single_flips(rows, cols, delta[rows, cols])
             else:
                 # Multi-flip variant: the same uniform scoring, but the top
                 # ``max_flips`` accepted candidates of each replica are
                 # applied together as one block update.
-                scores = xp.where(
-                    accept,
-                    ab.from_numpy(rng.random((num_reads, n))),
-                    xp.asarray(-1.0, dtype=ab.dtype),
-                )
+                scores = np.where(accept, state.uniforms(rng, (num_reads, n)), unchosen)
                 chosen = accept
                 if max_flips < n:
-                    top = xp.argpartition(-scores, max_flips - 1, axis=1)[:, :max_flips]
-                    chosen = xp.zeros_like(accept)
-                    xp.put_along_axis(chosen, top, True, axis=1)
+                    top = np.argpartition(-scores, max_flips - 1, axis=1)[:, :max_flips]
+                    chosen = np.zeros_like(accept)
+                    np.put_along_axis(chosen, top, True, axis=1)
                     chosen = chosen & accept
                 state.apply_block_flips(all_cols, chosen)
                 state.refresh_energies()
@@ -167,4 +153,4 @@ class DigitalAnnealerSolver(QUBOSolver):
         info = {"num_steps": num_steps}
         if max_flips > 1:
             info["max_parallel_flips"] = max_flips
-        return state.best_states_host(), info
+        return state.best_X, info

@@ -36,45 +36,59 @@ State transitions go through exactly two mutators:
   from the (always exact) local fields via ``E = sum_i x_i H_i + offset``
   rather than summed from the proposed deltas.
 
-Coefficient access is routed through the backend returned by
-:meth:`repro.qubo.model.QUBOModel.operator` — dense float64 or CSR float32
-chosen automatically by density — so sparse instances (e.g. MVC) avoid dense
+Coefficient access is routed through the operator returned by
+:meth:`repro.qubo.model.QUBOModel.operator` — dense or CSR, chosen
+automatically by density — so sparse instances (e.g. MVC) avoid dense
 ``n × n`` row traffic without any solver-side changes.
 
-Array backends
---------------
-All kernels are written against an :class:`repro.compute.ArrayBackend` handle
-(``state.ab``) and its numpy-compatible namespace (``state.xp``) instead of
-the numpy module, so the same source runs on numpy, torch or CuPy arrays in
-float64 or float32.  On the reference backend (numpy/float64, the default)
-``xp`` *is* the numpy module and every conversion is a no-copy ``asarray``,
-so seeded trajectories are byte-for-byte what they were before the backend
-layer existed.  Random numbers are always drawn from the host numpy
-``Generator`` and shipped to the backend afterwards, which keeps the draw
-order — and therefore the trajectory, up to floating point — identical across
-backends.  Host setup code (state construction, block-size heuristics) stays
-plain numpy; only the kernel sections below are backend-polymorphic, and a
-lint test (``tests/test_compute_backend.py``) pins them free of bare ``np.``
-calls.
+Precision
+---------
+The kernels compute in one numpy float dtype per call, float64 or float32.
+A solver's ``dtype`` option sets it; when the option is unset the
+``QROSS_ENGINE_DTYPE`` environment variable does, and float64 is the default
+(:func:`resolve_engine_dtype`).  :class:`AnnealingState` holds its arrays and
+its operator in that dtype.  Float32 only steers the search: every solver
+re-scores its returned assignments against the exact float64 model.  Random
+numbers always come from the host numpy ``Generator`` in float64 and are cast
+afterwards, so both dtypes consume the same random stream.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Optional
 
 import numpy as np
 
-from repro.compute.backend import ArrayBackend, resolve_array_backend
 from repro.qubo.model import QUBOModel
 from repro.utils.rng import ensure_rng
 
+#: Environment variable selecting the engine dtype when a solver leaves its
+#: ``dtype`` option unset.
+DTYPE_ENV = "QROSS_ENGINE_DTYPE"
+#: The float dtypes the engine computes in.
+SUPPORTED_DTYPES = ("float64", "float32")
 
-def metropolis_accept(
-    delta,
-    temperature,
-    uniforms,
-    ab: Optional[ArrayBackend] = None,
-):
+
+def validate_engine_dtype(dtype: Optional[str]) -> Optional[str]:
+    """Validate a solver's ``dtype`` option (``None`` means "inherit")."""
+    if dtype is None:
+        return None
+    key = str(dtype).strip().lower()
+    if key not in SUPPORTED_DTYPES:
+        raise ValueError(
+            f"unsupported engine dtype {dtype!r}; supported: {SUPPORTED_DTYPES}"
+        )
+    return key
+
+
+def resolve_engine_dtype(dtype: Optional[str] = None) -> np.dtype:
+    """The dtype of one engine call: ``dtype`` if set, else
+    ``QROSS_ENGINE_DTYPE``, else float64."""
+    return np.dtype(validate_engine_dtype(dtype or os.environ.get(DTYPE_ENV) or "float64"))
+
+
+def metropolis_accept(delta, temperature, uniforms) -> np.ndarray:
     """Metropolis acceptance mask for proposed energy changes ``delta``.
 
     Downhill (``delta <= 0``) moves are always accepted; uphill moves are
@@ -86,27 +100,27 @@ def metropolis_accept(
     parallel-tempering ladder, where every replica row owns its own fixed
     temperature).  Rows at temperature zero accept downhill moves only.
 
-    ``delta`` and ``uniforms`` live on ``ab`` (default: the ambient backend
-    from the environment knobs, which is plain numpy/float64 unless
-    overridden).
+    The comparison runs in the float dtype of ``delta`` (float64 for integer
+    input): a float64 caller gets float64 temperatures whatever the engine
+    dtype setting.
     """
-    ab = resolve_array_backend(ab)
-    xp = ab.xp
+    delta = np.asarray(delta)
+    dtype = np.result_type(delta.dtype, np.float32)
     accept = delta <= 0.0
-    temps = xp.asarray(temperature, dtype=ab.dtype)
+    temps = np.asarray(temperature, dtype=dtype)
     if temps.ndim == 0:
         if temps > 0:
-            accept = accept | (uniforms < xp.exp(-xp.clip(delta, 0.0, None) / temps))
+            accept = accept | (uniforms < np.exp(-np.clip(delta, 0.0, None) / temps))
         return accept
-    if tuple(temps.shape) != (delta.shape[0],):
+    if temps.shape != (delta.shape[0],):
         raise ValueError(
             f"temperature array must have one entry per replica row "
-            f"({delta.shape[0]}), got shape {tuple(temps.shape)}"
+            f"({delta.shape[0]}), got shape {temps.shape}"
         )
     cols = temps.reshape(-1, *([1] * (delta.ndim - 1)))
     positive = cols > 0
-    safe = xp.where(positive, cols, xp.asarray(1.0, dtype=ab.dtype))
-    boltzmann = uniforms < xp.exp(-xp.clip(delta, 0.0, None) / safe)
+    safe = np.where(positive, cols, dtype.type(1.0))
+    boltzmann = uniforms < np.exp(-np.clip(delta, 0.0, None) / safe)
     return accept | (boltzmann & positive)
 
 
@@ -176,13 +190,7 @@ class AdaptiveBlockSizer:
         return self.block
 
 
-def propose_ladder_swaps(
-    energies,
-    betas,
-    offset: int,
-    uniforms,
-    ab: Optional[ArrayBackend] = None,
-):
+def propose_ladder_swaps(energies, betas, offset: int, uniforms) -> np.ndarray:
     """Metropolis accept mask for neighbour swaps on a temperature ladder.
 
     ``energies`` has shape ``(num_reads, num_replicas)`` — each read owns an
@@ -193,35 +201,31 @@ def propose_ladder_swaps(
     probability ``min(1, exp((beta_i - beta_j) (E_i - E_j)))`` — the detailed-
     balance criterion of replica exchange.  ``uniforms`` must have shape
     ``(num_reads, num_pairs)``; the comparison runs in log space so large
-    positive arguments cannot overflow.  Returns the accept mask, shape
-    ``(num_reads, num_pairs)``.
-
-    ``energies``/``betas``/``uniforms`` live on ``ab`` (default: the ambient
-    backend from the environment knobs).
+    positive arguments cannot overflow, and in the dtype of the inputs.
+    Returns the accept mask, shape ``(num_reads, num_pairs)``.
     """
-    ab = resolve_array_backend(ab)
-    xp = ab.xp
-    i = xp.arange(offset, betas.shape[0] - 1, 2)
+    i = np.arange(offset, betas.shape[0] - 1, 2)
     if i.shape[0] == 0:
-        return xp.zeros((energies.shape[0], 0), dtype=xp.bool)
+        return np.zeros((energies.shape[0], 0), dtype=bool)
     j = i + 1
     log_ratio = (betas[i] - betas[j])[None, :] * (energies[:, i] - energies[:, j])
-    if tuple(uniforms.shape) != tuple(log_ratio.shape):
+    if uniforms.shape != log_ratio.shape:
         raise ValueError(
-            f"uniforms must have shape {tuple(log_ratio.shape)}, "
-            f"got {tuple(uniforms.shape)}"
+            f"uniforms must have shape {log_ratio.shape}, got {uniforms.shape}"
         )
-    return ab.log_guarded(uniforms) < log_ratio
+    with np.errstate(divide="ignore"):
+        return np.log(uniforms) < log_ratio
 
 
 class AnnealingState:
     """Batched single-flip search state shared by the annealing solvers.
 
-    ``array_backend`` selects where ``X``/``H``/energies live and which
-    namespace the kernels run on; ``None`` resolves the ambient backend
-    (environment knobs, defaulting to the numpy/float64 reference).  Initial
-    states are always drawn/validated on the host so the random stream is
-    backend-independent, then shipped once via ``ab.from_numpy``.
+    ``dtype`` is the solver's ``dtype`` option: the state's arrays and its
+    coefficient operator live in :func:`resolve_engine_dtype` of it.
+    ``storage`` picks the operator (``None`` selects by density, see
+    :meth:`repro.qubo.model.QUBOModel.operator`).  Initial states are drawn
+    on the host in float64 and cast once, so the random stream does not
+    depend on the dtype.
     """
 
     def __init__(
@@ -230,17 +234,15 @@ class AnnealingState:
         num_reads: int,
         rng: Optional[np.random.Generator] = None,
         initial_states: Optional[np.ndarray] = None,
-        operator=None,
-        array_backend: Optional[ArrayBackend] = None,
+        storage: Optional[str] = None,
+        dtype: Optional[str] = None,
     ) -> None:
         self.model = model
-        self.ab = resolve_array_backend(array_backend)
-        self.xp = self.ab.xp
-        base_op = operator if operator is not None else model.operator()
-        self.op = self.ab.adapt_operator(base_op)
+        self.dtype = resolve_engine_dtype(dtype)
+        self.op = model.operator(storage, self.dtype)
         n = model.num_variables
         if initial_states is not None:
-            X = np.array(self.ab.to_numpy(initial_states), dtype=np.float64)
+            X = np.array(initial_states, dtype=np.float64)
             if X.ndim == 1:
                 X = X[None, :]
             if X.shape != (num_reads, n):
@@ -250,17 +252,21 @@ class AnnealingState:
         else:
             rng = ensure_rng(rng)
             X = rng.integers(0, 2, size=(num_reads, n), dtype=np.int8).astype(np.float64)
-        self.X = self.ab.from_numpy(X)
+        self.X = X.astype(self.dtype, copy=False)
         self.H = self.op.right_multiply(self.X)
-        self.diag = self.ab.asarray(base_op.diag)
+        self.diag = self.op.diag
         self.offset = model.offset
         self.current_energies = self.energies_from_fields()
-        self.best_X = self.ab.copy(self.X)
-        self.best_energies = self.ab.copy(self.current_energies)
+        self.best_X = self.X.copy()
+        self.best_energies = self.current_energies.copy()
         #: Optional :class:`repro.obs.SweepProfiler`; solvers attach one when
         #: ``QROSS_ENGINE_PROFILE`` is on.  ``None`` keeps the mutators on a
         #: single-attribute-test fast path.
         self.profiler = None
+
+    def uniforms(self, rng: np.random.Generator, shape) -> np.ndarray:
+        """``rng.random(shape)`` in the state dtype (drawn in float64, then cast)."""
+        return rng.random(shape).astype(self.dtype, copy=False)
 
     # ----------------------------------------------------------------- shapes
     @property
@@ -317,15 +323,12 @@ class AnnealingState:
             # Count before the no-accepts early return so proposals are never
             # dropped from the acceptance-rate denominator.
             proposed = int(accept.shape[0]) * int(accept.shape[1])
-            accepted = int(self.ab.to_numpy(self.xp.count_nonzero(accept)))
-            self.profiler.count_flips(proposed, accepted)
-        if not self.xp.any(accept):
+            self.profiler.count_flips(proposed, int(np.count_nonzero(accept)))
+        if not accept.any():
             return
-        active = self.ab.to_numpy(self.xp.any(accept, axis=0))
+        active = accept.any(axis=0)
         cols = block[active]
-        dX = self.xp.where(
-            accept[:, active], 1.0 - 2.0 * self.X[:, cols], self.xp.asarray(0.0, dtype=self.ab.dtype)
-        )
+        dX = np.where(accept[:, active], 1.0 - 2.0 * self.X[:, cols], self.dtype.type(0.0))
         self.X[:, cols] += dX
         self.H += self.op.block_product(dX, cols)
 
@@ -334,10 +337,8 @@ class AnnealingState:
         self.current_energies = self.energies_from_fields()
 
     def reset_replicas(self, mask, new_states) -> None:
-        """Replace the states of the replicas selected by boolean ``mask``.
-
-        ``new_states`` must already live on this state's backend.
-        """
+        """Replace the states of the replicas selected by boolean ``mask``."""
+        new_states = new_states.astype(self.dtype, copy=False)
         self.X[mask] = new_states
         self.H[mask] = self.op.right_multiply(new_states)
         self.current_energies[mask] = (new_states * self.H[mask]).sum(axis=1) + self.offset
@@ -350,7 +351,7 @@ class AnnealingState:
         best-visited record).
         """
         for arr in (self.X, self.H, self.current_energies):
-            tmp = self.ab.copy(arr[rows_i])
+            tmp = arr[rows_i].copy()
             arr[rows_i] = arr[rows_j]
             arr[rows_j] = tmp
 
@@ -364,12 +365,3 @@ class AnnealingState:
             self.best_energies[improved] = self.current_energies[improved]
             self.best_X[improved] = self.X[improved]
         return improved
-
-    # ---------------------------------------------------------------- readout
-    def best_states_host(self) -> np.ndarray:
-        """``best_X`` as a host numpy array (the solver read-out transfer)."""
-        return self.ab.to_numpy(self.best_X)
-
-    def best_energies_host(self) -> np.ndarray:
-        """``best_energies`` as a host numpy array."""
-        return self.ab.to_numpy(self.best_energies)

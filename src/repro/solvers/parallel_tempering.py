@@ -34,7 +34,6 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.compute.backend import resolve_array_backend, validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import (
@@ -42,6 +41,7 @@ from repro.solvers.engine import (
     default_block_size,
     metropolis_accept,
     propose_ladder_swaps,
+    validate_engine_dtype,
 )
 from repro.solvers.schedules import default_temperature_range
 
@@ -72,12 +72,9 @@ class ParallelTemperingConfig:
         Record the batch-best energy after every sweep in the sample-set info
         (``best_energy_trajectory``) — the time-to-target instrumentation used
         by ``benchmarks/bench_pt.py``.  Never changes the random stream.
-    array_backend:
-        Array backend the sweep/swap kernels run on (``None`` = environment /
-        numpy reference).
     dtype:
-        Engine float precision (``"float64"`` / ``"float32"``; ``None`` =
-        environment / float64).
+        Engine float precision (``"float64"`` / ``"float32"``; ``None``
+        defers to ``QROSS_ENGINE_DTYPE``, then float64).
     """
 
     num_sweeps: int = 100
@@ -87,7 +84,6 @@ class ParallelTemperingConfig:
     t_cold: Optional[float] = None
     block_size: Optional[int] = None
     track_trajectory: bool = False
-    array_backend: Optional[str] = None
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -145,13 +141,12 @@ class ParallelTemperingSolver(QUBOSolver):
         n = model.num_variables
         m = cfg.num_replicas
         ladder = self._ladder(model)
-        ab = resolve_array_backend(cfg.array_backend, cfg.dtype)
-        # Row r runs at the fixed temperature of rung r % m.
-        row_temps = ab.from_numpy(np.tile(ladder, num_reads))
-        betas = ab.from_numpy(1.0 / ladder)
         block = cfg.block_size or default_block_size(n)
 
-        state = AnnealingState(model, num_reads * m, rng=rng, array_backend=ab)
+        state = AnnealingState(model, num_reads * m, rng=rng, dtype=cfg.dtype)
+        # Row r runs at the fixed temperature of rung r % m.
+        row_temps = np.tile(ladder, num_reads).astype(state.dtype)
+        betas = (1.0 / ladder).astype(state.dtype)
         state.profiler = obs.engine_profiler(self.name)
         read_base = np.arange(num_reads)[:, None] * m
 
@@ -159,12 +154,12 @@ class ParallelTemperingSolver(QUBOSolver):
         trajectory = [] if cfg.track_trajectory else None
         for sweep in range(cfg.num_sweeps):
             order = rng.permutation(n)
-            uniforms = ab.from_numpy(rng.random((num_reads * m, n)))
+            uniforms = state.uniforms(rng, (num_reads * m, n))
             for start in range(0, n, block):
                 cols = order[start : start + block]
                 delta = state.flip_deltas(cols)
                 accept = metropolis_accept(
-                    delta, row_temps, uniforms[:, start : start + cols.size], ab=ab
+                    delta, row_temps, uniforms[:, start : start + cols.size]
                 )
                 state.apply_block_flips(cols, accept)
             state.refresh_energies()
@@ -177,9 +172,8 @@ class ParallelTemperingSolver(QUBOSolver):
                 rungs = np.arange(offset, m - 1, 2)
                 energies = state.current_energies.reshape(num_reads, m)
                 accept = propose_ladder_swaps(
-                    energies, betas, offset, ab.from_numpy(rng.random((num_reads, rungs.size))), ab=ab
+                    energies, betas, offset, state.uniforms(rng, (num_reads, rungs.size))
                 )
-                accept = ab.to_numpy(accept)
                 swaps_proposed += accept.size
                 swaps_accepted += int(accept.sum())
                 if state.profiler is not None:
@@ -192,9 +186,9 @@ class ParallelTemperingSolver(QUBOSolver):
                 trajectory.append(float(state.best_energies.min()))
 
         # Per read: the best state any of its rungs ever visited.
-        best_energies = state.best_energies_host().reshape(num_reads, m)
+        best_energies = state.best_energies.reshape(num_reads, m)
         winner = best_energies.argmin(axis=1)
-        assignments = state.best_states_host().reshape(num_reads, m, n)[np.arange(num_reads), winner]
+        assignments = state.best_X.reshape(num_reads, m, n)[np.arange(num_reads), winner]
         info = {
             "num_sweeps": cfg.num_sweeps,
             "num_replicas": m,

@@ -30,9 +30,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compute.backend import validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
+from repro.solvers.engine import validate_engine_dtype
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
 from repro.utils.rng import spawn_rngs
 
@@ -51,10 +51,10 @@ class QbsolvConfig:
         Independent random restarts per read; the best result is returned.
     subsolver_config:
         Tabu-search configuration used for each sub-problem.
-    array_backend / dtype:
-        Array backend and float precision forwarded to the tabu sub-solver
-        (unless the ``subsolver_config`` pins its own).  The decomposition
-        loop itself is host control flow and stays numpy.
+    dtype:
+        Engine float precision forwarded to the tabu sub-solver (unless the
+        ``subsolver_config`` pins its own).  The decomposition loop itself
+        always runs in float64.
     """
 
     subproblem_size: int = 48
@@ -63,7 +63,6 @@ class QbsolvConfig:
     subsolver_config: TabuSearchConfig = field(
         default_factory=lambda: TabuSearchConfig(num_steps=200, restart_after=60)
     )
-    array_backend: Optional[str] = None
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -84,14 +83,8 @@ class QbsolvSolver(QUBOSolver):
     def __init__(self, config: QbsolvConfig | None = None) -> None:
         self.config = config or QbsolvConfig()
         sub = self.config.subsolver_config
-        if (self.config.array_backend is not None and sub.array_backend is None) or (
-            self.config.dtype is not None and sub.dtype is None
-        ):
-            sub = replace(
-                sub,
-                array_backend=sub.array_backend or self.config.array_backend,
-                dtype=sub.dtype or self.config.dtype,
-            )
+        if self.config.dtype is not None and sub.dtype is None:
+            sub = replace(sub, dtype=self.config.dtype)
         self._subsolver = TabuSearchSolver(sub)
 
     def _sample(

@@ -18,10 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from repro.compute.backend import validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.qubo.precision import AnalogNoiseModel, QuantizationModel
 from repro.solvers.base import QUBOSolver
+from repro.solvers.engine import validate_engine_dtype
 from repro.solvers.simulated_annealing import SimulatedAnnealingConfig, SimulatedAnnealingSolver
 
 
@@ -37,15 +37,14 @@ class QuantumAnnealerConfig:
         Optional coefficient-precision model (DAC resolution of the device).
     base_config:
         Configuration of the underlying annealing dynamics.
-    array_backend / dtype:
-        Array backend and float precision forwarded to the wrapped annealer
-        (unless the ``base_config`` pins its own).
+    dtype:
+        Engine float precision forwarded to the wrapped annealer (unless the
+        ``base_config`` pins its own).
     """
 
     noise: AnalogNoiseModel = field(default_factory=lambda: AnalogNoiseModel(relative_error=0.02, absolute_error=0.005))
     quantization: Optional[QuantizationModel] = field(default_factory=lambda: QuantizationModel(num_bits=8))
     base_config: SimulatedAnnealingConfig = field(default_factory=SimulatedAnnealingConfig)
-    array_backend: Optional[str] = None
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -60,14 +59,8 @@ class QuantumAnnealerSolver(QUBOSolver):
     def __init__(self, config: QuantumAnnealerConfig | None = None) -> None:
         self.config = config or QuantumAnnealerConfig()
         base = self.config.base_config
-        if (self.config.array_backend is not None and base.array_backend is None) or (
-            self.config.dtype is not None and base.dtype is None
-        ):
-            base = replace(
-                base,
-                array_backend=base.array_backend or self.config.array_backend,
-                dtype=base.dtype or self.config.dtype,
-            )
+        if self.config.dtype is not None and base.dtype is None:
+            base = replace(base, dtype=self.config.dtype)
         self._base = SimulatedAnnealingSolver(base)
 
     def _sample(

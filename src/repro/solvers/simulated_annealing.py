@@ -34,10 +34,14 @@ from typing import Optional
 import numpy as np
 
 from repro import obs
-from repro.compute.backend import resolve_array_backend, validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
-from repro.solvers.engine import AdaptiveBlockSizer, AnnealingState, metropolis_accept
+from repro.solvers.engine import (
+    AdaptiveBlockSizer,
+    AnnealingState,
+    metropolis_accept,
+    validate_engine_dtype,
+)
 from repro.solvers.schedules import TemperatureSchedule, resolve_schedule
 
 
@@ -62,21 +66,16 @@ class SimulatedAnnealingConfig:
         Record the batch-best energy after every sweep in the sample-set info
         (``best_energy_trajectory``) — time-to-target instrumentation for the
         benchmarks.  Never changes the random stream.
-    array_backend:
-        Array backend the sweep kernels run on (``"numpy"``, ``"torch"``,
-        ``"cupy"`` or any :func:`repro.compute.register_array_backend` name).
-        ``None`` defers to ``QROSS_ARRAY_BACKEND`` / the numpy reference.
     dtype:
         Engine float precision, ``"float64"`` or ``"float32"``.  ``None``
-        defers to ``QROSS_ENGINE_DTYPE`` / float64.  Returned energies are
-        always re-scored against the exact float64 model regardless.
+        defers to ``QROSS_ENGINE_DTYPE``, then float64.  Returned energies
+        are always re-scored against the exact float64 model.
     """
 
     num_sweeps: int = 100
     schedule: Optional[TemperatureSchedule] = None
     block_size: Optional[int] = None
     track_trajectory: bool = False
-    array_backend: Optional[str] = None
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -108,23 +107,22 @@ class SimulatedAnnealingSolver(QUBOSolver):
             sizer = AdaptiveBlockSizer(n)
             block = sizer.block
 
-        ab = resolve_array_backend(self.config.array_backend, self.config.dtype)
-        state = AnnealingState(model, num_reads, rng=rng, array_backend=ab)
+        state = AnnealingState(model, num_reads, rng=rng, dtype=self.config.dtype)
         state.profiler = obs.engine_profiler(self.name)
         trajectory = [] if self.config.track_trajectory else None
         ran_block = block
         for temperature in temperatures:
             ran_block = block
             order = rng.permutation(n)
-            uniforms = ab.from_numpy(rng.random((num_reads, n)))
+            uniforms = state.uniforms(rng, (num_reads, n))
             accepted = 0
             for start in range(0, n, block):
                 cols = order[start : start + block]
                 delta = state.flip_deltas(cols)
                 accept = metropolis_accept(
-                    delta, temperature, uniforms[:, start : start + cols.size], ab=ab
+                    delta, temperature, uniforms[:, start : start + cols.size]
                 )
-                accepted += int(ab.xp.count_nonzero(accept))
+                accepted += int(np.count_nonzero(accept))
                 state.apply_block_flips(cols, accept)
             state.refresh_energies()
             state.update_best()
@@ -146,4 +144,4 @@ class SimulatedAnnealingSolver(QUBOSolver):
             info["best_energy_trajectory"] = trajectory
         if state.profiler is not None:
             info["engine_profile"] = state.profiler.finish()
-        return state.best_states_host(), info
+        return state.best_X, info

@@ -24,10 +24,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.compute.backend import resolve_array_backend, validate_engine_dtype
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
-from repro.solvers.engine import AnnealingState
+from repro.solvers.engine import AnnealingState, resolve_engine_dtype, validate_engine_dtype
 
 
 @dataclass(frozen=True)
@@ -43,19 +42,14 @@ class TabuSearchConfig:
         ``min(20, n // 4 + 1)``.
     restart_after:
         Steps without incumbent improvement before a perturbation restart.
-    array_backend:
-        Array backend the batched search runs on (``None`` = environment /
-        numpy reference).  The scalar fast path (``num_reads == 1``) is used
-        only on numpy-family backends; other backends take the batch kernel.
     dtype:
-        Engine float precision (``"float64"`` / ``"float32"``; ``None`` =
-        environment / float64).
+        Engine float precision (``"float64"`` / ``"float32"``; ``None``
+        defers to ``QROSS_ENGINE_DTYPE``, then float64).
     """
 
     num_steps: int = 500
     tenure: int | None = None
     restart_after: int = 100
-    array_backend: str | None = None
     dtype: str | None = None
 
     def __post_init__(self) -> None:
@@ -79,22 +73,16 @@ class TabuSearchSolver(QUBOSolver):
     def _sample(
         self, model: QUBOModel, num_reads: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, Optional[dict]]:
-        ab = resolve_array_backend(self.config.array_backend, self.config.dtype)
-        state = AnnealingState(model, num_reads, rng=rng, array_backend=ab)
-        self._search(state, rng)
-        return state.best_states_host(), None
-
-    # ------------------------------------------------------------------ internals
-    def _search(self, state: AnnealingState, rng: np.random.Generator) -> None:
-        if state.num_reads == 1 and state.ab.kind == "numpy":
-            # The qbsolv decomposer refines thousands of tiny single-replica
-            # sub-problems; the scalar kernel avoids the 2-D indexing overhead
-            # that dominates batched steps at num_reads == 1.  (Device backends
-            # take the batch kernel — the scalar path mutates host views.)
+        state = AnnealingState(model, num_reads, rng=rng, dtype=self.config.dtype)
+        if num_reads == 1:
+            # The scalar kernel avoids the 2-D indexing overhead that
+            # dominates batched steps at num_reads == 1.
             self._search_single(state, rng)
         else:
             self._search_batch(state, rng)
+        return state.best_X, None
 
+    # ------------------------------------------------------------------ internals
     def _search_single(self, state: AnnealingState, rng: np.random.Generator) -> None:
         n = state.num_variables
         tenure = self.config.tenure if self.config.tenure is not None else min(20, n // 4 + 1)
@@ -145,11 +133,10 @@ class TabuSearchSolver(QUBOSolver):
         n = state.num_variables
         num_reads = state.num_reads
         tenure = self.config.tenure if self.config.tenure is not None else min(20, n // 4 + 1)
-        ab = state.ab
-        xp = state.xp
+        inf = state.dtype.type(np.inf)
 
-        tabu_until = xp.full((num_reads, n), -1, dtype=xp.int64)
-        stall = xp.zeros(num_reads, dtype=xp.int64)
+        tabu_until = np.full((num_reads, n), -1, dtype=np.int64)
+        stall = np.zeros(num_reads, dtype=np.int64)
         replica_rows = np.arange(num_reads)
 
         for step in range(self.config.num_steps):
@@ -157,31 +144,27 @@ class TabuSearchSolver(QUBOSolver):
             allowed = tabu_until < step
             # Aspiration: a tabu move that beats the incumbent is always allowed.
             allowed |= (state.current_energies[:, None] + delta) < state.best_energies[:, None]
-            blocked = ~xp.any(allowed, axis=1)
+            blocked = ~allowed.any(axis=1)
             if blocked.any():
                 allowed[blocked] = True
-            candidate_delta = xp.where(allowed, delta, xp.asarray(xp.inf, dtype=ab.dtype))
-            cols = ab.to_numpy(xp.argmin(candidate_delta, axis=1))
+            cols = np.where(allowed, delta, inf).argmin(axis=1)
 
             state.apply_single_flips(replica_rows, cols, delta[replica_rows, cols])
             tabu_until[replica_rows, cols] = step + tenure
 
             improved = state.current_energies < state.best_energies - 1e-12
             state.update_best()
-            stall = xp.where(improved, 0, stall + 1)
+            stall = np.where(improved, 0, stall + 1)
 
             restart = stall >= self.config.restart_after
             if restart.any():
-                restart_host = ab.to_numpy(restart)
-                num_restarts = int(restart_host.sum())
-                perturbed = np.array(
-                    ab.to_numpy(state.best_X[restart]), dtype=np.float64
-                )
+                num_restarts = int(restart.sum())
+                perturbed = np.array(state.best_X[restart], dtype=np.float64)
                 num_flips = max(1, n // 10)
                 flip_cols = rng.random((num_restarts, n)).argsort(axis=1)[:, :num_flips]
                 flip_rows = np.arange(num_restarts)[:, None]
                 perturbed[flip_rows, flip_cols] = 1.0 - perturbed[flip_rows, flip_cols]
-                state.reset_replicas(restart, ab.from_numpy(perturbed))
+                state.reset_replicas(restart, perturbed)
                 tabu_until[restart] = -1
                 stall[restart] = 0
 
@@ -213,17 +196,16 @@ class TabuSearchSolver(QUBOSolver):
         # Symmetrise as QUBOModel does (exact for the symmetric windows qbsolv
         # builds), so both kernels below see the same coefficients.
         sub_Q = (sub_Q + sub_Q.transpose(0, 2, 1)) / 2.0
-        ab = resolve_array_backend(self.config.array_backend, self.config.dtype)
-        if num_rows == 1 and ab.kind == "numpy":
+        if num_rows == 1:
             # A lone row runs the scalar kernel: it steps about twice as fast
             # as a batch of one.
             model = QUBOModel(sub_Q[0], offset=offsets[0])
-            state = AnnealingState(model, 1, initial_states=X0, array_backend=ab)
+            state = AnnealingState(model, 1, initial_states=X0, dtype=self.config.dtype)
             self._search_single(state, rngs[0])
-            return state.best_states_host().astype(np.int8)
-        return self._search_stacked(ab, sub_Q, offsets, X0, rngs)
+            return state.best_X.astype(np.int8)
+        return self._search_stacked(sub_Q, offsets, X0, rngs)
 
-    def _search_stacked(self, ab, sub_Q, offsets, X0, rngs) -> np.ndarray:
+    def _search_stacked(self, sub_Q, offsets, X0, rngs) -> np.ndarray:
         """:meth:`_search_single` on every row of a window-QUBO stack at once.
 
         Each line applies the scalar kernel's arithmetic row-wise.  The moves
@@ -234,34 +216,34 @@ class TabuSearchSolver(QUBOSolver):
         num_rows, n = X0.shape
         tenure = self.config.tenure if self.config.tenure is not None else min(20, n // 4 + 1)
         num_flips = max(1, n // 10)
-        xp = ab.xp
-        Q = ab.asarray(sub_Q)
+        dtype = resolve_engine_dtype(self.config.dtype)
+        Q = sub_Q.astype(dtype, copy=False)
         Q_rows = Q.reshape(num_rows * n, n)
-        diag = ab.asarray(np.diagonal(sub_Q, axis1=1, axis2=2).copy())
+        diag = np.diagonal(Q, axis1=1, axis2=2).copy()
         two_diag = 2.0 * diag
-        offset = ab.asarray(offsets)
-        X = ab.from_numpy(X0)
+        offset = np.asarray(offsets, dtype=dtype)
+        X = X0.astype(dtype, copy=False)
         H = (X[:, None, :] @ Q)[:, 0, :]
         energy = (X * H).sum(axis=1) + offset
-        best_X = ab.copy(X)
-        best_energy = ab.copy(energy)
-        tabu_until = xp.full((num_rows, n), -1, dtype=xp.int64)
-        stall = xp.zeros(num_rows, dtype=xp.int64)
+        best_X = X.copy()
+        best_energy = energy.copy()
+        tabu_until = np.full((num_rows, n), -1, dtype=np.int64)
+        stall = np.zeros(num_rows, dtype=np.int64)
         # Flat views share memory with X / tabu_until: writes land in both.
         X_flat = X.reshape(-1)
         tabu_flat = tabu_until.reshape(-1)
-        row_start = ab.asindex(np.arange(num_rows) * n)
-        inf = xp.asarray(xp.inf, dtype=ab.dtype)
+        row_start = np.arange(num_rows) * n
+        inf = dtype.type(np.inf)
 
         for step in range(self.config.num_steps):
             delta = (1.0 - 2.0 * X) * (diag + 2.0 * H - two_diag * X)
             allowed = tabu_until < step
             # Aspiration: a tabu move that beats the incumbent is always allowed.
             allowed |= (energy[:, None] + delta) < best_energy[:, None]
-            any_allowed = xp.any(allowed, axis=1)
+            any_allowed = allowed.any(axis=1)
             if not any_allowed.all():
                 allowed[~any_allowed] = True
-            flat = row_start + xp.argmin(xp.where(allowed, delta, inf), axis=1)
+            flat = row_start + np.where(allowed, delta, inf).argmin(axis=1)
 
             x = X_flat[flat]
             dx = 1.0 - 2.0 * x
@@ -271,18 +253,18 @@ class TabuSearchSolver(QUBOSolver):
             tabu_flat[flat] = step + tenure
 
             improved = energy < best_energy - 1e-12
-            best_energy = xp.where(improved, energy, best_energy)
-            best_X = xp.where(improved[:, None], X, best_X)
-            stall = xp.where(improved, 0, stall + 1)
+            best_energy = np.where(improved, energy, best_energy)
+            best_X = np.where(improved[:, None], X, best_X)
+            stall = np.where(improved, 0, stall + 1)
             restart = stall >= self.config.restart_after
             if not restart.any():
                 continue
-            for r in np.flatnonzero(ab.to_numpy(restart)):
-                flips = ab.asindex(rngs[r].choice(n, size=num_flips, replace=False))
+            for r in np.flatnonzero(restart):
+                flips = rngs[r].choice(n, size=num_flips, replace=False)
                 X[r] = best_X[r]
                 X[r, flips] = 1.0 - X[r, flips]
                 H[r] = (X[r][None, :] @ Q[r])[0]
                 energy[r] = (X[r] * H[r]).sum() + offset[r]
                 tabu_until[r] = -1
                 stall[r] = 0
-        return ab.to_numpy(best_X).astype(np.int8)
+        return best_X.astype(np.int8)

@@ -1,162 +1,93 @@
-"""Unit tests for the ``repro.compute`` array-backend layer.
+"""Unit tests for the engine's numpy compute path in its two float dtypes.
 
-Four concerns:
+Three concerns:
 
-* the backend registry / resolution precedence (config > env knobs > numpy
-  reference) and the lazy unavailable-backend contract;
-* the numpy reference backend's no-copy byte-identity guarantees;
-* the backend-resident operators (dense + CSR gather parity against the host
-  operators, in both engine dtypes);
-* a lint-style AST test pinning the engine kernel sections free of bare
-  ``np.`` calls — the single-kernel-source property the compute layer exists
-  to provide.
+* engine dtype resolution: a solver's ``dtype`` option, then the
+  ``QROSS_ENGINE_DTYPE`` environment variable, then the float64 reference;
+* the coefficient operators in both dtypes (dense and CSR), checked against
+  float64 arithmetic on the model's own coefficients, and their memoisation
+  per ``(storage, dtype)``;
+* the end-to-end float32 path: solvers run green in single precision and
+  report energies re-scored against the exact float64 model.
 """
 
 from __future__ import annotations
 
-import ast
-import inspect
-
 import numpy as np
 import pytest
 
-import repro.solvers.engine as engine_module
-from repro.compute import (
-    BACKEND_ENV,
+from repro.qubo.model import random_qubo
+from repro.service import SolverRegistry
+from repro.solvers.engine import (
     DTYPE_ENV,
-    ArrayBackend,
-    ArrayBackendUnavailable,
-    NumpyArrayBackend,
-    available_array_backends,
-    get_array_backend,
-    register_array_backend,
-    registered_array_backends,
-    resolve_array_backend,
+    AnnealingState,
+    resolve_engine_dtype,
     validate_engine_dtype,
 )
-from repro.compute.operators import BackendDenseOperator, BackendSparseOperator
-from repro.qubo.model import QUBOModel, random_qubo
-from repro.solvers.engine import AnnealingState
+from repro.solvers.simulated_annealing import SimulatedAnnealingConfig
 
 
 class TestRegistryAndResolution:
+    """The solver registry's ``dtype`` option, and how one engine call
+    resolves its dtype: the option, then ``QROSS_ENGINE_DTYPE``, then the
+    float64 reference."""
+
     def test_builtin_backends_are_registered(self):
-        names = registered_array_backends()
-        assert {"numpy", "torch", "cupy"} <= set(names)
-
-    def test_numpy_is_always_available(self):
-        assert "numpy" in available_array_backends()
-
-    def test_get_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown array backend"):
-            get_array_backend("not-a-backend")
-
-    def test_instances_are_cached_per_dtype(self):
-        assert get_array_backend("numpy", "float64") is get_array_backend("numpy", "float64")
-        assert get_array_backend("numpy", "float64") is not get_array_backend(
-            "numpy", "float32"
-        )
+        registry = SolverRegistry.default()
+        with_dtype = {
+            name for name in registry.names() if "dtype" in registry.backend(name).option_names()
+        }
+        assert {"sa", "da", "pt", "tabu", "qbsolv", "qa"} <= with_dtype
 
     def test_validate_engine_dtype(self):
         assert validate_engine_dtype(None) is None
         assert validate_engine_dtype("float32") == "float32"
         with pytest.raises(ValueError, match="float16"):
             validate_engine_dtype("float16")
+        with pytest.raises(ValueError, match="float16"):
+            SimulatedAnnealingConfig(dtype="float16")
 
     def test_resolution_defaults_to_the_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.delenv(DTYPE_ENV, raising=False)
-        ab = resolve_array_backend()
-        assert ab.is_reference
-        assert ab.kind == "numpy" and ab.dtype_name == "float64"
+        assert resolve_engine_dtype() == np.float64
 
     def test_resolution_reads_the_env_knobs(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
         monkeypatch.setenv(DTYPE_ENV, "float32")
-        ab = resolve_array_backend()
-        assert ab.dtype_name == "float32"
-        assert not ab.is_reference
+        assert resolve_engine_dtype() == np.float32
 
     def test_explicit_arguments_beat_the_environment(self, monkeypatch):
         monkeypatch.setenv(DTYPE_ENV, "float32")
-        assert resolve_array_backend(dtype="float64").dtype_name == "float64"
+        assert resolve_engine_dtype("float64") == np.float64
 
-    def test_backend_instance_passes_through(self):
-        ab = get_array_backend("numpy", "float32")
-        assert resolve_array_backend(ab) is ab
-        # Passing a dtype re-fetches the same kind at that dtype.
-        assert resolve_array_backend(ab, "float64").dtype_name == "float64"
-
-    def test_custom_backend_registration(self):
-        class _Probe(NumpyArrayBackend):
-            kind = "probe-backend"
-
-        register_array_backend("probe-backend", _Probe, replace=True)
-        try:
-            assert "probe-backend" in registered_array_backends()
-            assert get_array_backend("probe-backend").kind == "probe-backend"
-            with pytest.raises(ValueError, match="already registered"):
-                register_array_backend("probe-backend", _Probe)
-        finally:
-            register_array_backend("probe-backend", _unregister_ok, replace=True)
-
-    def test_unavailable_backend_raises_lazily(self):
-        def _factory(dtype):
-            raise ArrayBackendUnavailable("no device here")
-
-        register_array_backend("never-there", _factory, replace=True)
-        assert "never-there" in registered_array_backends()
-        assert "never-there" not in available_array_backends()
-        with pytest.raises(ArrayBackendUnavailable):
-            get_array_backend("never-there")
-
-
-def _unregister_ok(dtype):
-    raise ArrayBackendUnavailable("test backend retired")
+    def test_instances_are_cached_per_dtype(self):
+        # The model memoises one operator per (storage, dtype).
+        model = random_qubo(8, rng=0)
+        default = model.operator()
+        assert model.operator("dense", "float64") is default
+        single = model.operator(dtype="float32")
+        assert single is not default and single is model.operator("dense", "float32")
+        assert single.right_multiply(np.ones((1, 8), dtype=np.float32)).dtype == np.float32
+        assert AnnealingState(model, 2, rng=0, dtype="float64").op is default
 
 
 class TestNumpyReferenceBackend:
-    def test_from_numpy_is_no_copy_on_the_reference(self):
-        ab = get_array_backend("numpy", "float64")
-        host = np.ones((3, 4))
-        assert ab.from_numpy(host) is host
-        assert ab.to_numpy(host) is host
+    """The engine computes on numpy; float64 is the reference dtype."""
 
     def test_float32_backend_casts(self):
-        ab = get_array_backend("numpy", "float32")
-        device = ab.from_numpy(np.ones((2, 2)))
-        assert device.dtype == np.float32
-
-    def test_xp_is_the_numpy_module(self):
-        assert get_array_backend("numpy").xp is np
-
-    def test_adapt_operator_is_identity_on_the_reference(self):
-        model = random_qubo(8, rng=0)
-        op = model.operator()
-        assert get_array_backend("numpy", "float64").adapt_operator(op) is op
-
-    def test_adapt_operator_wraps_on_non_reference(self):
-        model = random_qubo(8, rng=0)
-        ab = get_array_backend("numpy", "float32")
-        adapted = ab.adapt_operator(model.operator())
-        assert isinstance(adapted, BackendDenseOperator)
-        # Memoised per backend identity.
-        assert ab.adapt_operator(model.operator()) is adapted
-
-    def test_adapt_operator_requires_the_hook(self):
-        class HookFree:
-            pass
-
-        with pytest.raises(TypeError, match="to_backend"):
-            get_array_backend("numpy", "float32").adapt_operator(HookFree())
-
-    def test_log_guarded_silences_log_zero(self):
-        ab = get_array_backend("numpy")
-        out = ab.log_guarded(np.array([0.0, 1.0]))
-        assert out[0] == -np.inf and out[1] == 0.0
+        # Float32 draws are the float64 draws, cast: both dtypes consume the
+        # same random stream.
+        state = AnnealingState(random_qubo(4, rng=0), 2, rng=0, dtype="float32")
+        drawn = state.uniforms(np.random.default_rng(7), (2, 3))
+        assert drawn.dtype == np.float32
+        np.testing.assert_array_equal(
+            drawn, np.random.default_rng(7).random((2, 3)).astype(np.float32)
+        )
 
 
 class TestBackendOperators:
+    """The dense and CSR operators, in each dtype, against float64 arithmetic
+    on the model's coefficients."""
+
     @pytest.fixture()
     def sparse_model(self):
         return random_qubo(600, density=0.02, rng=3, storage="sparse")
@@ -164,51 +95,39 @@ class TestBackendOperators:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_dense_operator_matches_host(self, dtype):
         model = random_qubo(10, rng=1)
-        host_op = model.operator("dense")
-        ab = get_array_backend("numpy", dtype)
-        dev_op = BackendDenseOperator(model.dense_Q(), host_op.diag, ab)
-        X = np.random.default_rng(0).integers(0, 2, size=(3, 10)).astype(np.float64)
+        op = model.operator("dense", dtype)
+        Q = np.asarray(model.dense_Q())
+        X = np.random.default_rng(0).integers(0, 2, size=(3, 10)).astype(dtype)
         rtol = 1e-12 if dtype == "float64" else 1e-5
-        np.testing.assert_allclose(
-            dev_op.right_multiply(ab.from_numpy(X)), host_op.right_multiply(X), rtol=rtol
-        )
+        assert op.right_multiply(X).dtype == np.dtype(dtype)
+        np.testing.assert_allclose(op.right_multiply(X), X @ Q, rtol=rtol)
         idx = np.array([1, 4, 7])
-        np.testing.assert_allclose(dev_op.rows(idx), host_op.rows(idx), rtol=rtol)
-        np.testing.assert_allclose(dev_op.row(2), host_op.row(2), rtol=rtol)
+        np.testing.assert_allclose(op.rows(idx), Q[idx], rtol=rtol)
+        np.testing.assert_allclose(op.row(2), Q[2], rtol=rtol)
+        np.testing.assert_allclose(op.diag, np.diag(Q), rtol=rtol)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_sparse_operator_matches_host(self, sparse_model, dtype):
-        host_op = sparse_model.operator("sparse")
-        ab = get_array_backend("numpy", dtype)
-        dev_op = host_op.to_backend(ab)
-        assert isinstance(dev_op, BackendSparseOperator)
-        X = np.random.default_rng(1).integers(0, 2, size=(2, 600)).astype(np.float64)
-        rtol = 1e-10 if dtype == "float64" else 1e-4
+        op = sparse_model.operator("sparse", dtype)
+        # The CSR operator steers with single-precision coefficients in
+        # either dtype; the reference is float64 arithmetic on those values.
+        Q = sparse_model.sparse_Q().toarray().astype(np.float32).astype(np.float64)
+        X = np.random.default_rng(1).integers(0, 2, size=(2, 600)).astype(dtype)
+        rtol = 1e-12 if dtype == "float64" else 1e-4
+        assert op.right_multiply(X).dtype == np.dtype(dtype)
+        np.testing.assert_allclose(op.right_multiply(X), X @ Q, rtol=rtol, atol=1e-5)
+        idx = np.array([0, 17, 599, 17])
+        assert op.rows(idx).dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(op.rows(idx), Q[idx].astype(dtype))
+        np.testing.assert_array_equal(op.row(42), Q[42].astype(dtype))
+        dX = np.random.default_rng(2).normal(size=(2, 4)).astype(dtype)
         np.testing.assert_allclose(
-            dev_op.right_multiply(ab.from_numpy(X)),
-            host_op.right_multiply(X),
-            rtol=rtol,
-            atol=1e-5,
-        )
-        idx = np.array([0, 17, 599])
-        np.testing.assert_allclose(
-            dev_op.rows(idx), host_op.rows(idx), rtol=rtol, atol=1e-6
-        )
-        np.testing.assert_allclose(
-            dev_op.row(42), host_op.row(42), rtol=rtol, atol=1e-6
-        )
-        dX = np.random.default_rng(2).normal(size=(2, 3))
-        np.testing.assert_allclose(
-            dev_op.block_product(ab.from_numpy(dX), idx),
-            host_op.block_product(dX, idx),
-            rtol=rtol,
-            atol=1e-5,
+            op.block_product(dX, idx), dX @ Q[idx], rtol=rtol, atol=1e-5
         )
 
     def test_annealing_state_on_float32(self):
         model = random_qubo(16, rng=4)
-        ab = get_array_backend("numpy", "float32")
-        state = AnnealingState(model, 3, rng=np.random.default_rng(0), array_backend=ab)
+        state = AnnealingState(model, 3, rng=np.random.default_rng(0), dtype="float32")
         assert state.X.dtype == np.float32
         assert state.H.dtype == np.float32
         # Energies agree with the exact model within float32 tolerance.
@@ -253,56 +172,6 @@ class TestSparseRandomQubo:
 
 
 # --------------------------------------------------------------------------
-# Kernel lint: the engine's kernel sections must route every array operation
-# through the backend handle, never through the numpy module directly.  Host
-# setup code (``__init__``, the block-size heuristics) legitimately stays
-# numpy; everything else in the engine is backend-polymorphic.
-# --------------------------------------------------------------------------
-
-#: Engine code allowed to touch ``np.`` — host-side setup and heuristics.
-_HOST_SIDE = {
-    ("AnnealingState", "__init__"),
-    (None, "default_block_size"),
-    ("AdaptiveBlockSizer", "__init__"),
-    ("AdaptiveBlockSizer", "update"),
-}
-
-
-def _np_uses(func: ast.FunctionDef) -> list:
-    """Line numbers of ``np.<attr>`` attribute reads inside a function body."""
-    uses = []
-    for stmt in func.body:
-        for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.value, ast.Name)
-                and node.value.id == "np"
-            ):
-                uses.append(node.lineno)
-    return uses
-
-
-def test_engine_kernels_have_no_bare_numpy_calls():
-    tree = ast.parse(inspect.getsource(engine_module))
-    offenders = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        for item in node.body:
-            if isinstance(item, ast.FunctionDef) and (node.name, item.name) not in _HOST_SIDE:
-                offenders += [
-                    f"{node.name}.{item.name}:{line}" for line in _np_uses(item)
-                ]
-    for node in tree.body:
-        if isinstance(node, ast.FunctionDef) and (None, node.name) not in _HOST_SIDE:
-            offenders += [f"{node.name}:{line}" for line in _np_uses(node)]
-    assert offenders == [], (
-        "engine kernel sections must use the backend namespace (state.xp / "
-        f"ab.xp), found bare np. uses at: {offenders}"
-    )
-
-
-# --------------------------------------------------------------------------
 # Float32 parity: the full solver stack runs green in single precision, and
 # reported energies stay exact (re-scored against the float64 model).
 # --------------------------------------------------------------------------
@@ -328,5 +197,6 @@ class TestFloat32Path:
 
     def test_config_beats_env_knob(self, monkeypatch):
         monkeypatch.setenv(DTYPE_ENV, "float32")
-        ab = resolve_array_backend(None, "float64")
-        assert ab.dtype_name == "float64"
+        assert resolve_engine_dtype("float64") == np.float64
+        state = AnnealingState(random_qubo(10, rng=8), 2, rng=0, dtype="float64")
+        assert state.X.dtype == np.float64

@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute import available_array_backends
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import random_qubo
@@ -34,6 +33,7 @@ from repro.service import (
     make_solver,
 )
 from repro.service.remote import RemoteBackend, WorkerServer
+from repro.solvers.engine import DTYPE_ENV
 
 #: Budget-shrinking options per known backend, so the matrix stays fast on a
 #: 12-variable model.  Backends missing from this table (e.g. ones added by a
@@ -222,21 +222,19 @@ def test_matrix_covers_every_registered_backend():
 
 
 # --------------------------------------------------------------------------
-# Array-backend × dtype axis.
+# Engine dtype axis.
 #
 # Engine-capable specs are discovered from the registry (any backend whose
-# config exposes ``array_backend``), and the backend axis from the compute
-# registry (:func:`available_array_backends`), so a future torch/CuPy install
-# or a plugin backend auto-enrolls here without test edits.  Contract tiers:
+# config exposes ``dtype``), so a newly registered engine solver enrolls here
+# without test edits.  Contract tiers:
 #
-# * numpy/float64 — the reference: byte-identical to the spec with no
-#   backend options at all (the PR-5 thread/process matrix above then extends
-#   that guarantee across execution backends).
-# * anything else (float32, torch, cupy, ...) — deterministic under a fixed
-#   seed (run-twice byte-parity), valid binary assignments, and best-energy
-#   agreement with the reference within a tolerance: trajectories may diverge
-#   at acceptance boundaries, but on a 12-variable model every solver finds
-#   the same near-optimal basin.
+# * float64 — byte-identical to the spec with no dtype option at all (the
+#   thread/process/remote matrix above then extends that guarantee across
+#   execution backends).
+# * float32 — deterministic under a fixed seed (run-twice byte-parity), valid
+#   binary assignments, and best-energy agreement with float64 within a
+#   tolerance: trajectories may diverge at acceptance boundaries, but on a
+#   12-variable model every solver finds the same near-optimal basin.
 # --------------------------------------------------------------------------
 
 
@@ -244,30 +242,20 @@ def engine_specs() -> list:
     registry = SolverRegistry.default()
     specs = []
     for name in registry.names():
-        if "array_backend" not in registry.backend(name).option_names():
+        if "dtype" not in registry.backend(name).option_names():
             continue
         options = LIGHT_OPTIONS.get(name)
         specs.append(f"{name}?{options}" if options else name)
     return specs
 
 
-def backend_axis() -> list:
-    return [
-        (kind, dtype)
-        for kind in available_array_backends()
-        for dtype in ("float64", "float32")
-    ]
-
-
-def _axis_spec(spec: str, kind: str, dtype: str) -> str:
-    sep = "&" if "?" in spec else "?"
-    return f"{spec}{sep}array_backend={kind}&dtype={dtype}"
-
-
-@pytest.mark.parametrize("kind,dtype", backend_axis())
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("spec", engine_specs())
-def test_array_backend_axis(spec, kind, dtype, model):
-    axis_spec = _axis_spec(spec, kind, dtype)
+def test_dtype_axis(spec, dtype, model, monkeypatch):
+    # The plain spec must resolve to float64, whatever the environment says.
+    monkeypatch.delenv(DTYPE_ENV, raising=False)
+    sep = "&" if "?" in spec else "?"
+    axis_spec = f"{spec}{sep}dtype={dtype}"
     solver = make_solver(axis_spec)
     seed = 11
 
@@ -281,9 +269,8 @@ def test_array_backend_axis(spec, kind, dtype, model):
     assert set(np.unique(first.assignments)) <= {0, 1}
 
     reference = make_solver(spec).sample(model, num_reads=4, rng=np.random.default_rng(seed))
-    if kind == "numpy" and dtype == "float64":
-        # The reference backend resolves to the exact pre-backend-layer code
-        # path: adding the options must change nothing, byte for byte.
+    if dtype == "float64":
+        # Naming the default dtype must change nothing, byte for byte.
         assert np.array_equal(first.assignments, reference.assignments), (
             f"{axis_spec!r} broke byte-identity with plain {spec!r}"
         )
@@ -296,10 +283,5 @@ def test_array_backend_axis(spec, kind, dtype, model):
         scale = max(1.0, abs(float(reference.energies.min())))
         assert float(first.energies.min()) <= float(reference.energies.min()) + 0.5 * scale, (
             f"{axis_spec!r} best energy {first.energies.min()} is far worse "
-            f"than the reference {reference.energies.min()}"
+            f"than float64's {reference.energies.min()}"
         )
-
-
-def test_backend_axis_includes_the_reference():
-    assert ("numpy", "float64") in backend_axis()
-    assert ("numpy", "float32") in backend_axis()

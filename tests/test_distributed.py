@@ -222,15 +222,20 @@ class TestSpecFor:
         from repro.experiments.datasets import solver_spec
         from repro.experiments.profiles import SMOKE
 
-        for backend in ("sa", "da", "tabu", "qbsolv", "qa"):
+        configs = {
+            "da": SMOKE.digital_annealer_config(),
+            "pt": SMOKE.parallel_tempering_config(),
+            "qbsolv": SMOKE.qbsolv_config(),
+            "sa": SMOKE.simulated_annealing_config(),
+            "tabu": SMOKE.tabu_search_config(),
+            "qa": SMOKE.quantum_annealer_config(),
+            "random": None,
+            "portfolio": SMOKE.portfolio_config(),
+        }
+        for backend, config in configs.items():
             spec = solver_spec(SMOKE, backend)
-            from repro.experiments.datasets import make_solver as profile_solver
-
-            rebuilt = make_solver(spec)
-            assert (
-                rebuilt.config_fingerprint()
-                == profile_solver(SMOKE, backend).config_fingerprint()
-            ), spec
+            direct = SolverRegistry.default().create(backend, config=config)
+            assert make_solver(spec).config_fingerprint() == direct.config_fingerprint(), spec
 
     def test_dotted_options_construct_nested_dataclasses(self):
         solver = make_solver("qbsolv?subproblem_size=20&subsolver_config.num_steps=70")

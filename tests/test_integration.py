@@ -13,7 +13,7 @@ pytestmark = pytest.mark.slow  # end-to-end pipeline runs, seconds per test
 
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.core.tuner import QROSSTuner
-from repro.experiments.datasets import build_problems, make_solver, train_surrogate_for_solver
+from repro.experiments.datasets import build_problems, train_surrogate_for_solver
 from repro.experiments.figures import figure1_landscape, figure6_mvc_penalty
 from repro.experiments.profiles import SMOKE
 from repro.experiments.reporting import format_comparison_figure, format_figure1, format_figure6, format_table1

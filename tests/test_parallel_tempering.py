@@ -6,6 +6,8 @@ mechanics are byte-identical to the single-flip path.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,15 @@ class TestPerReplicaMetropolis:
         accept = metropolis_accept(delta, 0.0, np.zeros(3))
         np.testing.assert_array_equal(accept, [True, True, False])
 
+    def test_float64_input_ignores_the_engine_dtype_setting(self, monkeypatch):
+        # In float64, exp(-1 / 0.1) lies just below this uniform, so the move
+        # is rejected.  A temperature rounded to float32 would accept it.
+        delta = np.array([[1.0]])
+        uniforms = np.array([[np.nextafter(np.exp(-10.0), np.inf)]])
+        assert not metropolis_accept(delta, 0.1, uniforms)[0, 0]
+        monkeypatch.setenv("QROSS_ENGINE_DTYPE", "float32")
+        assert not metropolis_accept(delta, 0.1, uniforms)[0, 0]
+
 
 class TestProposeLadderSwaps:
     def test_favourable_swap_always_accepted(self):
@@ -87,6 +98,15 @@ class TestProposeLadderSwaps:
         lucky = propose_ladder_swaps(energies, betas, 1, np.full((2, 1), 0.1))
         assert unlucky.shape == (2, 1) and not unlucky.any()
         assert lucky.all()
+
+    def test_zero_uniform_raises_no_warning(self):
+        # log(0) = -inf accepts the swap without a divide-by-zero warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            accept = propose_ladder_swaps(
+                np.array([[1.0, 5.0]]), np.array([10.0, 1.0]), 0, np.array([[0.0]])
+            )
+        assert accept[0, 0]
 
     def test_no_pairs_returns_empty_mask(self):
         accept = propose_ladder_swaps(np.zeros((3, 1)), np.array([1.0]), 0, np.zeros((3, 0)))

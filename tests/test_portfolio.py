@@ -607,9 +607,9 @@ class TestRunnerIntegration:
         assert result.runs[0].history.best_fitness() is not None
 
     def test_profile_builds_portfolio_config(self):
-        from repro.experiments.datasets import make_solver as profile_solver
+        from repro.experiments.datasets import solver_spec
         from repro.experiments.profiles import SMOKE
 
-        solver = profile_solver(SMOKE, "portfolio")
+        solver = make_solver(solver_spec(SMOKE, "portfolio"))
         assert isinstance(solver, PortfolioSolver)
         assert solver.config.sweep_budget == SMOKE.portfolio_sweep_budget

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.experiments.datasets import make_solver as profile_make_solver
+from repro.experiments.datasets import solver_spec
 from repro.experiments.profiles import resolve_profile
 from repro.experiments.runner import default_bounds, tune_instance
 from repro.problems.tsp.generator import generate_instance
@@ -165,13 +165,13 @@ class TestSolverRegistry:
 
     def test_profile_make_solver_delegates_to_registry(self):
         profile = resolve_profile("smoke")
-        solver = profile_make_solver(profile, "digital-annealer")
+        solver = make_solver(solver_spec(profile, "digital-annealer"))
         assert isinstance(solver, DigitalAnnealerSolver)
         assert solver.config.steps_per_variable == profile.da_steps_per_variable
-        assert isinstance(profile_make_solver(profile, "tabu"), TabuSearchSolver)
-        assert isinstance(profile_make_solver(profile, "random"), RandomSolver)
+        assert isinstance(make_solver(solver_spec(profile, "tabu")), TabuSearchSolver)
+        assert isinstance(make_solver(solver_spec(profile, "random")), RandomSolver)
         with pytest.raises(ValueError, match="unknown solver backend"):
-            profile_make_solver(profile, "nope")
+            solver_spec(profile, "nope")
 
 
 # ---------------------------------------------------------------------- requests

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.compute import resolve_array_backend
 from repro.problems.mvc.generator import RandomMVCConfig, generate_mvc_instance
 from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.generator import generate_instance
@@ -19,7 +18,12 @@ from repro.qubo.model import (
     random_qubo,
 )
 from repro.solvers.digital_annealer import DigitalAnnealerConfig, DigitalAnnealerSolver
-from repro.solvers.engine import AnnealingState, default_block_size, metropolis_accept
+from repro.solvers.engine import (
+    AnnealingState,
+    default_block_size,
+    metropolis_accept,
+    resolve_engine_dtype,
+)
 from repro.solvers.simulated_annealing import SimulatedAnnealingConfig, SimulatedAnnealingSolver
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
 
@@ -70,7 +74,7 @@ def _state_tols() -> dict:
     engine dtype: float64 states track the model to round-off; under the
     ``QROSS_ENGINE_DTYPE=float32`` CI canary the same invariants hold at
     single precision."""
-    if resolve_array_backend().dtype_name == "float32":
+    if resolve_engine_dtype() == np.float32:
         return {"rtol": 1e-4, "atol": 1e-3}
     return {"rtol": 1e-9, "atol": 1e-9}
 
@@ -124,8 +128,8 @@ class TestAnnealingState:
     def test_sparse_backend_matches_dense_trajectory(self):
         model = random_qubo(30, density=0.2, rng=8)
         x0 = np.random.default_rng(1).integers(0, 2, size=(2, 30)).astype(np.float64)
-        dense = AnnealingState(model, 2, initial_states=x0, operator=model.operator("dense"))
-        sparse = AnnealingState(model, 2, initial_states=x0, operator=model.operator("sparse"))
+        dense = AnnealingState(model, 2, initial_states=x0, storage="dense")
+        sparse = AnnealingState(model, 2, initial_states=x0, storage="sparse")
         np.testing.assert_allclose(sparse.current_energies, dense.current_energies, rtol=1e-5)
         np.testing.assert_allclose(sparse.flip_deltas(), dense.flip_deltas(), rtol=1e-4, atol=1e-4)
 

@@ -188,10 +188,8 @@ class TestQbsolv:
         assert multi_best <= single_best + 1e-9
 
 
-#: Tabu sub-solver of the smoke profile, pinned to the numpy/float64 reference.
-_SMOKE_TABU = TabuSearchConfig(
-    num_steps=80, restart_after=26, array_backend="numpy", dtype="float64"
-)
+#: Tabu sub-solver of the smoke profile, pinned to float64.
+_SMOKE_TABU = TabuSearchConfig(num_steps=80, restart_after=26, dtype="float64")
 
 
 def _smoke_qbsolv(subproblem_size=24, subsolver_config=_SMOKE_TABU, **kwargs):
@@ -267,15 +265,13 @@ _QBSOLV_DIGESTS = {
         _smoke_qbsolv(
             subproblem_size=32,
             max_rounds=2,
-            subsolver_config=TabuSearchConfig(
-                num_steps=30, restart_after=10, array_backend="numpy", dtype="float64"
-            ),
+            subsolver_config=TabuSearchConfig(num_steps=30, restart_after=10, dtype="float64"),
         ),
         4, 10,
         "69a936305fe51478c7d0e6263455f6bf887e8f795e54da8aa134cd3f42a1b400",
     ),
     "tsp64-default-config-r4": (
-        lambda: _tsp_model(8, 1.0), QbsolvConfig(array_backend="numpy", dtype="float64"), 4, 11,
+        lambda: _tsp_model(8, 1.0), QbsolvConfig(dtype="float64"), 4, 11,
         "a584c9eb94fc2599b2644b828e38d2bc3865ad63b93da7ded5cc6199946fc3e7",
     ),
 }
