@@ -30,10 +30,9 @@ def solver_spec(profile: ExperimentProfile, backend: str) -> str:
     ``"qbsolv"``, ``"sa"``, ``"tabu"``, ``"qa"``, ``"random"``,
     ``"portfolio"``) and the profile supplies the sized config; build the
     solver with :func:`repro.make_solver`.  The spec form is also what
-    crosses process boundaries: the distributed execution backends ship it
-    to their workers — the process pool's spawned interpreters and the
-    remote TCP fleet alike — which re-resolve a solver with the identical
-    config fingerprint.
+    crosses process boundaries: the out-of-process execution backends ship
+    it to their workers — spawned localhost ones and a remote TCP fleet
+    alike — which re-resolve a solver with the identical config fingerprint.
     """
     registry = SolverRegistry.default()
     name = registry.canonical_name(backend)

@@ -4,30 +4,28 @@ Three pieces, layered so each is useful on its own:
 
 * :mod:`~repro.service.distributed.wire` — a compact, versioned, pickle-free
   wire format (JSON header + raw numpy buffers) for QUBO models (dense *and*
-  CSR, never densifying), sample sets, solve requests/results and engine
-  calls, so work can cross process boundaries;
+  CSR, never densifying), sample sets and engine calls, so work can cross
+  process boundaries;
 * :mod:`~repro.service.distributed.backends` — the :class:`ExecutionBackend`
-  seam behind :class:`~repro.service.service.SolveService`: the in-thread
-  backend (today's behaviour, byte-identical) and
-  :class:`ProcessPoolBackend`, which ships engine calls to spawn-safe worker
-  processes that re-resolve the solver from its registry spec; and
+  seam behind :class:`~repro.service.service.SolveService`, the in-thread
+  backend (today's behaviour, byte-identical) and the resolution of backend
+  specs; and
 * :mod:`~repro.service.distributed.sharded_cache` — an on-disk,
   fingerprint-sharded result store :class:`~repro.service.cache.SolverCallCache`
   tiers onto, giving repeated ``(model, solver, seed)`` calls cache hits
   across processes and across runs.
 
-The TCP solve farm in :mod:`repro.service.remote` builds on the first two
-layers: its workers execute the same engine-call frames through
-:class:`~repro.service.distributed.backends.EngineCallRunner`, and its client
-is a third :class:`ExecutionBackend` (``"remote"``).
+The out-of-process backends live in :mod:`repro.service.remote` and build on
+the first two layers: :class:`ProcessPoolBackend` (``"process"``) and
+``RemoteBackend`` (``"remote"``) are one TCP client shipping engine-call
+frames to :class:`~repro.service.remote.worker.WorkerServer` processes — a
+localhost fleet the process backend spawns itself, or a fleet of standalone
+workers.  ``ProcessPoolBackend`` is re-exported here.
 """
 
 from repro.service.distributed.backends import (
     EXECUTION_BACKEND_ENV,
-    EngineCallRunner,
     ExecutionBackend,
-    ProcessPoolBackend,
-    SolverSpecCache,
     ThreadExecutionBackend,
     resolve_backend,
     shared_backend,
@@ -35,23 +33,17 @@ from repro.service.distributed.backends import (
 from repro.service.distributed.sharded_cache import ShardedResultCache
 from repro.service.distributed.wire import (
     WireFormatError,
-    decode_engine_call,
     decode_model,
-    decode_request,
-    decode_result,
     decode_sample_set,
     encode_engine_call,
     encode_model,
-    encode_request,
-    encode_result,
     encode_sample_set,
 )
+from repro.service.remote.backend import ProcessPoolBackend
 
 __all__ = [
     "EXECUTION_BACKEND_ENV",
-    "EngineCallRunner",
     "ExecutionBackend",
-    "SolverSpecCache",
     "ThreadExecutionBackend",
     "ProcessPoolBackend",
     "resolve_backend",
@@ -63,9 +55,4 @@ __all__ = [
     "encode_sample_set",
     "decode_sample_set",
     "encode_engine_call",
-    "decode_engine_call",
-    "encode_request",
-    "decode_request",
-    "encode_result",
-    "decode_result",
 ]

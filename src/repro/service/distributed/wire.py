@@ -12,11 +12,11 @@ hostile payload can at worst fail validation — it cannot execute code.
 
 What travels on the wire is decided by the objects themselves
 (:meth:`QUBOModel.to_wire` / :meth:`SampleSet.to_wire` — the serialization
-hooks in :mod:`repro.qubo`); this module owns the framing and the composite
-payloads (engine calls, requests, results).  Sparse models ship their CSR
-triplet and are rebuilt as CSR — crossing a process boundary never densifies
-a model.  Solvers travel as registry spec strings and are re-resolved inside
-the receiving process.
+hooks in :mod:`repro.qubo`); this module owns the framing, the engine-call
+payloads and the control-plane frames of a worker connection.  Sparse models
+ship their CSR triplet and are rebuilt as CSR — crossing a process boundary
+never densifies a model.  Solvers travel as registry spec strings and are
+re-resolved inside the receiving process.
 """
 
 from __future__ import annotations
@@ -30,27 +30,30 @@ import numpy as np
 
 from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleSet
-from repro.service.requests import SolveRequest, SolveResult
 
 MAGIC = b"QRWF"
 FORMAT_VERSION = 1
 
 #: Version of the *conversation* protocol spoken over a transport (hello /
-#: heartbeat / engine-call exchange), negotiated per connection via the hello
+#: stats / engine-call exchange), negotiated per connection via the hello
 #: frames below.  Distinct from :data:`FORMAT_VERSION`, which versions the
 #: byte layout of a single frame.
 #:
 #: Version history:
-#:   1 — initial remote-farm protocol (hello / heartbeat / stats / engine call).
+#:   1 — initial remote-farm protocol; no longer spoken.
 #:   2 — engine-call frames may carry an optional ``trace`` header field
-#:       (propagated telemetry context) and stats-acks may carry a
-#:       ``metrics`` snapshot.  Both are additive JSON keys that version-1
-#:       peers never read, so 1 and 2 interoperate freely; the bump exists so
-#:       fleets can *detect* telemetry-capable peers.
+#:       (propagated telemetry context) and stats-acks carry a ``metrics``
+#:       snapshot.
 PROTOCOL_VERSION = 2
 #: Protocol versions this build can speak (negotiation picks the highest
 #: version both peers support).
-SUPPORTED_PROTOCOL_VERSIONS = (1, PROTOCOL_VERSION)
+SUPPORTED_PROTOCOL_VERSIONS = (PROTOCOL_VERSION,)
+
+#: Models a worker memoises for by-reference engine calls (an LRU keyed by
+#: fingerprint).  Clients mirror the bound per worker, so a working set larger
+#: than the memo ships full payloads instead of paying a guaranteed
+#: ``model_miss`` round trip on every call.
+MODEL_MEMO_LIMIT = 8
 
 _PREFIX = struct.Struct("<4sBI")  # magic, format version, header length
 
@@ -184,7 +187,7 @@ def encode_engine_call(
 ) -> bytes:
     """One engine call: the resolved model, a solver spec, reads and a seed.
 
-    This is the unit of work the process pool ships to a worker.  The seed is
+    This is the unit of work a client ships to a worker.  The seed is
     always concrete by the time a call is encoded — the service derives child
     seeds for unseeded requests before dispatch, so the worker simply runs
     ``solver.sample(model, num_reads, rng=default_rng(seed))``.
@@ -192,7 +195,7 @@ def encode_engine_call(
     ``trace`` is the caller's telemetry context (``repro.obs.wire_context()``;
     protocol ≥ 2): an optional ``{"trace_id", "span_id"}`` dict the receiving
     worker re-activates so its spans stitch under the caller's.  ``None``
-    omits the field entirely; version-1 decoders never read it.
+    omits the field entirely.
     """
     model_header, buffers = model.to_wire()
     header = {
@@ -215,12 +218,12 @@ def encode_engine_call_ref(
 ) -> bytes:
     """An engine call referencing a model by fingerprint instead of shipping it.
 
-    Workers memoise decoded models, so a sweep of many calls against one
-    model only pays the model transfer once per worker; a worker that does
-    not hold the fingerprint answers with a ``model_miss`` frame
-    (:func:`encode_model_miss`) and the caller retries with the full payload.
-    ``trace`` propagates the telemetry context exactly as in
-    :func:`encode_engine_call`.
+    Workers memoise the last :data:`MODEL_MEMO_LIMIT` decoded models, so a
+    sweep of many calls against one model only pays the model transfer once
+    per worker; a worker that does not hold the fingerprint answers with a
+    ``model_miss`` frame (:func:`encode_model_miss`) and the caller retries
+    with the full payload.  ``trace`` propagates the telemetry context exactly
+    as in :func:`encode_engine_call`.
     """
     header = {
         "solver_spec": str(solver_spec),
@@ -238,24 +241,11 @@ def encode_model_miss(fingerprint: str) -> bytes:
     return encode_frame("model_miss", {"model_ref": str(fingerprint)})
 
 
-def decode_engine_call(data: bytes) -> Tuple[QUBOModel, str, int, int]:
-    """Decode a full engine call into ``(model, solver_spec, num_reads, seed)``.
-
-    By-reference frames (``model_ref``) have no model payload and are handled
-    by the worker loop directly; decoding one here is an error.
-    """
-    _, header, buffers = decode_frame(data, expected_kind="engine_call")
-    if header.get("model_ref") is not None:
-        raise WireFormatError("engine call is by-reference; it carries no model")
-    model = QUBOModel.from_wire(header["model"], buffers)
-    return model, str(header["solver_spec"]), int(header["num_reads"]), int(header["seed"])
-
-
 # ------------------------------------------------------- control-plane frames
 #
 # Small header-only frames spoken over a long-lived transport (the remote
 # solve farm's TCP connections): connection setup with protocol-version
-# negotiation, liveness/heartbeat probes, and typed error replies.  They ride
+# negotiation, runtime-stats probes, and typed error replies.  They ride
 # the same frame layout as the data-plane payloads, so one decoder handles
 # everything a peer can say.
 
@@ -288,23 +278,8 @@ def negotiate_protocol(offered: Sequence[int]) -> Optional[int]:
     return max(common) if common else None
 
 
-def encode_heartbeat(info: Optional[dict] = None) -> bytes:
-    """A liveness probe; the peer answers with a heartbeat-ack frame."""
-    return encode_frame("heartbeat", {"info": dict(info or {})})
-
-
-def encode_heartbeat_ack(stats: Optional[dict] = None) -> bytes:
-    """The heartbeat answer, carrying the worker's load/health counters."""
-    return encode_frame("heartbeat_ack", {"stats": dict(stats or {})})
-
-
 def encode_stats_request(info: Optional[dict] = None) -> bytes:
-    """An explicit runtime-stats probe; the peer answers with a stats-ack.
-
-    Distinct from the heartbeat so control-plane clients can ask "how loaded
-    are you" without the liveness semantics (heartbeats reset health marks
-    and are answered even by peers that do not track counters).
-    """
+    """A runtime-stats probe; the peer answers with a stats-ack."""
     return encode_frame("stats", {"info": dict(info or {})})
 
 
@@ -331,98 +306,4 @@ def decode_error(header: dict) -> Tuple[str, str, bool]:
         str(header.get("code", "unknown")),
         str(header.get("message", "")),
         bool(header.get("retryable", False)),
-    )
-
-
-def encode_request(request: SolveRequest, registry=None) -> bytes:
-    """One :class:`SolveRequest` as a frame.
-
-    The solver is reduced to its registry spec (via
-    :meth:`~repro.service.registry.SolverRegistry.spec_for` when an instance
-    was given) and problem-based requests materialise their relaxed model
-    through the problem's encoding cache — what travels is always
-    ``(model, spec, reads, seed, label)``, the reproducible core of the call.
-    The ``from_problem``/``relaxation_parameter`` header fields are audit
-    provenance only: problems are not serialisable, so :func:`decode_request`
-    reconstructs a model-based request and leaves them unread.
-    """
-    from repro.service.registry import SolverRegistry
-
-    registry = registry or SolverRegistry.default()
-    spec = registry.spec_for(request.solver)
-    model_header, buffers = request.resolve_model().to_wire()
-    header = {
-        "solver_spec": spec,
-        "num_reads": int(request.num_reads),
-        "seed": None if request.seed is None else int(request.seed),
-        "label": request.label,
-        "from_problem": request.problem is not None,
-        "relaxation_parameter": (
-            None
-            if request.relaxation_parameter is None
-            else float(request.relaxation_parameter)
-        ),
-        "model": model_header,
-    }
-    return encode_frame("solve_request", header, buffers)
-
-
-def decode_request(data: bytes) -> SolveRequest:
-    """Decode a request frame into a model-based :class:`SolveRequest`."""
-    _, header, buffers = decode_frame(data, expected_kind="solve_request")
-    return _request_from_header(header, buffers)
-
-
-def _request_from_header(header: dict, buffers: Sequence[np.ndarray]) -> SolveRequest:
-    model = QUBOModel.from_wire(header["model"], buffers)
-    seed = header.get("seed")
-    return SolveRequest(
-        solver=str(header["solver_spec"]),
-        model=model,
-        num_reads=int(header["num_reads"]),
-        seed=None if seed is None else int(seed),
-        label=str(header.get("label", "")),
-    )
-
-
-def encode_result(result: SolveResult, registry=None) -> bytes:
-    """One :class:`SolveResult` as a frame: request + samples + provenance."""
-    from repro.service.registry import SolverRegistry
-
-    registry = registry or SolverRegistry.default()
-    request = result.request
-    request_header = {
-        "solver_spec": registry.spec_for(request.solver),
-        "num_reads": int(request.num_reads),
-        "seed": None if request.seed is None else int(request.seed),
-        "label": request.label,
-        "model": None,
-    }
-    model_header, model_buffers = request.resolve_model().to_wire()
-    request_header["model"] = model_header
-    samples_header, samples_buffers = result.samples.to_wire()
-    header = {
-        "request": request_header,
-        "samples": samples_header,
-        "solver_name": result.solver_name,
-        "solver_fingerprint": result.solver_fingerprint,
-        "from_cache": bool(result.from_cache),
-        "batched_group_size": int(result.batched_group_size),
-        "num_model_buffers": len(model_buffers),
-    }
-    return encode_frame("solve_result", header, tuple(model_buffers) + samples_buffers)
-
-
-def decode_result(data: bytes) -> SolveResult:
-    _, header, buffers = decode_frame(data, expected_kind="solve_result")
-    split = int(header["num_model_buffers"])
-    request = _request_from_header(header["request"], buffers[:split])
-    samples = SampleSet.from_wire(header["samples"], buffers[split:])
-    return SolveResult(
-        request=request,
-        samples=samples,
-        solver_name=str(header["solver_name"]),
-        solver_fingerprint=str(header["solver_fingerprint"]),
-        from_cache=bool(header["from_cache"]),
-        batched_group_size=int(header["batched_group_size"]),
     )

@@ -58,8 +58,8 @@ class SpecSerializationError(ValueError):
     Raised by :meth:`SolverRegistry.spec_for` for configs holding values the
     flat ``key=value`` grammar cannot carry (e.g. a custom temperature
     schedule object) or for solver classes no registry backend claims.
-    Callers that need a graceful degradation (the process-pool execution
-    backend) catch this and fall back to running the solver in-process.
+    Callers that need a graceful degradation (the out-of-process execution
+    backends) catch this and fall back to running the solver in-process.
     """
 
 

@@ -5,14 +5,17 @@ The subsystem has three layers, each usable on its own:
 * :mod:`~repro.service.remote.protocol` — length-prefixed message framing
   over a socket, and the typed error taxonomy every failure maps to.
 * :mod:`~repro.service.remote.worker` — :class:`WorkerServer`, the standalone
-  solve worker (``python -m repro.service.remote.worker --bind ...``).
+  solve worker (``python -m repro.service.remote.worker --bind ...``), and
+  the engine-call runner it executes frames with.
 * :mod:`~repro.service.remote.backend` — :class:`RemoteBackend`, the
   :class:`~repro.service.distributed.backends.ExecutionBackend` client with
-  load balancing, retries, deadlines and admission-aware backoff.
+  load balancing, retries, deadlines and admission-aware backoff, and
+  ``ProcessPoolBackend``, the same client over localhost workers it spawns.
 
 Typical use is indirect: ``QROSS_EXECUTION_BACKEND=remote`` plus
 ``QROSS_REMOTE_WORKERS=hostA:7070,hostB:7070`` routes every
-:class:`~repro.service.service.SolveService` engine call to the fleet.
+:class:`~repro.service.service.SolveService` engine call to the fleet, and
+``QROSS_EXECUTION_BACKEND=process`` to a local one.
 """
 
 from repro.service.remote.backend import (

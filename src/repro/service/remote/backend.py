@@ -1,27 +1,29 @@
-"""The remote execution backend: a TCP client load-balancing a worker fleet.
+"""The out-of-process execution backends: a TCP client load-balancing a worker fleet.
 
-:class:`RemoteBackend` is the third :class:`ExecutionBackend` — the same
-``run(model, solver, num_reads, seed)`` contract as the thread and process
-backends, with the engine call shipped over TCP to a fleet of
+:class:`RemoteBackend` is an :class:`ExecutionBackend` — the same
+``run(model, solver, num_reads, seed)`` contract as the thread backend, with
+the engine call shipped over TCP to a fleet of
 :class:`~repro.service.remote.worker.WorkerServer` processes (other cores,
-other machines).  The determinism contract is unchanged: workers run
-``default_rng(seed)``, so a seeded solve is byte-identical no matter which
-worker (or which backend) executes it — which is also why retrying on a
-different worker is always safe.
+other machines).  :class:`ProcessPoolBackend` (``"process"``) is the same
+client over a fleet of localhost workers it spawns itself, so both backends
+share one wire conversation, one worker loop and one shipped-model memo.  The
+determinism contract is unchanged: workers run ``default_rng(seed)``, so a
+seeded solve is byte-identical no matter which worker (or which backend)
+executes it — which is also why retrying on a different worker is always
+safe.
 
 Robustness model:
 
-* **Load balancing** — requests rotate round-robin over the healthy workers;
-  each worker keeps its own shipped-model LRU, so a sweep over one model pays
-  the model transfer once per worker and by-reference frames afterwards
-  (``model_miss`` re-ships in full on the same connection, exactly like the
-  process pool).
-* **Retries** — connect/transport failures are retried on the next worker
-  with exponential backoff plus jitter, up to ``retries`` extra attempts; the
-  failing worker is marked down with an escalating cooldown and is probed
-  again (a ``heartbeat`` frame) once the cooldown lapses.  Worker sheds
-  (``overloaded`` errors) retry the same way but *without* marking the worker
-  down — it is alive, just full.
+* **Load balancing** — each call goes to the healthy worker with the fewest
+  calls in flight, rotating among ties; each worker keeps its own
+  shipped-model LRU, so a sweep over one model pays the model transfer once
+  per worker and by-reference frames afterwards (``model_miss`` re-ships in
+  full on the same connection).
+* **Retries** — connect/transport failures are retried with exponential
+  backoff plus jitter, up to ``retries`` extra attempts; the failing worker
+  is marked down with an escalating cooldown and is tried again once the
+  cooldown lapses.  Worker sheds (``overloaded`` errors) retry the same way
+  but *without* marking the worker down — it is alive, just full.
 * **Deadlines** — every ``run`` call is bounded by ``request_timeout``
   seconds end to end (connects, retries, backoff sleeps and the solve
   itself); expiry raises the typed
@@ -30,10 +32,11 @@ Robustness model:
   dropped socket surfaces as a transport failure and the retry path dials
   fresh.
 
-Configuration mirrors the other backends: construct explicitly, or spec-style
-(``SolveService(backend="remote?workers=10.0.0.5:7070,10.0.0.6:7070")``), or
-globally with ``QROSS_EXECUTION_BACKEND=remote`` plus the
-``QROSS_REMOTE_WORKERS`` address list.
+Configuration mirrors the thread backend: construct explicitly, or spec-style
+(``SolveService(backend="remote?workers=10.0.0.5:7070,10.0.0.6:7070")`` or
+``"process?max_workers=4"``), or globally with
+``QROSS_EXECUTION_BACKEND=remote`` plus the ``QROSS_REMOTE_WORKERS`` address
+list.
 """
 
 from __future__ import annotations
@@ -54,18 +57,17 @@ from repro.service.admission import ServiceOverloaded
 from repro.service.distributed import wire
 from repro.service.distributed.backends import (
     ExecutionBackend,
-    SolverSpecCache,
     ThreadExecutionBackend,
-    _WORKER_MODEL_LIMIT,
     default_worker_count,
 )
-from repro.service.registry import SpecSerializationError
+from repro.service.registry import SpecSerializationError, parse_spec
 from repro.service.remote.protocol import (
     DeadlineExceeded,
     NoHealthyWorkers,
     RemoteProtocolError,
     RemoteTransportError,
     RemoteWorkerError,
+    close_socket,
     recv_message,
     send_message,
 )
@@ -118,13 +120,78 @@ def parse_worker_list(
     return addresses
 
 
+_spawn_names: Optional[frozenset] = None
+
+
+def _spawn_resolvable_names() -> frozenset:
+    """Backend names a spawn-fresh default registry resolves (bundled only).
+
+    The parent's default registry may have gained runtime registrations that
+    a fresh worker interpreter will not have; building a pristine registry
+    once gives the exact vocabulary workers share.
+    """
+    global _spawn_names
+    if _spawn_names is None:
+        from repro.service.registry import _build_default_registry
+
+        _spawn_names = frozenset(_build_default_registry()._by_alias)
+    return _spawn_names
+
+
+class SolverSpecCache:
+    """Memoised solver -> registry-spec mapping for shipping solver identity.
+
+    The fingerprint *is* the identity the spec must reproduce (``spec_for``
+    validates exactly that), so it is a collision-safe memo key — unlike
+    ``id()``, which the allocator reuses.  A spec is only accepted when a
+    *spawn-fresh* registry can resolve it: backends registered at runtime in
+    this process do not exist in a worker started elsewhere, so their solvers
+    must take the caller's in-process fallback instead of crashing the worker.
+    Failures memoise too (as ``""``), so a sweep over an unserialisable solver
+    pays the spec round-trip once, not once per engine call.
+    """
+
+    def __init__(self) -> None:
+        self._cache: Dict[str, str] = {}
+        self._lock = threading.Lock()
+
+    def spec_for(self, solver: QUBOSolver) -> str:
+        """The spec shipping ``solver``, or :class:`SpecSerializationError`."""
+        from repro.service.registry import SolverRegistry
+
+        key = f"{type(solver).__qualname__}:{solver.config_fingerprint()}"
+        spec = self._cache.get(key)
+        if spec is None:
+            try:
+                spec = SolverRegistry.default().spec_for(solver)
+                name, _ = parse_spec(spec)
+                if name not in _spawn_resolvable_names():
+                    raise SpecSerializationError(
+                        f"backend {name!r} was registered at runtime; a spawned "
+                        f"worker's registry cannot resolve it"
+                    )
+            except SpecSerializationError:
+                spec = ""
+            with self._lock:
+                if len(self._cache) > 1024:
+                    self._cache.clear()
+                self._cache[key] = spec
+        if not spec:
+            raise SpecSerializationError(
+                f"{type(solver).__qualname__} is not spec-serialisable "
+                f"(memoised); running in-process"
+            )
+        return spec
+
+
 class _WorkerState:
-    """Client-side view of one fleet member: health, connections, shipped models."""
+    """Client-side view of one fleet member: health, load, connections, shipped models."""
 
     def __init__(self, address: Tuple[str, int], served: obs.metrics.Counter) -> None:
         self.address = address
         self.failures = 0
         self.down_until = 0.0
+        self.in_flight = 0
         self.served = served.child()
         self.idle: List[socket.socket] = []
         self.shipped: "OrderedDict[str, bool]" = OrderedDict()
@@ -223,10 +290,7 @@ class RemoteBackend(ExecutionBackend):
             for worker in self._workers:
                 worker.idle.clear()
         for sock in sockets:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_socket(sock)
 
     @property
     def closed(self) -> bool:
@@ -239,13 +303,12 @@ class RemoteBackend(ExecutionBackend):
         try:
             spec = self._specs.spec_for(solver)
         except SpecSerializationError:
-            # Same graceful degradation as the process pool: a solver the
-            # wire cannot express runs here, byte-identically (same seed
-            # discipline on every backend).
+            # A solver the wire cannot express runs here, byte-identically
+            # (same seed discipline on every backend).
             self._counts["fallback"].inc()
             return self._fallback.run(model, solver, num_reads, seed)
         if self._closed:
-            raise RuntimeError("RemoteBackend is closed")
+            raise RuntimeError(f"{type(self).__name__} is closed")
         self._counts["requests"].inc()
         deadline = (
             None
@@ -276,6 +339,9 @@ class RemoteBackend(ExecutionBackend):
                     self._mark_healthy(worker)
                     sp.set(worker=worker.label, attempts=attempt + 1)
                     return samples
+                finally:
+                    with self._lock:
+                        worker.in_flight -= 1
                 if attempt < self.retries:
                     self._counts[counter].inc()
                     self._backoff(attempt, deadline)
@@ -332,7 +398,7 @@ class RemoteBackend(ExecutionBackend):
                 with self._lock:
                     worker.shipped[fingerprint] = True
                     worker.shipped.move_to_end(fingerprint)
-                    while len(worker.shipped) > _WORKER_MODEL_LIMIT:
+                    while len(worker.shipped) > wire.MODEL_MEMO_LIMIT:
                         worker.shipped.popitem(last=False)
                 self._rpc_seconds.observe(time.perf_counter() - started)
                 samples = SampleSet.from_wire(header, buffers)
@@ -368,15 +434,21 @@ class RemoteBackend(ExecutionBackend):
 
     # ---------------------------------------------------------- fleet management
     def _pick_worker(self) -> _WorkerState:
-        """Round-robin over healthy workers; degrade to least-recently-down."""
+        """The healthy worker with the fewest calls in flight, rotating ties.
+
+        The pick counts as a call in flight until ``run`` releases it.  With
+        every worker down, the least-recently-downed ones are tried instead.
+        """
         with self._lock:
             now = time.monotonic()
             healthy = [w for w in self._workers if w.down_until <= now]
             pool = healthy or sorted(self._workers, key=lambda w: w.down_until)
             if not pool:  # pragma: no cover - construction guarantees >= 1
                 raise NoHealthyWorkers("no workers configured")
-            worker = pool[self._rr % len(pool)]
+            start = self._rr % len(pool)
             self._rr += 1
+            worker = min(pool[start:] + pool[:start], key=lambda w: w.in_flight)
+            worker.in_flight += 1
             return worker
 
     def _mark_down(self, worker: _WorkerState) -> None:
@@ -391,10 +463,7 @@ class RemoteBackend(ExecutionBackend):
             stale, worker.idle = worker.idle, []
             worker.shipped.clear()
         for sock in stale:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            close_socket(sock)
 
     def _mark_healthy(self, worker: _WorkerState) -> None:
         with self._lock:
@@ -404,39 +473,31 @@ class RemoteBackend(ExecutionBackend):
     def check_workers(self, timeout: Optional[float] = None) -> Dict[str, Optional[dict]]:
         """Probe every configured worker's runtime stats; update health marks.
 
-        Sends the explicit ``stats`` control frame and returns
+        Sends the ``stats`` control frame and returns
         ``{address: stats-dict-or-None}`` — the dict carries the worker's
-        admission / served / shed counters, ``None`` marks a worker that did
-        not answer (it is put on cooldown, to be re-probed later).  Workers
-        predating the ``stats`` frame answer it with a non-retryable
-        ``unsupported`` error; those are re-probed with a plain heartbeat on
-        the same connection, so mixed fleets stay fully observable.
+        pid and its admission / served / shed counters, ``None`` marks a
+        worker that did not answer (it is put on cooldown, to be re-probed
+        later).
         """
         timeout = self.connect_timeout if timeout is None else timeout
         results: Dict[str, Optional[dict]] = {}
         for worker in list(self._workers):
+            label = worker.label
             deadline = time.monotonic() + timeout
             try:
                 with self._connection(worker, deadline) as conn:
                     reply = self._roundtrip(conn, wire.encode_stats_request(), deadline)
                     kind, header, _ = self._decode(worker, reply)
-                    if kind == "error":
-                        reply = self._roundtrip(conn, wire.encode_heartbeat(), deadline)
-                        kind, header, _ = self._decode(worker, reply)
-                        if kind != "heartbeat_ack":
-                            raise RemoteProtocolError(
-                                f"worker {worker.label} answered {kind!r} to a heartbeat"
-                            )
-                    elif kind != "stats_ack":
+                    if kind != "stats_ack":
                         raise RemoteProtocolError(
-                            f"worker {worker.label} answered {kind!r} to a stats probe"
+                            f"worker {label} answered {kind!r} to a stats probe"
                         )
             except (RemoteTransportError, DeadlineExceeded, RemoteProtocolError):
                 self._mark_down(worker)
-                results[worker.label] = None
+                results[label] = None
             else:
                 self._mark_healthy(worker)
-                results[worker.label] = dict(header.get("stats", {}))
+                results[label] = dict(header.get("stats", {}))
         return results
 
     # ------------------------------------------------------------------ transport
@@ -452,21 +513,13 @@ class RemoteBackend(ExecutionBackend):
         try:
             yield conn
         except BaseException:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            close_socket(conn)
             raise
-        else:
-            with self._lock:
-                if not self._closed and len(worker.idle) < _POOL_CONNECTIONS_PER_WORKER:
-                    worker.idle.append(conn)
-                    conn = None
-            if conn is not None:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+        with self._lock:
+            if not self._closed and len(worker.idle) < _POOL_CONNECTIONS_PER_WORKER:
+                worker.idle.append(conn)
+                return
+        close_socket(conn)
 
     def _dial(self, worker: _WorkerState, deadline: Optional[float]) -> socket.socket:
         """Fresh TCP connection + hello handshake (version negotiation)."""
@@ -499,10 +552,7 @@ class RemoteBackend(ExecutionBackend):
                     )
                 return conn
             except BaseException:
-                try:
-                    conn.close()
-                except OSError:
-                    pass
+                close_socket(conn)
                 raise
 
     def _roundtrip(
@@ -584,9 +634,8 @@ class RemoteBackend(ExecutionBackend):
         """Fleet-wide metric totals, summed over every answering worker.
 
         Probes the fleet via :meth:`check_workers` and folds the ``metrics``
-        registry snapshot each protocol-≥2 worker ships in its ``stats_ack``
-        into one ``{metric_name: total}`` dict.  Pre-telemetry workers (no
-        ``metrics`` field) simply contribute nothing.
+        registry snapshot each worker ships in its ``stats_ack`` into one
+        ``{metric_name: total}`` dict.
         """
         totals: Dict[str, float] = {}
         for stats in self.check_workers(timeout=timeout).values():
@@ -596,3 +645,143 @@ class RemoteBackend(ExecutionBackend):
                 if isinstance(value, (int, float)) and not isinstance(value, bool):
                     totals[key] = totals.get(key, 0) + value
         return totals
+
+
+#: Seconds a local worker gets to finish exiting: after its pipe closes, and
+#: after it drops a connection (a SIGKILLed worker's threads still unwind).
+_EXIT_TIMEOUT = 5.0
+
+#: Why a local worker can die at startup, raised in place of the bare EOF.
+_STARTUP_FAILED = (
+    "a local worker process died at startup. If this happened on the first "
+    "call of a *script*, the usual cause is a missing "
+    "`if __name__ == '__main__':` guard around the entry point — the spawn "
+    "start method re-imports __main__ in each worker, so an unguarded script "
+    "re-executes itself and crashes at startup ('Safe importing of main "
+    "module' in the multiprocessing docs)."
+)
+
+
+class ProcessPoolBackend(RemoteBackend):
+    """Execute engine calls on a fleet of localhost workers this backend spawns.
+
+    The :class:`RemoteBackend` client over ``max_workers`` local
+    :class:`~repro.service.remote.worker.WorkerServer` processes, each a fresh
+    ``spawn``-started interpreter (no inherited locks, thread pools or solver
+    state) running one call at a time.  The limits are a process pool's: a
+    worker queues without bound and never sheds, and calls have no deadline.
+
+    * Workers start on the first out-of-process call; constructing or
+      resolving the backend spawns nothing.
+    * A worker whose process has exited is restarted in its slot, at a new
+      address, when a call marks it down; the call's retry then runs there.
+      Each start is a new fleet member, so a late failure reported against
+      the old one is recognised and restarts nothing.
+    * A worker exits when its pipe to this process closes — on :meth:`close`,
+      or when this process dies — so a killed parent leaves no orphans.
+
+    Parameters
+    ----------
+    max_workers:
+        Number of worker processes (default: CPU-count-capped like the
+        service's thread pool).
+    """
+
+    name = "process"
+
+    def __init__(self, max_workers: Optional[int] = None) -> None:
+        if max_workers is not None and max_workers <= 0:
+            raise ValueError("max_workers must be positive")
+        count = max_workers or default_worker_count()
+        # Port 0 marks a slot whose worker has not been spawned yet.
+        super().__init__(workers=[("127.0.0.1", 0)] * count, request_timeout=None)
+        self.max_workers = count
+        self._processes: list = [None] * count
+        self._pipes: list = [None] * count
+        self._spawn_lock = threading.Lock()
+        self._spawned = False
+
+    def _ensure_spawned(self) -> None:
+        if self._spawned:
+            return
+        with self._spawn_lock:
+            if self._closed:
+                raise RuntimeError("ProcessPoolBackend is closed")
+            if not self._spawned:
+                self._spawn(range(self.max_workers))
+                self._spawned = True
+
+    def _spawn(self, slots: Sequence[int]) -> None:
+        """Start a worker in each slot, then await their addresses (spawn lock held)."""
+        import multiprocessing
+
+        from repro.service.remote.worker import serve_local
+
+        context = multiprocessing.get_context("spawn")
+        try:
+            for slot in slots:
+                parent_end, child_end = context.Pipe()
+                process = context.Process(
+                    target=serve_local,
+                    args=(child_end,),
+                    name=f"qross-local-worker-{slot}",
+                    daemon=True,
+                )
+                process.start()
+                # Only the child holds its end now, so a child that dies at
+                # startup reads as EOF below instead of a hang.
+                child_end.close()
+                self._processes[slot], self._pipes[slot] = process, parent_end
+            addresses = [self._pipes[slot].recv() for slot in slots]
+        except BaseException as exc:
+            self._stop(slots)
+            if isinstance(exc, EOFError):
+                raise RuntimeError(_STARTUP_FAILED) from exc
+            raise
+        with self._lock:
+            for slot, address in zip(slots, addresses):
+                self._workers[slot] = _WorkerState(tuple(address), self._counts["served"])
+
+    def _stop(self, slots: Sequence[int]) -> None:
+        """Close the slots' pipes, so their workers exit, and reap the processes."""
+        processes = []
+        for slot in slots:
+            pipe, self._pipes[slot] = self._pipes[slot], None
+            process, self._processes[slot] = self._processes[slot], None
+            if pipe is not None:
+                pipe.close()
+            if process is not None:
+                processes.append(process)
+        for process in processes:
+            process.join(timeout=_EXIT_TIMEOUT)
+            if process.is_alive():
+                process.kill()
+                process.join()
+            process.close()
+
+    def _pick_worker(self) -> _WorkerState:
+        self._ensure_spawned()
+        return super()._pick_worker()
+
+    def _mark_down(self, worker: _WorkerState) -> None:
+        super()._mark_down(worker)
+        with self._spawn_lock:
+            if self._closed or worker not in self._workers:
+                return  # closing, or another call already restarted it
+            slot = self._workers.index(worker)
+            process = self._processes[slot]  # None after a failed restart
+            if process is not None:
+                process.join(timeout=_EXIT_TIMEOUT)
+                if process.is_alive():
+                    return
+            self._stop([slot])
+            self._spawn([slot])
+
+    def check_workers(self, timeout: Optional[float] = None) -> Dict[str, Optional[dict]]:
+        self._ensure_spawned()
+        return super().check_workers(timeout)
+
+    def close(self) -> None:
+        super().close()
+        with self._spawn_lock:
+            self._stop(range(self.max_workers))

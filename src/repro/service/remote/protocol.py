@@ -123,3 +123,15 @@ def _recv_exact(
         chunks.append(chunk)
         remaining -= len(chunk)
     return b"".join(chunks)
+
+
+def close_socket(sock: socket.socket) -> None:
+    """Shut a connection down and close it, ignoring an already-dead peer."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass

@@ -6,7 +6,9 @@ Run one per core-group on every machine of the fleet::
 
 and point clients at it (``QROSS_REMOTE_WORKERS=host:7070,...`` with
 ``QROSS_EXECUTION_BACKEND=remote``, or an explicit
-:class:`~repro.service.remote.backend.RemoteBackend`).
+:class:`~repro.service.remote.backend.RemoteBackend`).  The ``process``
+backend (:class:`~repro.service.remote.backend.ProcessPoolBackend`) spawns
+the same server on localhost through :func:`serve_local`.
 
 The server speaks the length-prefixed transport of
 :mod:`~repro.service.remote.protocol`; each message is one
@@ -16,18 +18,14 @@ The server speaks the length-prefixed transport of
   chosen version plus worker metadata) or a non-retryable
   ``version_mismatch`` error when the client offers no version this build
   speaks.
-* ``heartbeat`` — liveness probe; answered with ``heartbeat_ack`` carrying
-  the live load counters of :meth:`WorkerServer.stats` (``served_total`` /
-  ``errors_total`` / ``shed_total`` / ``pending`` / ``peak_pending``), which
-  clients use to evict dead workers and rebalance.
-* ``stats`` — explicit runtime-stats probe; answered with ``stats_ack``
-  carrying the same counters plus the process-wide metrics snapshot.  This
-  is the control-plane read :meth:`RemoteBackend.check_workers` uses, kept
-  separate from the liveness heartbeat.
-* ``engine_call`` — one solver call, executed through the same
-  :class:`~repro.service.distributed.backends.EngineCallRunner` the process
-  pool uses (spec-resolved solvers, per-worker model memoisation with
-  ``model_miss`` retry semantics, ``default_rng(seed)`` determinism).
+* ``stats`` — runtime-stats probe; answered with ``stats_ack`` carrying the
+  live counters of :meth:`WorkerServer.stats` (``served_total`` /
+  ``errors_total`` / ``shed_total`` / ``pending`` / ``peak_pending``) plus
+  the process-wide metrics snapshot.  This is the control-plane read
+  :meth:`RemoteBackend.check_workers` uses.
+* ``engine_call`` — one solver call, executed by an :class:`EngineCallRunner`
+  (spec-resolved solvers, per-worker model memoisation with ``model_miss``
+  retry semantics, ``default_rng(seed)`` determinism).
 
 Admission control mirrors the local service: ``max_concurrency`` engine calls
 run at once, at most ``max_pending`` more may wait, and anything beyond that
@@ -45,17 +43,25 @@ import os
 import socket
 import sys
 import threading
+import time
+from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro import obs
+from repro.qubo.model import QUBOModel
 from repro.service.admission import AdmissionGate
 from repro.service.distributed import wire
-from repro.service.distributed.backends import EngineCallRunner, default_worker_count
+from repro.service.distributed.backends import default_worker_count
+from repro.service.registry import make_solver
 from repro.service.remote.protocol import (
     RemoteTransportError,
+    close_socket,
     recv_message,
     send_message,
 )
+from repro.solvers.base import QUBOSolver
 
 #: Environment variable selecting the worker's stderr log level
 #: (``DEBUG``/``INFO``/``WARNING``/``ERROR``; default ``WARNING``).  Logs go
@@ -106,6 +112,100 @@ def configure_logging(level: Optional[str] = None) -> None:
     root.handlers[:] = [handler]
     root.setLevel(resolved)
     root.propagate = False
+
+
+#: Bound on solvers memoised per worker, keyed by spec — an LRU like the model
+#: memo, just with a looser bound (config dataclasses are tiny; the bound
+#: exists so a grid sweeping thousands of distinct specs cannot grow a
+#: worker's memory without limit).
+_WORKER_SOLVER_LIMIT = 64
+
+
+class EngineCallRunner:
+    """Worker-side execution of engine-call frames (frame in, frame out).
+
+    Decodes an engine-call frame, re-resolves the solver from its registry
+    spec (memoised — config dataclasses are cheap, but the registry
+    round-trip validation is not free), runs it under ``default_rng(seed)``
+    so results match the thread backend bit for bit, and encodes the sample
+    set.  Calls may reference a previously-shipped model by fingerprint; a
+    runner that does not hold it answers ``model_miss`` and the caller
+    retries with the full payload.  Decoded models are memoised in an LRU
+    of :data:`~repro.service.distributed.wire.MODEL_MEMO_LIMIT` entries: a
+    sweep typically cycles over one or two models, and an evicted model is
+    simply re-shipped on its next by-reference miss.
+
+    Memoisation is guarded by a lock (a worker executes calls from several
+    connection threads at once); the engine call itself runs outside the
+    lock, so concurrent solves proceed in parallel.
+    """
+
+    def __init__(
+        self,
+        model_limit: int = wire.MODEL_MEMO_LIMIT,
+        solver_limit: int = _WORKER_SOLVER_LIMIT,
+    ) -> None:
+        self._models: "OrderedDict[str, QUBOModel]" = OrderedDict()
+        self._solvers: "OrderedDict[str, QUBOSolver]" = OrderedDict()
+        self._model_limit = model_limit
+        self._solver_limit = solver_limit
+        self._lock = threading.Lock()
+        self._solve_seconds = obs.histogram(
+            "qross_worker_solve_seconds",
+            help="Worker-side engine-call execution latency",
+        )
+
+    def _resolve_model(self, header: dict, buffers) -> Optional[QUBOModel]:
+        ref = header.get("model_ref")
+        with self._lock:
+            if ref is not None:
+                model = self._models.get(ref)
+                if model is not None:
+                    self._models.move_to_end(ref)
+                return model
+        model = QUBOModel.from_wire(header["model"], buffers)
+        with self._lock:
+            while len(self._models) >= self._model_limit:
+                self._models.popitem(last=False)
+            self._models[model.fingerprint()] = model
+        return model
+
+    def _resolve_solver(self, spec: str) -> QUBOSolver:
+        with self._lock:
+            solver = self._solvers.get(spec)
+            if solver is not None:
+                self._solvers.move_to_end(spec)
+                return solver
+        solver = make_solver(spec)
+        with self._lock:
+            while len(self._solvers) >= self._solver_limit:
+                self._solvers.popitem(last=False)
+            self._solvers[spec] = solver
+        return solver
+
+    def execute(self, payload: bytes) -> bytes:
+        """One engine-call frame -> a sample-set (or ``model_miss``) frame.
+
+        When the frame carries a propagated ``trace`` context the solve runs
+        under it, so worker-side spans stitch into the calling client's trace
+        tree.
+        """
+        _, header, buffers = wire.decode_frame(payload, expected_kind="engine_call")
+        model = self._resolve_model(header, buffers)
+        if model is None:
+            return wire.encode_model_miss(str(header["model_ref"]))
+        spec = str(header["solver_spec"])
+        solver = self._resolve_solver(spec)
+        started = time.perf_counter()
+        with obs.adopt_wire_context(header.get("trace")):
+            with obs.span("worker.solve", solver_spec=spec, num_reads=int(header["num_reads"])):
+                samples = solver.sample(
+                    model,
+                    num_reads=int(header["num_reads"]),
+                    rng=np.random.default_rng(int(header["seed"])),
+                )
+        self._solve_seconds.observe(time.perf_counter() - started)
+        return wire.encode_sample_set(samples)
 
 
 class WorkerServer:
@@ -201,7 +301,7 @@ class WorkerServer:
         with self._lock:
             connections = list(self._connections)
         for conn in connections:
-            _close_socket(conn)
+            close_socket(conn)
         thread = self._accept_thread
         if thread is not None:
             thread.join(timeout=5.0)
@@ -225,7 +325,7 @@ class WorkerServer:
         with self._lock:
             connections = list(self._connections)
         for conn in connections:
-            _close_socket(conn)
+            close_socket(conn)
 
     def __enter__(self) -> "WorkerServer":
         return self.start()
@@ -273,7 +373,7 @@ class WorkerServer:
                 except OSError:
                     break  # client went away while we were answering
         finally:
-            _close_socket(conn)
+            close_socket(conn)
             with self._lock:
                 self._connections.pop(conn, None)
             logger.debug("connection closed", extra={"peer": peer})
@@ -296,12 +396,9 @@ class WorkerServer:
                     retryable=False,
                 )
             return wire.encode_hello_ack(version, info=self.stats())
-        if kind == "heartbeat":
-            return wire.encode_heartbeat_ack(self.stats())
         if kind == "stats":
-            # The explicit stats probe additionally carries the process-wide
-            # metrics registry snapshot (protocol ≥ 2 clients aggregate it
-            # into fleet-wide metrics); heartbeats stay small.
+            # The stats probe also carries the process-wide metrics registry
+            # snapshot, which clients aggregate into fleet-wide metrics.
             return wire.encode_stats_ack(self.stats(include_metrics=True))
         if kind == "engine_call":
             return self._respond_engine_call(payload, header)
@@ -352,7 +449,7 @@ class WorkerServer:
 
     # ------------------------------------------------------------------ readouts
     def stats(self, include_metrics: bool = False) -> dict:
-        """Live load/health counters (also shipped in heartbeat acks).
+        """Live load/health counters (also shipped in hello and stats acks).
 
         Keys follow :data:`repro.obs.STATS_SCHEMA`: ``served_total``,
         ``errors_total``, ``shed_total``, ``pending`` and ``peak_pending``,
@@ -378,15 +475,32 @@ class WorkerServer:
         return data
 
 
-def _close_socket(sock: socket.socket) -> None:
+# ------------------------------------------------------------ local fleets
+#: Calls a local worker lets wait beyond the running one.  Each waiting call
+#: holds its own connection and thread, so no client reaches this bound: a
+#: local worker queues like a pool process and never sheds.
+_LOCAL_MAX_PENDING = 1 << 20
+
+
+def serve_local(conn) -> None:
+    """Run one worker of a :class:`~repro.service.remote.backend.ProcessPoolBackend`.
+
+    The child-process entry point (module-level, so the ``spawn`` start
+    method can import it): serve one call at a time on an OS-assigned
+    localhost port, send the address back over ``conn``, then block on
+    ``conn``.  The parent closing its end — or dying — reads as EOF here,
+    and the worker shuts down.
+    """
+    server = WorkerServer(
+        host="127.0.0.1", port=0, max_concurrency=1, max_pending=_LOCAL_MAX_PENDING
+    ).start()
     try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
+        conn.send(server.address)
+        conn.recv()
+    except EOFError:
         pass
-    try:
-        sock.close()
-    except OSError:
-        pass
+    finally:
+        server.close()
 
 
 # ------------------------------------------------------------------------- CLI

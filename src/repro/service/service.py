@@ -28,10 +28,11 @@ the library flows through one seam.
 Where the engine call itself executes is delegated to an
 :class:`~repro.service.distributed.backends.ExecutionBackend`: the default
 ``"thread"`` backend runs it on the service's pool threads, while
-``"process"`` ships it to a pool of worker processes over the wire format —
-the Python-level portions of the annealing loops then scale across cores
-instead of serialising on the GIL.  Only the seed crosses that boundary, so
-every request path returns the same results on every backend.  Select a
+``"process"`` ships it over the wire format to a fleet of localhost worker
+processes (``"remote"``: to workers elsewhere) — the Python-level portions of
+the annealing loops then scale across cores instead of serialising on the
+GIL.  Only the seed crosses that boundary, so every request path returns the
+same results on every backend.  Select a
 backend per service (``SolveService(backend="process")``) or globally via the
 ``QROSS_EXECUTION_BACKEND`` environment variable.
 """
@@ -95,7 +96,7 @@ class SolveService:
         ``"process?max_workers=4"``), or ``None`` to read
         ``QROSS_EXECUTION_BACKEND`` (default ``"thread"``).  Backends given
         as spec strings are shared process-wide, so many short-lived services
-        reuse one warm worker pool.
+        reuse one warm worker fleet.
     max_pending:
         Admission bound: how many requests may be in flight (queued or
         running) at once.  Beyond the bound, submissions raise the typed
@@ -196,7 +197,7 @@ class SolveService:
         """Thread-safe child seed for an unseeded request.
 
         A concrete integer (not a live generator) is what crosses the backend
-        boundary: the executing side — this process or a pool worker — runs
+        boundary: the executing side — this process or a worker process — runs
         ``default_rng(seed)``, so results do not depend on where the engine
         call lands.
         """

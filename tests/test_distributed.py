@@ -1,13 +1,23 @@
 """Tests of the distributed execution subsystem: wire format, backends, caches.
 
-The process-pool tests share one module-scoped backend (spawn-starting a pool
-per test would dominate the suite's runtime); everything they assert is about
-byte-identity with the thread path, so pool reuse cannot mask failures.
+Most process-backend tests share one module-scoped local fleet (spawning
+workers per test would dominate the suite's runtime); everything they assert
+is about byte-identity with the thread path, so fleet reuse cannot mask
+failures.  The lifecycle tests (respawn, resource hygiene, a killed parent)
+own their fleets.
 """
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -66,6 +76,22 @@ def process_backend():
     backend = ProcessPoolBackend(max_workers=2)
     yield backend
     backend.close()
+
+
+def process_exited(pid: int) -> bool:
+    """Whether ``pid`` has exited (gone, or a zombie awaiting its reaper)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] in ("Z", "X")
+
+
+def wait_until_exited(pid: int, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not process_exited(pid):
+        assert time.monotonic() < deadline, f"process {pid} still running"
+        time.sleep(0.01)
 
 
 class CountingSolver(QUBOSolver):
@@ -180,40 +206,12 @@ class TestSampleSetAndResultRoundTrip:
 
     def test_engine_call_round_trip(self, sparse_model):
         blob = wire.encode_engine_call(sparse_model, "tabu?tenure=4", 8, 123)
-        decoded_model, spec, reads, seed = wire.decode_engine_call(blob)
-        assert (spec, reads, seed) == ("tabu?tenure=4", 8, 123)
-        assert decoded_model.fingerprint() == sparse_model.fingerprint()
-
-    def test_request_round_trip_from_problem(self):
-        problem = TSPProblem(generate_instance(5, rng=1, name="wire-tsp"))
-        request = SolveRequest(
-            solver="sa?num_sweeps=10",
-            problem=problem,
-            relaxation_parameter=7.5,
-            num_reads=3,
-            seed=2,
-            label="tagged",
+        _, header, buffers = wire.decode_frame(blob, expected_kind="engine_call")
+        assert (header["solver_spec"], header["num_reads"], header["seed"]) == (
+            "tabu?tenure=4", 8, 123
         )
-        decoded = wire.decode_request(wire.encode_request(request))
-        assert decoded.model is not None  # materialised on encode
-        assert decoded.model.fingerprint() == request.resolve_model().fingerprint()
-        assert (decoded.num_reads, decoded.seed, decoded.label) == (3, 2, "tagged")
-
-    def test_result_round_trip(self, model):
-        with SolveService(max_workers=2, backend="thread") as service:
-            result = service.submit(
-                SolveRequest(solver="tabu?num_steps=40", model=model, num_reads=4, seed=6)
-            ).result()
-        decoded = wire.decode_result(wire.encode_result(result))
-        assert np.array_equal(decoded.samples.assignments, result.samples.assignments)
-        assert np.array_equal(decoded.samples.energies, result.samples.energies)
-        assert decoded.solver_fingerprint == result.solver_fingerprint
-        assert decoded.request.seed == 6
-
-    def test_request_with_unserialisable_solver_raises(self, model):
-        request = SolveRequest(solver=CountingSolver(), model=model, seed=0)
-        with pytest.raises(SpecSerializationError):
-            wire.encode_request(request)
+        decoded_model = QUBOModel.from_wire(header["model"], buffers)
+        assert decoded_model.fingerprint() == sparse_model.fingerprint()
 
 
 # ----------------------------------------------------------------- spec inverse
@@ -292,9 +290,8 @@ class TestBackendResolution:
         assert resolve_backend(backend) is backend
 
     def test_closed_shared_backend_is_replaced(self):
-        # A distinctive spec so the module-scoped fixture's pool is untouched;
-        # the pool is lazy, so closing an unused backend costs nothing.
-        spec = "process?max_workers=1&mp_context=spawn"
+        # The fleet is lazy, so closing an unused backend costs nothing.
+        spec = "process?max_workers=1"
         first = resolve_backend(spec)
         first.close()
         second = resolve_backend(spec)
@@ -341,21 +338,33 @@ class TestProcessBackendParity:
 
     def test_repeat_calls_use_model_reference(self, model, process_backend):
         solver = make_solver("sa?num_sweeps=12")
-        first = process_backend.run(model, solver, 2, seed=1)
-        assert model.fingerprint() in process_backend._shipped_models
-        second = process_backend.run(model, solver, 2, seed=1)  # by-reference
-        assert np.array_equal(first.assignments, second.assignments)
-        assert np.array_equal(first.energies, second.energies)
+        reships = process_backend.stats()["model_reships_total"]
+        # Sequential calls rotate over the idle fleet: each worker gets the
+        # model in full once, then by reference, and no reference misses.
+        results = [
+            process_backend.run(model, solver, 2, seed=1)
+            for _ in range(2 * process_backend.max_workers)
+        ]
+        for worker in process_backend._workers:
+            assert model.fingerprint() in worker.shipped
+        assert process_backend.stats()["model_reships_total"] == reships
+        for got in results[1:]:
+            assert np.array_equal(results[0].assignments, got.assignments)
+            assert np.array_equal(results[0].energies, got.energies)
 
-    def test_model_miss_retries_with_full_payload(self, process_backend):
-        # Pretend the model was already shipped: the first call then goes
-        # by-reference, every worker misses, and the retry must recover.
+    def test_model_miss_retries_with_full_payload(self, model, process_backend):
+        # Pretend the model was already shipped everywhere: the call then
+        # goes by reference, the worker misses, and the re-ship must recover.
+        process_backend.run(model, make_solver("sa?num_sweeps=5"), 1, seed=0)  # spawned
         fresh = random_qubo(13, rng=77)
-        process_backend._shipped_models[fresh.fingerprint()] = True
+        for worker in process_backend._workers:
+            worker.shipped[fresh.fingerprint()] = True
+        reships = process_backend.stats()["model_reships_total"]
         solver = make_solver("sa?num_sweeps=12")
         got = process_backend.run(fresh, solver, 2, seed=4)
         expected = ThreadExecutionBackend().run(fresh, solver, 2, seed=4)
         assert np.array_equal(got.assignments, expected.assignments)
+        assert process_backend.stats()["model_reships_total"] == reships + 1
 
     def test_runtime_registered_backend_falls_back_in_process(
         self, model, process_backend, monkeypatch
@@ -410,22 +419,50 @@ class TestProcessBackendParity:
             assert np.array_equal(a, b)
 
     def test_broken_pool_recovers_on_next_call(self, model):
-        import signal
-
         backend = ProcessPoolBackend(max_workers=1)
         try:
             solver = make_solver("sa?num_sweeps=5")
             backend.run(model, solver, 1, seed=0)
-            worker_pid = backend._executor().submit(os.getpid).result()
-            os.kill(worker_pid, signal.SIGKILL)
-            with pytest.raises(RuntimeError, match="worker died"):
-                backend.run(model, solver, 1, seed=0)
-            # The poisoned pool was dropped: a fresh one serves the next call.
+            (stats,) = backend.check_workers().values()
+            os.kill(stats["pid"], signal.SIGKILL)
+            wait_until_exited(stats["pid"])
+            # The dead worker is restarted in its slot and the same call's
+            # retry runs there, byte-identically.
             expected = ThreadExecutionBackend().run(model, solver, 1, seed=0)
             got = backend.run(model, solver, 1, seed=0)
             assert np.array_equal(got.assignments, expected.assignments)
+            assert backend.stats()["transport_retries_total"] == 1
+            (respawned,) = backend.check_workers().values()
+            assert respawned["pid"] != stats["pid"]
         finally:
             backend.close()
+
+    def test_concurrent_calls_on_one_worker_queue_without_shedding(self, model):
+        spec = "process?max_workers=1"
+        requests = [
+            SolveRequest(solver="sa?num_sweeps=10", model=model, num_reads=2, seed=seed)
+            for seed in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the picks and releases harder
+        try:
+            with SolveService(max_workers=8, backend=spec) as service:
+                futures = [service.submit(request) for request in requests]
+                results = [future.result(timeout=120) for future in futures]
+                backend = service.backend
+        finally:
+            sys.setswitchinterval(interval)
+        stats = backend.stats()
+        # Every pick was released: a lost update would leave a count behind.
+        in_flight = [worker.in_flight for worker in backend._workers]
+        backend.close()  # a shared backend: the next resolver respawns it
+        assert in_flight == [0]
+        assert stats["overload_retries_total"] == 0
+        assert stats["served_total"] == len(requests)
+        thread = ThreadExecutionBackend()
+        for request, result in zip(requests, results):
+            expected = thread.run(model, make_solver(request.solver), 2, request.seed)
+            assert np.array_equal(result.samples.assignments, expected.assignments)
 
     def test_evaluate_on_process_backend_is_deterministic(self, process_backend):
         problem = TSPProblem(generate_instance(5, rng=4, name="proc-tsp"))
@@ -441,6 +478,135 @@ class TestProcessBackendParity:
                 service.close()
 
         assert evaluate_once() == evaluate_once()
+
+
+def _script_env() -> dict:
+    src = Path(__file__).resolve().parent.parent / "src"
+    return dict(
+        os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    )
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc")
+class TestLocalFleetLifecycle:
+    def test_kill_respawn_close_leaves_nothing_behind(self, model):
+        from multiprocessing import resource_tracker
+
+        solver = make_solver("sa?num_sweeps=10")
+        thread = ThreadExecutionBackend()
+        # Reference results first: under QROSS_TRACE this also opens the
+        # tracer's sink, so the baseline below holds every lazy singleton.
+        expected = {seed: thread.run(model, solver, 3, seed) for seed in range(6)}
+        # The resource tracker is started once per interpreter by the first
+        # spawn and outlives every fleet; its pipe belongs to the baseline.
+        resource_tracker.ensure_running()
+        children = set(multiprocessing.active_children())
+        threads = set(threading.enumerate())
+        fds = set(os.listdir("/proc/self/fd"))
+
+        backend = ProcessPoolBackend(max_workers=2)
+        try:
+            for seed in range(4):
+                got = backend.run(model, solver, 3, seed)
+                assert np.array_equal(got.assignments, expected[seed].assignments)
+            victim = next(iter(backend.check_workers().values()))["pid"]
+            os.kill(victim, signal.SIGKILL)
+            wait_until_exited(victim)
+            # Sequential calls rotate over the idle fleet, so one of these
+            # meets the dead worker and retries on its replacement.
+            for seed in (4, 5):
+                got = backend.run(model, solver, 3, seed)
+                assert np.array_equal(got.assignments, expected[seed].assignments)
+                assert np.array_equal(got.energies, expected[seed].energies)
+            fleet = backend.check_workers()
+            pids = [stats["pid"] for stats in fleet.values() if stats is not None]
+            assert len(pids) == backend.max_workers
+            assert victim not in pids
+            assert not any(process_exited(pid) for pid in pids)
+        finally:
+            backend.close()
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
+        assert set(os.listdir("/proc/self/fd")) <= fds
+        assert all(process_exited(pid) for pid in pids)
+
+    def test_failed_restart_is_retried_by_the_next_call(self, model):
+        backend = ProcessPoolBackend(max_workers=1)
+        solver = make_solver("sa?num_sweeps=5")
+        try:
+            backend.run(model, solver, 1, seed=0)
+            (stats,) = backend.check_workers().values()
+
+            def fail_once(slots):
+                del backend._spawn  # the next restart uses the real method
+                raise RuntimeError("simulated startup failure")
+
+            backend._spawn = fail_once
+            os.kill(stats["pid"], signal.SIGKILL)
+            wait_until_exited(stats["pid"])
+            with pytest.raises(RuntimeError, match="simulated"):
+                backend.run(model, solver, 1, seed=0)
+            got = backend.run(model, solver, 1, seed=0)
+            expected = ThreadExecutionBackend().run(model, solver, 1, seed=0)
+            assert np.array_equal(got.assignments, expected.assignments)
+        finally:
+            backend.close()
+
+    def test_killed_parent_leaves_no_worker_behind(self):
+        script = (
+            "import json, sys\n"
+            "from repro.qubo.model import random_qubo\n"
+            "from repro.service import ProcessPoolBackend, make_solver\n"
+            "backend = ProcessPoolBackend(max_workers=2)\n"
+            "backend.run(random_qubo(8, rng=0), make_solver('sa?num_sweeps=5'), 1, 0)\n"
+            "print(json.dumps([s['pid'] for s in backend.check_workers().values()]), flush=True)\n"
+            "sys.stdin.read()\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            env=_script_env(),
+            text=True,
+        )
+        pids = []
+        try:
+            pids = json.loads(proc.stdout.readline())
+            assert len(pids) == 2
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10.0
+            while not all(process_exited(pid) for pid in pids):
+                assert time.monotonic() < deadline, "a worker outlived its killed parent"
+                time.sleep(0.05)
+        finally:
+            proc.kill()
+            proc.wait(timeout=30)
+            proc.stdin.close()
+            proc.stdout.close()
+            for pid in pids:
+                if not process_exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_unguarded_script_gets_the_main_guard_hint(self, tmp_path):
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            "from repro.qubo.model import random_qubo\n"
+            "from repro.service import ProcessPoolBackend, make_solver\n"
+            "backend = ProcessPoolBackend(max_workers=1)\n"
+            "backend.run(random_qubo(8, rng=0), make_solver('sa?num_sweeps=5'), 1, 0)\n"
+        )
+        # The spawned worker re-runs the script, which tries to spawn during
+        # its own bootstrap and dies; the parent reads EOF, not a hang.
+        result = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            text=True,
+            env=_script_env(),
+            timeout=120,
+        )
+        assert result.returncode != 0
+        assert "RuntimeError: a local worker process died at startup" in result.stderr
 
 
 # ------------------------------------------------------------------ disk caching

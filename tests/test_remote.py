@@ -37,7 +37,6 @@ from repro.service import (
 )
 from repro.service.admission import MAX_PENDING_ENV, max_pending_from_env
 from repro.service.distributed import wire
-from repro.service.distributed.backends import EngineCallRunner
 from repro.service.remote import (
     DeadlineExceeded,
     RemoteBackend,
@@ -50,7 +49,7 @@ from repro.service.remote import (
     send_message,
 )
 from repro.service.remote.backend import parse_address
-from repro.service.remote.worker import parse_bind
+from repro.service.remote.worker import EngineCallRunner, parse_bind
 from repro.solvers.simulated_annealing import (
     SimulatedAnnealingConfig,
     SimulatedAnnealingSolver,
@@ -174,11 +173,6 @@ class TestControlPlaneFrames:
         assert header["protocol_version"] == 1
         assert header["info"]["pid"] == 42
 
-    def test_heartbeat_ack_carries_stats(self):
-        kind, header, _ = wire.decode_frame(wire.encode_heartbeat_ack({"served_total": 7}))
-        assert kind == "heartbeat_ack"
-        assert header["stats"]["served_total"] == 7
-
     def test_stats_frames_roundtrip(self):
         kind, header, _ = wire.decode_frame(wire.encode_stats_request({"who": "ci"}))
         assert kind == "stats"
@@ -235,12 +229,13 @@ class TestWorkerServer:
             assert key in stats
 
     def test_version_mismatch_is_a_typed_error(self, worker):
-        with _connect(worker) as conn:
-            kind, header, _ = _ask(conn, wire.encode_hello(protocol_versions=[999]))
-        assert kind == "error"
-        code, _, retryable = wire.decode_error(header)
-        assert code == "version_mismatch"
-        assert retryable is False
+        for offered in ([999], [1]):  # an unknown version and the retired one
+            with _connect(worker) as conn:
+                kind, header, _ = _ask(conn, wire.encode_hello(protocol_versions=offered))
+            assert kind == "error"
+            code, _, retryable = wire.decode_error(header)
+            assert code == "version_mismatch"
+            assert retryable is False
 
     def test_garbage_frame_answered_and_connection_survives(self, worker):
         with _connect(worker) as conn:
@@ -249,8 +244,8 @@ class TestWorkerServer:
             assert wire.decode_error(header)[0] == "wire_format"
             # The length prefix kept the stream in sync: the same connection
             # still serves well-formed traffic.
-            kind, header, _ = _ask(conn, wire.encode_heartbeat())
-            assert kind == "heartbeat_ack"
+            kind, header, _ = _ask(conn, wire.encode_stats_request())
+            assert kind == "stats_ack"
             assert header["stats"]["errors_total"] == 0
 
     def test_engine_call_matches_thread_backend(self, worker, model):
@@ -281,8 +276,8 @@ class TestWorkerServer:
             assert code == "solve_error"
             assert retryable is False
             # The worker survived the bad call.
-            kind, _, _ = _ask(conn, wire.encode_heartbeat())
-            assert kind == "heartbeat_ack"
+            kind, _, _ = _ask(conn, wire.encode_stats_request())
+            assert kind == "stats_ack"
 
     def test_unsupported_frame_kind(self, worker, model):
         with _connect(worker) as conn:
@@ -358,6 +353,37 @@ class TestRemoteBackendClient:
             assert stats["served_total"] == 6
             assert stats["dials_total"] == 2
             backend.close()
+
+    def test_pick_skips_a_busy_worker_for_an_idle_one(self, model):
+        runner = _BlockingRunner()
+        with WorkerServer(runner=runner) as w1, WorkerServer() as w2:
+            backend = RemoteBackend(workers=[w1.address, w2.address], **FAST)
+            solver = make_solver(SPEC)
+            results = {}
+
+            def call(name, seed):
+                results[name] = backend.run(model, solver, 2, seed)
+
+            blocked = threading.Thread(target=call, args=("A", 1))
+            late = threading.Thread(target=call, args=("C", 3))
+            blocked.start()
+            try:
+                assert runner.started.wait(10)  # A is on w1, held by its runner
+                call("B", 2)
+                assert w2.stats()["served_total"] == 1
+                # w1 still runs A and w2 is idle: C must not queue behind A.
+                late.start()
+                late.join(timeout=10)
+                assert "C" in results, "C was sent to the busy worker"
+                assert "A" not in results
+                assert w2.stats()["served_total"] == 2
+            finally:
+                runner.release.set()
+                blocked.join(timeout=30)
+                if late.ident is not None:
+                    late.join(timeout=30)
+                backend.close()
+            assert np.array_equal(results["C"].assignments, reference(model, 2, 3).assignments)
 
     def test_worker_death_mid_solve_retries_on_survivor(self, model):
         class DyingRunner(EngineCallRunner):

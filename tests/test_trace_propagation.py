@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.qubo.model import random_qubo
+from repro.qubo.model import QUBOModel, random_qubo
 from repro.service.distributed import wire
 from repro.service.registry import make_solver
 from repro.service.remote import RemoteBackend, WorkerServer
@@ -45,12 +45,11 @@ class TestWireTraceHeader:
         model = random_qubo(8, rng=0)
         ctx = {"trace_id": "aa" * 8, "span_id": "bb" * 8}
         frame = wire.encode_engine_call(model, "sa", 4, 7, trace=ctx)
-        _, header, _ = wire.decode_frame(frame, expected_kind="engine_call")
+        _, header, buffers = wire.decode_frame(frame, expected_kind="engine_call")
         assert header["trace"] == ctx
-        # The standard decoder is indifferent to the extra key.
-        decoded_model, spec, reads, seed = wire.decode_engine_call(frame)
-        assert (decoded_model.Q == model.Q).all()
-        assert (spec, reads, seed) == ("sa", 4, 7)
+        # The model decoder is indifferent to the extra key.
+        assert (QUBOModel.from_wire(header["model"], buffers).Q == model.Q).all()
+        assert (header["solver_spec"], header["num_reads"], header["seed"]) == ("sa", 4, 7)
 
     def test_trace_header_round_trips_by_reference(self):
         ctx = {"trace_id": "cc" * 8, "span_id": "dd" * 8}
@@ -69,13 +68,12 @@ class TestWireTraceHeader:
         assert "trace" not in header
 
     def test_old_worker_tolerates_traced_frames(self):
-        """A version-1 peer ignores unknown header keys — ``trace`` included.
+        """The ``trace`` header key never changes what a worker computes.
 
         The engine-call runner reads the trace context with ``header.get``,
-        so frames from old clients (no ``trace`` key) and new clients alike
-        execute identically.
+        so frames with and without a ``trace`` key execute identically.
         """
-        from repro.service.distributed.backends import EngineCallRunner
+        from repro.service.remote.worker import EngineCallRunner
 
         model = random_qubo(8, rng=0)
         runner = EngineCallRunner()
@@ -91,7 +89,7 @@ class TestWireTraceHeader:
 
     def test_protocol_negotiation_spans_versions(self):
         assert wire.PROTOCOL_VERSION == 2
-        assert wire.negotiate_protocol([1]) == 1  # old peer
+        assert wire.negotiate_protocol([1]) is None  # protocol 1 is retired
         assert wire.negotiate_protocol([1, 2]) == 2
         assert wire.negotiate_protocol([2, 99]) == 2
         assert wire.negotiate_protocol([99]) is None
