@@ -184,10 +184,10 @@ class GraphEncoderExtractor(FeatureExtractor):
 
 
 def _scaled_matrix_stats(model, scale: float) -> tuple[float, float, float, float]:
-    """``(abs_mean, std, density, diag_mean)`` of ``Q / scale``, storage-aware.
+    """``(abs_mean, std, density, diag_mean)`` of ``Q / scale``.
 
-    Sparse-stored models are summarised from their CSR data (zero entries
-    contribute zero to every moment) without densifying; dense models keep the
+    Sparse models are summarised from their CSR data (zero entries contribute
+    zero to every moment) without densifying; dense models keep the
     historical dense code path bit for bit.
     """
     if model.is_sparse:

@@ -82,8 +82,8 @@ def build_mvc_problems(
     """Generate MVC problems sized by the profile (Appendix B workload).
 
     Instances use the profile's ``mvc_num_vertices`` / ``mvc_edge_probability``
-    and encode through the sparse-first accumulator path (storage is chosen
-    automatically per instance size and density).
+    and encode through the sparse-first accumulator path (each model picks its
+    storage from its size and density).
     """
     instances = generate_mvc_dataset(
         num_instances,
@@ -100,13 +100,12 @@ def build_sparse_mvc_problem(
     num_vertices: int,
     edge_density: float,
     rng: RngLike = None,
-    storage: str = "auto",
 ) -> MVCProblem:
     """One large sparse MVC problem, CSR end to end (scaling studies, benchmarks)."""
     instance = generate_sparse_mvc_instance(
         num_vertices, edge_density=edge_density, rng=rng
     )
-    return MVCProblem(instance, storage=storage)
+    return MVCProblem(instance)
 
 
 def sampling_plan(profile: ExperimentProfile) -> SamplingPlan:

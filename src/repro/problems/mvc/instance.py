@@ -7,8 +7,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.utils.sparse import scipy_sparse as _sparse
+from scipy import sparse
 
 
 @dataclass
@@ -35,8 +34,8 @@ class MVCInstance:
 
     def __post_init__(self) -> None:
         adjacency = self.adjacency
-        if _sparse is not None and _sparse.issparse(adjacency):
-            adjacency = _sparse.csr_array(adjacency).astype(bool)
+        if sparse.issparse(adjacency):
+            adjacency = sparse.csr_array(adjacency).astype(bool)
             if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
                 raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
             if (adjacency != adjacency.T).nnz != 0:
@@ -73,11 +72,9 @@ class MVCInstance:
     ) -> "MVCInstance":
         """Build an instance from an ``(m, 2)`` edge list without densifying.
 
-        Requires scipy (the adjacency is stored as CSR).  Duplicate edges and
-        either vertex order are accepted; self-loops are rejected.
+        The adjacency is stored as CSR.  Duplicate edges and either vertex
+        order are accepted; self-loops are rejected.
         """
-        if _sparse is None:
-            raise RuntimeError("scipy is required for edge-list MVC instances")
         num_vertices = int(num_vertices)
         if num_vertices < 2:
             raise ValueError("num_vertices must be at least 2")
@@ -94,14 +91,14 @@ class MVCInstance:
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
         data = np.ones(rows.shape[0], dtype=np.int8)
-        adjacency = _sparse.coo_array(
+        adjacency = sparse.coo_array(
             (data, (rows, cols)), shape=(num_vertices, num_vertices)
         ).tocsr()
         return cls(adjacency=adjacency.astype(bool), weights=weights, name=name)
 
     @property
     def is_sparse(self) -> bool:
-        return _sparse is not None and _sparse.issparse(self.adjacency)
+        return sparse.issparse(self.adjacency)
 
     @property
     def num_vertices(self) -> int:
@@ -121,7 +118,7 @@ class MVCInstance:
         """
         if self._edge_cache is None:
             if self.is_sparse:
-                upper = _sparse.triu(self.adjacency, k=1).tocoo()
+                upper = sparse.triu(self.adjacency, k=1).tocoo()
                 i = np.asarray(upper.coords[0], dtype=np.int64)
                 j = np.asarray(upper.coords[1], dtype=np.int64)
                 # Canonical row-major order, matching the dense np.where scan

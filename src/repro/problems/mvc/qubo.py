@@ -7,9 +7,9 @@ that on real (noisy / finite-precision) solvers, pushing ``sigma`` far beyond
 that threshold degrades solution quality — which is what Fig. 6 measures.
 
 Both the objective and the penalty are accumulated as COO triplets (one
-vectorised append per term family, no Python loop over edges) and the storage
-backend is chosen per matrix, so a large sparse graph encodes straight to CSR
-without ever allocating a dense ``n x n`` array.
+vectorised append per term family, no Python loop over edges) and each model
+picks its storage from its coefficients, so a large sparse graph encodes
+straight to CSR without ever allocating a dense ``n x n`` array.
 """
 
 from __future__ import annotations
@@ -30,18 +30,16 @@ class MVCProblem(ConstrainedProblem):
     ----------
     instance:
         The MVC instance to relax.
-    storage:
-        Coefficient storage of the encoded QUBOs: ``"auto"`` (default) keeps
-        CSR inside the sparse backend regime and densifies small instances,
-        ``"sparse"`` / ``"dense"`` force a backend (used by the parity tests).
+
+    Each encoded QUBO picks its own storage (see
+    :class:`~repro.qubo.model.QUBOModel`): from 512 vertices on, the diagonal
+    objective is CSR, and so are the penalty and relaxed models of graphs with
+    edge density below about 0.10.
     """
 
-    def __init__(self, instance: MVCInstance, storage: str = "auto") -> None:
-        if storage not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown storage {storage!r}")
+    def __init__(self, instance: MVCInstance) -> None:
         self.instance = instance
         self.name = instance.name
-        self.storage = storage
 
     # ------------------------------------------------------------------ QUBO
     @property
@@ -57,7 +55,7 @@ class MVCProblem(ConstrainedProblem):
         objective = (
             QUBOAccumulator(n)
             .add_linear(np.arange(n), weights)
-            .build(name=f"{self.name}-objective", storage=self.storage)
+            .build(name=f"{self.name}-objective")
         )
 
         # Penalty ``sum_{(i,j) in E} (1 - x_i - x_j + x_i x_j)``: zero iff
@@ -67,11 +65,7 @@ class MVCProblem(ConstrainedProblem):
             accumulator.add_linear(edges[:, 0], -1.0)
             accumulator.add_linear(edges[:, 1], -1.0)
             accumulator.add_quadratic(edges[:, 0], edges[:, 1], 1.0)
-        penalty = accumulator.build(
-            offset=float(edges.shape[0]),
-            name=f"{self.name}-penalty",
-            storage=self.storage,
-        )
+        penalty = accumulator.build(offset=float(edges.shape[0]), name=f"{self.name}-penalty")
         return RelaxedEncoding(objective=objective, penalty=penalty, name=self.name)
 
     # ------------------------------------------------------------- solutions

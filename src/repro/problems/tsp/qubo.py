@@ -21,6 +21,7 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from repro.problems.base import ConstrainedProblem
 from repro.problems.tsp.instance import TSPInstance
@@ -28,8 +29,6 @@ from repro.problems.tsp.preprocessing import MVODMResult, minimise_distance_vari
 from repro.qubo.builder import LinearConstraints
 from repro.qubo.expression import QUBOAccumulator, RelaxedEncoding
 from repro.qubo.model import QUBOModel
-
-from repro.utils.sparse import scipy_sparse as _sparse
 
 
 def decode_assignment(assignment: np.ndarray, num_cities: int) -> Optional[np.ndarray]:
@@ -76,24 +75,16 @@ class TSPProblem(ConstrainedProblem):
         Apply Minimising-the-Variance-Of-the-Distance-Matrix preprocessing
         (paper Appendix E) before building ``H_B``.  Fitness values are always
         reported against the *original* distances.
-    storage:
-        Coefficient storage of the encoded QUBOs: ``"auto"`` (default) keeps
-        CSR inside the sparse backend regime and densifies everything else,
-        ``"sparse"`` / ``"dense"`` force a backend.
+
+    The encoded QUBOs pick their own storage (see :class:`QUBOModel`): up to
+    22 cities all are dense; from 23 cities ``H_B`` and ``H_A`` are CSR, and
+    from 40 cities so is their relaxed sum.
     """
 
-    def __init__(
-        self,
-        instance: TSPInstance,
-        use_mvodm_preprocessing: bool = False,
-        storage: str = "auto",
-    ) -> None:
-        if storage not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown storage {storage!r}")
+    def __init__(self, instance: TSPInstance, use_mvodm_preprocessing: bool = False) -> None:
         self.instance = instance
         self.name = instance.name
         self.use_mvodm_preprocessing = use_mvodm_preprocessing
-        self.storage = storage
         self._mvodm: Optional[MVODMResult] = None
         working = instance
         if use_mvodm_preprocessing:
@@ -112,7 +103,7 @@ class TSPProblem(ConstrainedProblem):
 
     def _encode(self) -> RelaxedEncoding:
         objective = self._objective_qubo()
-        penalty = self._constraints().penalty_qubo(storage=self.storage)
+        penalty = self._constraints().penalty_qubo()
         return RelaxedEncoding(objective=objective, penalty=penalty, name=self.name)
 
     def _objective_qubo(self) -> QUBOModel:
@@ -125,30 +116,22 @@ class TSPProblem(ConstrainedProblem):
         cols = (v[:, None] * n + (positions[None, :] + 1) % n).ravel()
         vals = np.repeat(distances[u, v], n)
         accumulator = QUBOAccumulator(n * n).add_quadratic(rows, cols, vals)
-        return accumulator.build(name=f"{self.name}-objective", storage=self.storage)
+        return accumulator.build(name=f"{self.name}-objective")
 
     def _constraints(self) -> LinearConstraints:
         """Permutation constraints: each city once, each position once.
 
-        Built directly in sparse COO form when scipy is available — ``C`` is
-        ``2n x n^2`` with ``2 n^2`` ones (each variable appears in exactly two
-        constraints).
+        Built directly in sparse COO form — ``C`` is ``2n x n^2`` with
+        ``2 n^2`` ones (each variable appears in exactly two constraints).
         """
         n = self.num_cities
-        if _sparse is None:
-            C = np.zeros((2 * n, n * n))
-            for v in range(n):
-                C[v, v * n : (v + 1) * n] = 1.0  # city v at exactly one position
-            for j in range(n):
-                C[n + j, j::n] = 1.0  # position j holds exactly one city
-            return LinearConstraints(C=C, d=np.ones(2 * n))
         variables = np.arange(n * n, dtype=np.int64)
         city_rows = variables // n  # constraint row v covers x[v, :]
         position_rows = n + variables % n  # constraint row n + j covers x[:, j]
         rows = np.concatenate([city_rows, position_rows])
         cols = np.concatenate([variables, variables])
         data = np.ones(rows.shape[0], dtype=np.float64)
-        C = _sparse.coo_array((data, (rows, cols)), shape=(2 * n, n * n)).tocsr()
+        C = sparse.coo_array((data, (rows, cols)), shape=(2 * n, n * n)).tocsr()
         return LinearConstraints(C=C, d=np.ones(2 * n))
 
     # ------------------------------------------------------------- solutions

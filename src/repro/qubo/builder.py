@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy import sparse
 
 from repro.qubo.expression import QUBOAccumulator
 from repro.qubo.model import QUBOModel
-
-from repro.utils.sparse import scipy_sparse as _sparse
 
 
 @dataclass(frozen=True)
@@ -42,8 +41,8 @@ class LinearConstraints:
 
     def __post_init__(self) -> None:
         C = self.C
-        if _sparse is not None and _sparse.issparse(C):
-            C = _sparse.csr_array(C).astype(np.float64)
+        if sparse.issparse(C):
+            C = sparse.csr_array(C).astype(np.float64)
         else:
             C = np.asarray(C, dtype=np.float64)
         if C.ndim != 2:
@@ -56,7 +55,7 @@ class LinearConstraints:
 
     @property
     def is_sparse(self) -> bool:
-        return _sparse is not None and _sparse.issparse(self.C)
+        return sparse.issparse(self.C)
 
     @property
     def num_constraints(self) -> int:
@@ -76,24 +75,17 @@ class LinearConstraints:
         """Whether ``x`` satisfies every constraint within ``tol``."""
         return self.violation(x) <= tol
 
-    def penalty_qubo(self, storage: str = "auto") -> QUBOModel:
+    def penalty_qubo(self) -> QUBOModel:
         """QUBO whose energy equals ``||Cx - d||^2`` for binary ``x``.
 
         Expanding the norm gives ``x^T (C^T C) x - 2 d^T C x + d^T d``; the
         linear part is folded onto the diagonal because ``x_i^2 = x_i``.
         ``C^T C`` is computed sparsely (scipy spGEMM) and coalesced through a
-        :class:`QUBOAccumulator`; ``storage`` picks the result backend
-        (``"auto"`` keeps CSR only inside the sparse backend regime).
+        :class:`QUBOAccumulator`; the model keeps CSR only inside the sparse
+        regime.
         """
         n = self.num_variables
-        if _sparse is None:
-            # Dense fallback when scipy is unavailable.
-            CtC = self.C.T @ self.C
-            linear = -2.0 * (self.d @ self.C)
-            Q = CtC.copy()
-            Q[np.diag_indices_from(Q)] += linear
-            return QUBOModel(Q, offset=float(self.d @ self.d), name="penalty")
-        C = self.C if self.is_sparse else _sparse.csr_array(np.asarray(self.C))
+        C = self.C if self.is_sparse else sparse.csr_array(np.asarray(self.C))
         CtC = (C.T @ C).tocoo()
         linear = np.asarray(-2.0 * (self.d @ C))
         accumulator = QUBOAccumulator(n)
@@ -101,7 +93,7 @@ class LinearConstraints:
         nonzero = np.nonzero(linear)[0]
         accumulator.add_linear(nonzero, linear[nonzero])
         accumulator.add_constant(float(self.d @ self.d))
-        return accumulator.build(name="penalty", storage=storage)
+        return accumulator.build(name="penalty")
 
 
 def slack_encode_inequality(

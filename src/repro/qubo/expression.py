@@ -8,11 +8,12 @@ module provides the two pieces that make that loop cheap at scale:
   duplicate coalescing.  Problem encoders append whole index/value arrays
   (``add_linear`` / ``add_quadratic`` / ``add_squared_linear_penalty``) instead
   of filling a dense ``n x n`` array entry by entry; :meth:`QUBOAccumulator.build`
-  coalesces once through scipy's COO→CSR conversion and picks the storage
-  backend, so a large sparse instance is encoded without any dense allocation.
+  coalesces once through scipy's COO→CSR conversion and the model picks its
+  storage from the coefficients, so a large sparse instance is encoded
+  without any dense allocation.
 * :class:`RelaxedEncoding` — a frozen ``(objective, penalty)`` pair (``H_B``,
-  ``H_A``) that composes ``H_B + A * H_A`` on demand, storage-preserving, with
-  a small per-``A`` LRU so the service materialises each relaxed model once.
+  ``H_A``) that composes ``H_B + A * H_A`` on demand, with a small per-``A``
+  LRU so the service materialises each relaxed model once.
 """
 
 from __future__ import annotations
@@ -23,10 +24,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from repro.qubo.model import QUBOModel
 
-from repro.utils.sparse import scipy_sparse as _sparse
+#: Bound on :meth:`RelaxedEncoding.relax`'s per-parameter model cache.
+#: Relaxed models of large instances are big; tuning sweeps mostly evaluate
+#: each parameter once, so a small LRU captures the service's dedup needs
+#: without hoarding.
+RELAXATION_CACHE_SIZE = 8
 
 
 class QUBOAccumulator:
@@ -134,22 +140,15 @@ class QUBOAccumulator:
         return self.add_constant(float(constant) ** 2)
 
     # ------------------------------------------------------------------ build
-    def build(
-        self, offset: float = 0.0, name: str = "", storage: str = "auto"
-    ) -> QUBOModel:
+    def build(self, offset: float = 0.0, name: str = "") -> QUBOModel:
         """Coalesce the accumulated triplets into a :class:`QUBOModel`.
 
-        ``storage`` selects the coefficient backend: ``"sparse"`` / ``"dense"``
-        force one, ``"auto"`` keeps CSR when the model falls inside the sparse
-        backend regime (:data:`~repro.qubo.model.SPARSE_MIN_VARIABLES`,
-        :data:`~repro.qubo.model.SPARSE_DENSITY_THRESHOLD`) and densifies the
-        small or near-dense models the solvers would densify anyway.  The
-        coalescing itself always happens in sparse COO form — an ``n x n``
+        The coalescing always happens in sparse COO form and the model keeps
+        CSR inside the sparse regime
+        (:data:`~repro.qubo.model.SPARSE_MIN_VARIABLES`,
+        :data:`~repro.qubo.model.SPARSE_DENSITY_THRESHOLD`) — an ``n x n``
         array is only ever allocated for a model that ends up dense.
         """
-        if storage not in ("auto", "dense", "sparse"):
-            raise ValueError(f"unknown storage {storage!r}")
-        total_offset = self._offset + float(offset)
         n = self._num_variables
         if self._rows:
             rows = np.concatenate(self._rows)
@@ -158,36 +157,24 @@ class QUBOAccumulator:
         else:
             rows = cols = np.zeros(0, dtype=np.int64)
             vals = np.zeros(0, dtype=np.float64)
-        if _sparse is None:
-            if storage == "sparse":
-                raise RuntimeError("scipy is required for sparse QUBO storage")
-            Q = np.zeros((n, n), dtype=np.float64)
-            np.add.at(Q, (rows, cols), vals)
-            return QUBOModel(Q, offset=total_offset, name=name)
-        coo = _sparse.coo_array((vals, (rows, cols)), shape=(n, n))
-        model = QUBOModel(coo.tocsr(), offset=total_offset, name=name)
-        if storage == "auto":
-            storage = "sparse" if model.in_sparse_regime() else "dense"
-        return model.with_storage(storage)
+        coo = sparse.coo_array((vals, (rows, cols)), shape=(n, n))
+        return QUBOModel(coo.tocsr(), offset=self._offset + float(offset), name=name)
 
 
 @dataclass(frozen=True, eq=False)
 class RelaxedEncoding:
     """Frozen ``(H_B, H_A)`` pair composing ``H_B + A * H_A`` on demand.
 
-    The objective and penalty models keep whatever storage their encoder
-    chose; :meth:`relax` composes them storage-preservingly (sparse + sparse
-    stays sparse) and caches the most recent relaxed models per parameter, so
-    service-level batching materialises each ``(encoding, A)`` exactly once.
+    Each model holds the storage its coefficients give; :meth:`relax` sums
+    two sparse models in CSR (never densifying them), the relaxed model picks
+    its own storage, and the most recent relaxed models are cached per
+    parameter, so service-level batching materialises each ``(encoding, A)``
+    exactly once.
     """
 
     objective: QUBOModel
     penalty: QUBOModel
     name: str = ""
-    #: Bound on the per-parameter model cache.  Relaxed models of large
-    #: instances are big; tuning sweeps mostly evaluate each parameter once,
-    #: so a small LRU captures the service's dedup needs without hoarding.
-    max_cached_relaxations: int = 8
 
     _cache: "OrderedDict[float, QUBOModel]" = field(
         init=False, repr=False, compare=False, default_factory=OrderedDict
@@ -206,8 +193,6 @@ class RelaxedEncoding:
                 f"variables ({self.objective.num_variables} vs "
                 f"{self.penalty.num_variables})"
             )
-        if self.max_cached_relaxations <= 0:
-            raise ValueError("max_cached_relaxations must be positive")
 
     @property
     def num_variables(self) -> int:
@@ -218,8 +203,7 @@ class RelaxedEncoding:
         """The relaxed model ``H_B + A * H_A`` for ``A = relaxation_parameter``.
 
         Repeated calls with the same parameter return the cached model (LRU of
-        :attr:`max_cached_relaxations`); composition preserves storage, so a
-        sparse encoding never densifies here.
+        :data:`RELAXATION_CACHE_SIZE`); a sparse encoding never densifies here.
         """
         from repro.utils.validation import check_positive
 
@@ -241,7 +225,7 @@ class RelaxedEncoding:
                 self._cache.move_to_end(A)
                 return existing
             self._cache[A] = combined
-            while len(self._cache) > self.max_cached_relaxations:
+            while len(self._cache) > RELAXATION_CACHE_SIZE:
                 self._cache.popitem(last=False)
         return combined
 

@@ -5,17 +5,16 @@ A QUBO (quadratic unconstrained binary optimisation) problem is
 .. math:: \\min_{x \\in \\{0,1\\}^n} \\; x^T Q x + c
 
 where :math:`Q` is an upper-triangular (or symmetric) real matrix and ``c`` an
-optional constant offset.  The model is *storage polymorphic*: ``Q`` may be a
-dense float64 ndarray (the historical representation, ideal for the
-few-thousand-variable TSP instances studied in the paper) or a scipy CSR
-matrix, which lets sparse problem classes — MVC on large sparse graphs in
-particular — be encoded, fingerprinted and solved without ever allocating an
-``n x n`` dense array.  Every public operation (``energy`` / ``energies`` /
-``local_fields`` / ``scaled`` / ``__add__`` / ``to_dict`` / ``to_ising`` /
-``operator``) works on both storages; a sparse model inside the CSR backend
-regime (at least :data:`SPARSE_MIN_VARIABLES` variables and density below
-:data:`SPARSE_DENSITY_THRESHOLD`) is never silently densified — dense views of
-such models go through the explicit :meth:`QUBOModel.dense_Q`.
+optional constant offset.  A model picks its storage from its own
+coefficients, whatever form the caller passed: canonical float64 CSR when it
+has at least :data:`SPARSE_MIN_VARIABLES` variables and density below
+:data:`SPARSE_DENSITY_THRESHOLD` (MVC on large sparse graphs, say), which is
+encoded, fingerprinted and solved without ever allocating an ``n x n`` dense
+array; a dense float64 array otherwise (the small TSP instances of the
+paper).  One fingerprint therefore always means one storage and one set of
+seeded solver outputs.  Every public operation works on both storages; a
+sparse model is never silently densified — dense views of it go through the
+explicit :meth:`QUBOModel.dense_Q`.
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-
-from repro.utils.sparse import issparse as _is_sparse, scipy_sparse as _sparse
+from scipy import sparse
 
 from repro.utils.validation import check_square_matrix
 
@@ -47,7 +45,7 @@ def _canonical_csr(matrix):
     true number of non-zero coefficients, so density and fingerprints agree
     with the dense storage of the same model.
     """
-    csr = _sparse.csr_array(matrix).astype(np.float64)
+    csr = sparse.csr_array(matrix).astype(np.float64)
     csr.sum_duplicates()
     csr.sort_indices()
     csr.eliminate_zeros()
@@ -94,26 +92,23 @@ class DenseOperator:
 class SparseOperator:
     """CSR operator for sparse models (e.g. MVC QUBOs), in one float dtype.
 
-    Accepts either a dense symmetric ``Q`` or a CSR matrix; both produce the
-    same operator data, so solver trajectories do not depend on how the model
-    was stored.  The coefficients the products and row gathers read are
-    rounded to single precision whatever ``dtype`` is: the annealers only use
-    them to steer the search, and every returned energy is re-evaluated
-    against the exact float64 model, so the rounding never leaks into
-    reported results.  ``diag`` stays exact, and products and local fields
-    accumulate in ``dtype``.
+    Takes a canonical float64 CSR ``Q`` (a sparse model's own coefficients,
+    or :meth:`QUBOModel.sparse_Q`) as given and shares its index arrays.  The
+    coefficients the products and row gathers read are rounded to single
+    precision whatever ``dtype`` is: the annealers only use them to steer the
+    search, and every returned energy is re-evaluated against the exact
+    float64 model, so the rounding never leaks into reported results.
+    ``diag`` stays exact, and products and local fields accumulate in
+    ``dtype``.
     """
 
     kind = "sparse"
 
     def __init__(self, Q, dtype="float64") -> None:
-        if _sparse is None:  # pragma: no cover - defensive
-            raise RuntimeError("scipy is required for the sparse QUBO backend")
         self.dtype = np.dtype(dtype)
-        exact = _canonical_csr(Q)
-        self.diag = np.asarray(exact.diagonal(), dtype=self.dtype)
-        data = exact.data.astype(np.float32).astype(self.dtype)
-        self._csr = _sparse.csr_array((data, exact.indices, exact.indptr), shape=exact.shape)
+        self.diag = np.asarray(Q.diagonal(), dtype=self.dtype)
+        data = Q.data.astype(np.float32).astype(self.dtype)
+        self._csr = sparse.csr_array((data, Q.indices, Q.indptr), shape=Q.shape)
         # Raw CSR triplet: row gathers index these directly because scipy's
         # fancy row indexing spends ~100x the gather cost on index validation
         # and matrix construction, which dominates per-step use.
@@ -178,7 +173,10 @@ class QUBOModel:
         Square coefficient matrix — a dense ndarray or a scipy sparse matrix.
         It is stored internally in *symmetrised* form ``(Q + Q^T) / 2`` which
         leaves the quadratic form unchanged and simplifies incremental energy
-        updates in the solvers; sparse input stays sparse (canonical CSR).
+        updates in the solvers.  The storage follows from the coefficients
+        alone: canonical CSR inside the sparse regime (at least
+        :data:`SPARSE_MIN_VARIABLES` variables, density below
+        :data:`SPARSE_DENSITY_THRESHOLD`), a dense array outside it.
     offset:
         Constant added to every energy.
     name:
@@ -186,40 +184,41 @@ class QUBOModel:
     """
 
     def __init__(self, Q, offset: float = 0.0, name: str = "") -> None:
-        if _is_sparse(Q):
+        if sparse.issparse(Q):
             if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
                 raise ValueError(f"Q must be a square 2-D array, got shape {Q.shape}")
             csr = _canonical_csr(Q)
-            self._Q = _canonical_csr((csr + csr.T) / 2.0)
-            self._storage = "sparse"
+            Q = _canonical_csr((csr + csr.T) / 2.0)
         else:
             Q = check_square_matrix(Q, "Q")
-            self._Q = (Q + Q.T) / 2.0
-            self._storage = "dense"
+            Q = (Q + Q.T) / 2.0
+        n = Q.shape[0]
+        self._density: Optional[float] = None
+        # Only a model of sparse-regime size pays for the non-zero count.
+        if n >= SPARSE_MIN_VARIABLES:
+            nnz = Q.nnz if sparse.issparse(Q) else np.count_nonzero(Q)
+            self._density = float(nnz) / float(n * n)
+        is_sparse = self._density is not None and self._density < SPARSE_DENSITY_THRESHOLD
+        if is_sparse != sparse.issparse(Q):
+            Q = _canonical_csr(Q) if is_sparse else Q.toarray()
+        self._Q = Q
+        self._storage = "sparse" if is_sparse else "dense"
         self._offset = float(offset)
         self.name = name
-        self._operators: Dict[Tuple[str, str], object] = {}
+        self._operators: Dict[str, object] = {}
         self._coefficient_stats: Optional[Tuple[float, float]] = None
-        self._density: Optional[float] = None
         self._fingerprint: Optional[str] = None
         self._dense_cache: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ basic
     @property
     def storage(self) -> str:
-        """Coefficient storage backend: ``"dense"`` or ``"sparse"``."""
+        """Coefficient storage, fixed by the coefficients: ``"dense"`` or ``"sparse"``."""
         return self._storage
 
     @property
     def is_sparse(self) -> bool:
         return self._storage == "sparse"
-
-    def in_sparse_regime(self) -> bool:
-        """Whether this model falls inside the CSR auto-backend thresholds."""
-        return (
-            self.num_variables >= SPARSE_MIN_VARIABLES
-            and self.density() < SPARSE_DENSITY_THRESHOLD
-        )
 
     def _dense(self) -> np.ndarray:
         """Dense float64 coefficient array (cached); the densification choke point.
@@ -236,22 +235,20 @@ class QUBOModel:
 
     @property
     def Q(self) -> np.ndarray:
-        """Symmetrised dense coefficient matrix (read-only view).
+        """Symmetrised dense coefficient matrix of a dense model (read-only view).
 
-        For sparse-stored models this densifies only *below* the CSR backend
-        thresholds (small or near-dense models, where a dense copy is what the
-        solvers would build anyway).  Inside the sparse regime it raises —
-        call :meth:`dense_Q` to densify explicitly or :meth:`sparse_Q` for the
-        CSR form.
+        A sparse model raises instead of densifying silently — call
+        :meth:`dense_Q` to densify explicitly or :meth:`sparse_Q` for the CSR
+        form.
         """
-        if self._storage == "sparse" and self.in_sparse_regime():
+        if self.is_sparse:
             raise ValueError(
                 f"model {self.name!r} (n={self.num_variables}, "
-                f"density={self.density():.4f}) is stored sparse and lies inside the "
-                "CSR backend regime; refusing to densify silently. Use "
-                "dense_Q() to densify explicitly or sparse_Q() for the CSR form."
+                f"density={self.density():.4f}) is stored sparse; refusing to "
+                "densify silently. Use dense_Q() to densify explicitly or "
+                "sparse_Q() for the CSR form."
             )
-        view = self._dense().view()
+        view = self._Q.view()
         view.flags.writeable = False
         return view
 
@@ -263,21 +260,9 @@ class QUBOModel:
 
     def sparse_Q(self):
         """Coefficients as a canonical float64 CSR matrix (converting if dense)."""
-        if _sparse is None:
-            raise RuntimeError("scipy is required for sparse_Q()")
-        if self._storage == "sparse":
+        if self.is_sparse:
             return self._Q
-        return _canonical_csr(_sparse.csr_array(self._Q))
-
-    def with_storage(self, storage: str) -> "QUBOModel":
-        """This model converted to the requested storage (``self`` if already there)."""
-        if storage not in ("dense", "sparse"):
-            raise ValueError(f"unknown storage {storage!r}")
-        if storage == self._storage:
-            return self
-        if storage == "sparse":
-            return QUBOModel(self.sparse_Q(), offset=self._offset, name=self.name)
-        return QUBOModel(self._dense(), offset=self._offset, name=self.name)
+        return _canonical_csr(self._Q)
 
     @property
     def offset(self) -> float:
@@ -352,8 +337,8 @@ class QUBOModel:
         offset = self._offset + other._offset
         if self._storage == "sparse" and other._storage == "sparse":
             return QUBOModel(self._Q + other._Q, offset=offset, name=self.name)
-        # Mixed storage: the dense operand already holds an n x n array, so the
-        # combined model is dense by construction (no hidden memory blow-up).
+        # Mixed storage: the dense operand already holds an n x n array, so
+        # summing densely costs no extra memory; the sum picks its own storage.
         return QUBOModel(self._dense() + other._dense(), offset=offset, name=self.name)
 
     def __mul__(self, factor: float) -> "QUBOModel":
@@ -405,7 +390,7 @@ class QUBOModel:
         Q = self._Q
         if self._storage == "sparse":
             diag = self._diagonal()
-            J = _canonical_csr((Q - _sparse.diags_array(diag)) / 4.0)
+            J = _canonical_csr((Q - sparse.diags_array(diag)) / 4.0)
             h = np.asarray(Q.sum(axis=1)).ravel() / 2.0
             offset = self._offset + float(Q.sum()) / 4.0 + float(diag.sum()) / 4.0
             return IsingModel(h=h, J=J, offset=float(offset))
@@ -420,13 +405,13 @@ class QUBOModel:
     def from_ising(cls, ising: IsingModel, name: str = "") -> "QUBOModel":
         """Convert an Ising model back into QUBO form (sparse ``J`` stays sparse)."""
         h = np.asarray(ising.h, dtype=np.float64)
-        if _is_sparse(ising.J):
+        if sparse.issparse(ising.J):
             J = _canonical_csr(ising.J)
             J = _canonical_csr((J + J.T) / 2.0)
             if np.any(J.diagonal() != 0):
                 raise ValueError("Ising J must have a zero diagonal")
             diag = 2.0 * h - 4.0 * np.asarray(J.sum(axis=1)).ravel()
-            Q = 4.0 * J + _sparse.diags_array(diag)
+            Q = 4.0 * J + sparse.diags_array(diag)
             offset = ising.offset - h.sum() + float(J.sum())
             return cls(Q, offset=float(offset), name=name)
         J = check_square_matrix(ising.J, "J")
@@ -445,47 +430,28 @@ class QUBOModel:
     def density(self) -> float:
         """Fraction of non-zero coefficients in the symmetrised matrix.
 
-        Cached: solvers consult it on every ``sample`` call via
-        :meth:`operator`.  Sparse storage reads ``nnz`` directly (the CSR is
-        canonical, so stored entries are exactly the non-zeros); dense storage
-        pays the ``O(n^2)`` scan once.
+        A model of sparse-regime size counts its non-zeros when it picks its
+        storage; a smaller one pays the ``O(n^2)`` scan on the first call.
+        Cached either way.
         """
         if self._density is None:
             n = self.num_variables
-            if n == 0:
-                self._density = 0.0
-            elif self._storage == "sparse":
-                self._density = float(self._Q.nnz) / float(n * n)
-            else:
-                self._density = float(np.count_nonzero(self._Q)) / float(n * n)
+            self._density = float(np.count_nonzero(self._Q)) / float(n * n) if n else 0.0
         return self._density
 
-    def operator(self, storage: str | None = None, dtype="float64"):
+    def operator(self, dtype="float64"):
         """Return the solver-facing coefficient operator for this model.
 
-        ``storage`` may be ``"dense"``, ``"sparse"`` or ``None`` for automatic
-        selection: models with at least :data:`SPARSE_MIN_VARIABLES` variables
-        and density below :data:`SPARSE_DENSITY_THRESHOLD` get the CSR
-        operator, everything else the dense one.  The selection rule depends
-        only on the coefficients, not on the storage, so a model built sparse
-        and the same model built dense drive the solvers identically.
+        A sparse model gets the CSR operator, a dense one the dense operator.
         ``dtype`` (float64 or float32) is the dtype the operator computes in.
-        Operators are cached on the model per ``(storage, dtype)``, so
-        repeated solver calls reuse the same arrays.
+        Operators are cached on the model per dtype, so repeated solver calls
+        reuse the same arrays.
         """
-        if storage is None:
-            use_sparse = _sparse is not None and self.in_sparse_regime()
-            storage = "sparse" if use_sparse else "dense"
-        if storage not in ("dense", "sparse"):
-            raise ValueError(f"unknown storage {storage!r}")
-        key = (storage, np.dtype(dtype).name)
+        key = np.dtype(dtype).name
         op = self._operators.get(key)
         if op is None:
-            if storage == "sparse":
-                op = SparseOperator(self._Q, dtype)
-            else:
-                op = DenseOperator(self._dense(), dtype)
-            self._operators[key] = op
+            op_type = SparseOperator if self.is_sparse else DenseOperator
+            op = self._operators[key] = op_type(self._Q, dtype)
         return op
 
     def coefficient_stats(self) -> Tuple[float, float]:
@@ -543,7 +509,7 @@ class QUBOModel:
                 np.asarray(self._Q.indptr, dtype=np.int64),
             )
         else:
-            buffers = (self._dense(),)
+            buffers = (self._Q,)
         return header, buffers
 
     @classmethod
@@ -551,10 +517,8 @@ class QUBOModel:
         """Rebuild a model from :meth:`to_wire` output, verifying the fingerprint."""
         n = int(header["num_variables"])
         if header["storage"] == "sparse":
-            if _sparse is None:
-                raise RuntimeError("scipy is required to decode a sparse QUBO model")
             data, indices, indptr = buffers
-            Q = _sparse.csr_array(
+            Q = sparse.csr_array(
                 (
                     np.asarray(data, dtype=np.float64),
                     np.asarray(indices, dtype=np.int64),
@@ -577,11 +541,12 @@ class QUBOModel:
     def fingerprint(self) -> str:
         """Stable hash of the coefficients, usable as a cache key.
 
-        Storage invariant: the same mathematical model fingerprints identically
-        whether it is held dense or as CSR (the hash covers the canonical COO
-        triplets of the symmetrised matrix), so service-level batching and
-        deduplication work across storage backends.  Cached — immutable models
-        are fingerprinted repeatedly by the request-grouping path.
+        The hash covers the canonical COO triplets of the symmetrised matrix,
+        which both storages enumerate in the same row-major order.  The
+        storage is itself a function of the coefficients, so one fingerprint
+        means one storage, and service-level batching and deduplication can
+        key on it.  Cached — immutable models are fingerprinted repeatedly by
+        the request-grouping path.
         """
         if self._fingerprint is None:
             if self._storage == "sparse":
@@ -614,14 +579,16 @@ def random_qubo(
 ) -> QUBOModel:
     """Generate a random QUBO with Gaussian coefficients (testing / benchmarking aid).
 
+    ``storage`` picks the sampling scheme, not the storage of the result,
+    which follows the model's rule like every other model.
     ``storage="dense"`` (the default, unchanged from earlier releases) draws a
     full ``n x n`` Gaussian matrix and masks it down to ``density``.
     ``storage="sparse"`` instead accumulates COO triplets sized to the target
     density and never allocates a dense intermediate, so instances far beyond
     dense memory limits (``n`` in the hundreds of thousands at low density)
-    can be generated directly as CSR models.  The two paths draw different
+    can be generated directly as CSR models.  The two schemes draw different
     random streams, so they are *not* sample-for-sample identical at equal
-    seeds; the sparse path's density is exact in expectation (upper-triangle
+    seeds; the sparse scheme's density is exact in expectation (upper-triangle
     positions are drawn i.i.d., duplicates coalesce by summation).
     """
     from repro.utils.rng import ensure_rng
@@ -634,8 +601,6 @@ def random_qubo(
         raise ValueError(f"unknown storage {storage!r}")
     rng = ensure_rng(rng)
     if storage == "sparse":
-        if _sparse is None:
-            raise RuntimeError("scipy is required for storage='sparse'")
         from repro.qubo.expression import QUBOAccumulator
 
         n = num_variables
@@ -648,7 +613,7 @@ def random_qubo(
             cols = np.maximum(i, j)
             values = rng.normal(0.0, scale, size=num_draws)
             acc.add_quadratic(rows, cols, values)
-        return acc.build(name=name, storage="sparse")
+        return acc.build(name=name)
     Q = rng.normal(0.0, scale, size=(num_variables, num_variables))
     Q = (Q + Q.T) / 2.0
     if density < 1.0:

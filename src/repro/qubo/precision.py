@@ -40,10 +40,12 @@ class AnalogNoiseModel:
     def perturb(self, model: QUBOModel, rng: RngLike = None) -> QUBOModel:
         """Return a perturbed copy of ``model``.
 
-        Sparse-stored models are perturbed structure-preservingly: the noise is
-        applied to the stored (implemented) couplings only, mirroring hardware
-        that only realises the couplings present in the program — and the model
-        is never densified.
+        Noise lands on every coupler of a dense model and on the stored
+        couplers of a sparse one, mirroring hardware that only realises the
+        couplings present in the program — a sparse model is never densified.
+        Which of the two applies is a function of the coefficients (see
+        :class:`~repro.qubo.model.QUBOModel`), so one model always sees one
+        noise stream.
         """
         rng = ensure_rng(rng)
         scale = model.max_abs_coefficient()
@@ -84,8 +86,8 @@ class QuantizationModel:
     def quantize(self, model: QUBOModel) -> QUBOModel:
         """Return a copy of ``model`` with quantised coefficients.
 
-        Sparse-stored models quantise their stored coefficients in CSR form
-        (zeros quantise to zero anyway) — no densification.
+        Sparse models quantise their stored coefficients in CSR form (zeros
+        quantise to zero anyway) — no densification.
         """
         scale = model.max_abs_coefficient()
         if model.is_sparse:

@@ -37,9 +37,9 @@ State transitions go through exactly two mutators:
   rather than summed from the proposed deltas.
 
 Coefficient access is routed through the operator returned by
-:meth:`repro.qubo.model.QUBOModel.operator` — dense or CSR, chosen
-automatically by density — so sparse instances (e.g. MVC) avoid dense
-``n × n`` row traffic without any solver-side changes.
+:meth:`repro.qubo.model.QUBOModel.operator` — CSR for a sparse model, dense
+otherwise — so sparse instances (e.g. MVC) avoid dense ``n × n`` row traffic
+without any solver-side changes.
 
 Precision
 ---------
@@ -221,11 +221,10 @@ class AnnealingState:
     """Batched single-flip search state shared by the annealing solvers.
 
     ``dtype`` is the solver's ``dtype`` option: the state's arrays and its
-    coefficient operator live in :func:`resolve_engine_dtype` of it.
-    ``storage`` picks the operator (``None`` selects by density, see
-    :meth:`repro.qubo.model.QUBOModel.operator`).  Initial states are drawn
-    on the host in float64 and cast once, so the random stream does not
-    depend on the dtype.
+    coefficient operator live in :func:`resolve_engine_dtype` of it; the
+    operator is the model's own (:meth:`repro.qubo.model.QUBOModel.operator`).
+    Initial states are drawn on the host in float64 and cast once, so the
+    random stream does not depend on the dtype.
     """
 
     def __init__(
@@ -234,12 +233,11 @@ class AnnealingState:
         num_reads: int,
         rng: Optional[np.random.Generator] = None,
         initial_states: Optional[np.ndarray] = None,
-        storage: Optional[str] = None,
         dtype: Optional[str] = None,
     ) -> None:
         self.model = model
         self.dtype = resolve_engine_dtype(dtype)
-        self.op = model.operator(storage, self.dtype)
+        self.op = model.operator(self.dtype)
         n = model.num_variables
         if initial_states is not None:
             X = np.array(initial_states, dtype=np.float64)

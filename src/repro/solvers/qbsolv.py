@@ -117,12 +117,11 @@ class QbsolvSolver(QUBOSolver):
         """
         n = model.num_variables
         window = min(self.config.subproblem_size, n)
-        # Branch on the auto-selected operator kind — a function of size and
-        # density only, never of how the model happens to be stored — so the
-        # seeded trajectory is storage-invariant (fingerprints, cache keys and
-        # request grouping identify models by content, not storage).
-        op = model.operator()
-        if op.kind == "sparse":
+        # The model's storage is a function of its coefficients, so the seeded
+        # trajectory is one per fingerprint (the key of cache lookups and
+        # request grouping), whatever form the model was built from.
+        if model.is_sparse:
+            op = model.operator()
             # CSR path: steer window selection and clamping through the sparse
             # operator (float32 coefficients, like the annealing engine) — the
             # model is never densified.  Candidate acceptance and the clamped

@@ -6,7 +6,7 @@ Three concerns:
   ``QROSS_ENGINE_DTYPE`` environment variable, then the float64 reference;
 * the coefficient operators in both dtypes (dense and CSR), checked against
   float64 arithmetic on the model's own coefficients, and their memoisation
-  per ``(storage, dtype)``;
+  per dtype;
 * the end-to-end float32 path: solvers run green in single precision and
   report energies re-scored against the exact float64 model.
 """
@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.qubo.model import random_qubo
+from repro.qubo.model import DenseOperator, SparseOperator, random_qubo
 from repro.service import SolverRegistry
 from repro.solvers.engine import (
     DTYPE_ENV,
@@ -60,12 +60,12 @@ class TestRegistryAndResolution:
         assert resolve_engine_dtype("float64") == np.float64
 
     def test_instances_are_cached_per_dtype(self):
-        # The model memoises one operator per (storage, dtype).
+        # The model memoises one operator per dtype.
         model = random_qubo(8, rng=0)
         default = model.operator()
-        assert model.operator("dense", "float64") is default
+        assert model.operator("float64") is default
         single = model.operator(dtype="float32")
-        assert single is not default and single is model.operator("dense", "float32")
+        assert single is not default and single is model.operator("float32")
         assert single.right_multiply(np.ones((1, 8), dtype=np.float32)).dtype == np.float32
         assert AnnealingState(model, 2, rng=0, dtype="float64").op is default
 
@@ -95,8 +95,8 @@ class TestBackendOperators:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_dense_operator_matches_host(self, dtype):
         model = random_qubo(10, rng=1)
-        op = model.operator("dense", dtype)
         Q = np.asarray(model.dense_Q())
+        op = DenseOperator(Q, dtype)
         X = np.random.default_rng(0).integers(0, 2, size=(3, 10)).astype(dtype)
         rtol = 1e-12 if dtype == "float64" else 1e-5
         assert op.right_multiply(X).dtype == np.dtype(dtype)
@@ -108,7 +108,7 @@ class TestBackendOperators:
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     def test_sparse_operator_matches_host(self, sparse_model, dtype):
-        op = sparse_model.operator("sparse", dtype)
+        op = SparseOperator(sparse_model.sparse_Q(), dtype)
         # The CSR operator steers with single-precision coefficients in
         # either dtype; the reference is float64 arithmetic on those values.
         Q = sparse_model.sparse_Q().toarray().astype(np.float32).astype(np.float64)
@@ -139,7 +139,6 @@ class TestSparseRandomQubo:
     def test_sparse_generator_never_densifies(self):
         model = random_qubo(700, density=0.01, rng=9, storage="sparse")
         assert model.storage == "sparse"
-        assert model.in_sparse_regime()
 
     def test_density_is_close_to_target(self):
         model = random_qubo(1000, density=0.05, rng=2, storage="sparse")

@@ -22,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro import obs
 from repro.problems.tsp.generator import generate_instance
@@ -47,7 +48,6 @@ from repro.solvers.simulated_annealing import (
     SimulatedAnnealingConfig,
     SimulatedAnnealingSolver,
 )
-from repro.utils.sparse import scipy_sparse
 
 
 @pytest.fixture
@@ -57,17 +57,15 @@ def model() -> QUBOModel:
 
 @pytest.fixture
 def sparse_model() -> QUBOModel:
-    """A model inside the CSR auto-backend regime (n >= 512, density < 0.10)."""
-    if scipy_sparse is None:
-        pytest.skip("scipy not available")
+    """A model inside the CSR regime (n >= 512, density < 0.10)."""
     rng = np.random.default_rng(9)
     n, nnz = 600, 1800
     rows = rng.integers(0, n, nnz)
     cols = rng.integers(0, n, nnz)
     vals = rng.normal(size=nnz)
-    Q = scipy_sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    Q = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     m = QUBOModel(Q, offset=0.75, name="wire-sparse")
-    assert m.in_sparse_regime()
+    assert m.is_sparse
     return m
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.qubo.builder import LinearConstraints, slack_encode_inequality
 from repro.qubo.expression import RelaxedEncoding
@@ -121,24 +122,17 @@ class TestSlackEncoding:
 
 class TestSparseConstraints:
     def test_sparse_and_dense_penalties_match(self):
-        scipy_sparse = pytest.importorskip("scipy.sparse")
         C = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 1.0, 1.0, 1.0]])
         d = np.array([1.0, 2.0])
         dense = LinearConstraints(C=C, d=d)
-        sparse = LinearConstraints(C=scipy_sparse.csr_array(C), d=d)
-        assert sparse.is_sparse and not dense.is_sparse
-        assert dense.penalty_qubo().to_dict() == sparse.penalty_qubo().to_dict()
+        csr = LinearConstraints(C=sparse.csr_array(C), d=d)
+        assert csr.is_sparse and not dense.is_sparse
+        assert dense.penalty_qubo().to_dict() == csr.penalty_qubo().to_dict()
         for bits in range(16):
             x = np.array([(bits >> i) & 1 for i in range(4)], dtype=float)
-            assert sparse.violation(x) == pytest.approx(dense.violation(x))
-            assert sparse.penalty_qubo().energy(x) == pytest.approx(dense.violation(x))
+            assert csr.violation(x) == pytest.approx(dense.violation(x))
+            assert csr.penalty_qubo().energy(x) == pytest.approx(dense.violation(x))
 
     def test_sparse_shape_validation(self):
-        scipy_sparse = pytest.importorskip("scipy.sparse")
         with pytest.raises(ValueError):
-            LinearConstraints(C=scipy_sparse.csr_array(np.ones((2, 3))), d=np.ones(3))
-
-    def test_forced_sparse_penalty_storage(self):
-        constraints = LinearConstraints(C=np.ones((1, 3)), d=np.array([1.0]))
-        assert constraints.penalty_qubo(storage="sparse").storage == "sparse"
-        assert constraints.penalty_qubo(storage="dense").storage == "dense"
+            LinearConstraints(C=sparse.csr_array(np.ones((2, 3))), d=np.ones(3))

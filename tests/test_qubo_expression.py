@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.qubo.expression import QUBOAccumulator, RelaxedEncoding
+from repro.qubo.expression import RELAXATION_CACHE_SIZE, QUBOAccumulator, RelaxedEncoding
 from repro.qubo.model import QUBOModel, random_qubo
 
 
@@ -96,13 +96,6 @@ class TestAccumulatorStorage:
         model = QUBOAccumulator(n).add_quadratic(np.arange(n - 1), np.arange(1, n), 1.0).build()
         assert model.storage == "sparse"
 
-    def test_forced_storage(self):
-        accumulator = QUBOAccumulator(4).add_linear([0], [1.0])
-        assert accumulator.build(storage="sparse").storage == "sparse"
-        assert accumulator.build(storage="dense").storage == "dense"
-        with pytest.raises(ValueError):
-            accumulator.build(storage="banana")
-
     def test_empty_accumulator_builds_zero_model(self):
         model = QUBOAccumulator(3).build(offset=1.5)
         assert model.num_variables == 3
@@ -136,22 +129,19 @@ class TestRelaxedEncoding:
         assert encoding.relax(1.5) is not encoding.relax(2.0)
 
     def test_relax_cache_is_bounded(self):
-        encoding = self._encoding(max_cached_relaxations=2)
+        encoding = self._encoding()
         first = encoding.relax(1.0)
-        encoding.relax(2.0)
-        encoding.relax(3.0)  # evicts 1.0
+        second = encoding.relax(2.0)
+        for A in range(3, RELAXATION_CACHE_SIZE + 2):
+            encoding.relax(float(A))  # the last one evicts 1.0
+        assert encoding.relax(2.0) is second
         assert encoding.relax(1.0) is not first
 
     def test_sparse_encoding_composes_sparse(self):
         n = 600
-        objective = (
-            QUBOAccumulator(n).add_linear(np.arange(n), 1.0).build(storage="sparse")
-        )
-        penalty = (
-            QUBOAccumulator(n)
-            .add_quadratic(np.arange(n - 1), np.arange(1, n), 1.0)
-            .build(storage="sparse")
-        )
+        objective = QUBOAccumulator(n).add_linear(np.arange(n), 1.0).build()
+        penalty = QUBOAccumulator(n).add_quadratic(np.arange(n - 1), np.arange(1, n), 1.0).build()
+        assert objective.is_sparse and penalty.is_sparse
         encoding = RelaxedEncoding(objective=objective, penalty=penalty)
         assert encoding.relax(2.0).storage == "sparse"
 

@@ -42,19 +42,10 @@ class TestOperatorSelection:
         assert model.density() > SPARSE_DENSITY_THRESHOLD
         assert model.operator().kind == "dense"
 
-    def test_explicit_backend_override_and_cache(self):
-        model = random_qubo(12, rng=0)
-        sparse = model.operator("sparse")
-        assert isinstance(sparse, SparseOperator)
-        assert model.operator("sparse") is sparse
-        assert isinstance(model.operator("dense"), DenseOperator)
-        with pytest.raises(ValueError):
-            model.operator("gpu")
-
     def test_sparse_and_dense_agree(self):
         model = random_qubo(40, density=0.15, rng=5)
-        dense = model.operator("dense")
-        sparse = model.operator("sparse")
+        dense = DenseOperator(model.dense_Q())
+        sparse = SparseOperator(model.sparse_Q())
         X = np.random.default_rng(0).integers(0, 2, size=(6, 40)).astype(np.float64)
         np.testing.assert_allclose(
             sparse.right_multiply(X), dense.right_multiply(X), rtol=1e-5, atol=1e-5
@@ -125,11 +116,16 @@ class TestAnnealingState:
             state.current_energies, model.energies(state.X), **_state_tols()
         )
 
-    def test_sparse_backend_matches_dense_trajectory(self):
+    def test_sparse_backend_matches_dense_trajectory(self, monkeypatch):
         model = random_qubo(30, density=0.2, rng=8)
         x0 = np.random.default_rng(1).integers(0, 2, size=(2, 30)).astype(np.float64)
-        dense = AnnealingState(model, 2, initial_states=x0, storage="dense")
-        sparse = AnnealingState(model, 2, initial_states=x0, storage="sparse")
+        dense = AnnealingState(model, 2, initial_states=x0)
+        assert isinstance(dense.op, DenseOperator)
+        # Hand the state a CSR operator over the same coefficients.
+        monkeypatch.setattr(
+            model, "operator", lambda dtype: SparseOperator(model.sparse_Q(), dtype)
+        )
+        sparse = AnnealingState(model, 2, initial_states=x0)
         np.testing.assert_allclose(sparse.current_energies, dense.current_energies, rtol=1e-5)
         np.testing.assert_allclose(sparse.flip_deltas(), dense.flip_deltas(), rtol=1e-4, atol=1e-4)
 

@@ -6,6 +6,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
@@ -22,7 +23,6 @@ from repro.solvers.schedules import (
 )
 from repro.solvers.simulated_annealing import SimulatedAnnealingConfig, SimulatedAnnealingSolver
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
-from repro.utils.sparse import scipy_sparse
 
 
 class TestSchedules:
@@ -204,14 +204,12 @@ def _tsp_model(cities, multiplier):
 
 
 def _csr_model():
-    if scipy_sparse is None:
-        pytest.skip("scipy not available")
     rng = np.random.default_rng(9)
     n, nnz = 600, 1800
     rows, cols = rng.integers(0, n, nnz), rng.integers(0, n, nnz)
-    Q = scipy_sparse.coo_array((rng.normal(size=nnz), (rows, cols)), shape=(n, n)).tocsr()
+    Q = sparse.coo_array((rng.normal(size=nnz), (rows, cols)), shape=(n, n)).tocsr()
     model = QUBOModel(Q, offset=0.75, name="digest-sparse")
-    assert model.in_sparse_regime()
+    assert model.is_sparse
     return model
 
 

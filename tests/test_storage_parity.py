@@ -1,10 +1,13 @@
-"""Dense-vs-sparse storage parity suite and sparse-encode acceptance tests.
+"""Storage is a function of the coefficients: parity suite and sparse-encode acceptance.
 
-The same mathematical model must behave identically whether its coefficients
-are held dense or as CSR: identical energies, ``to_dict``, ``to_ising``,
-fingerprints, and *byte-identical* seeded ``repro.solve`` results.  Test
-instances use dyadic-rational coefficients so every float operation is exact
-and "identical" genuinely means bit-for-bit.
+A :class:`QUBOModel` picks dense or CSR storage from its own coefficients, so
+the same matrix passed dense or as CSR must give one model: one storage, one
+fingerprint, identical ``to_dict`` / ``to_ising``, and *byte-identical* seeded
+solver results — including results the service serves from its cache, which
+is keyed by the fingerprint.  The invariance tests use non-dyadic
+coefficients, where float rounding would expose any storage-dependent
+arithmetic; the encoder tests use dyadic-rational ones so every encoding
+operation is exact.
 
 The acceptance tests at the bottom pin the headline property of the sparse
 encoding path: a large sparse MVC instance encodes and solves end to end
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import repro
 from repro.problems.mvc.generator import generate_sparse_mvc_instance
@@ -28,13 +32,12 @@ from repro.qubo.model import (
     SPARSE_MIN_VARIABLES,
     QUBOModel,
 )
+from repro.service import make_solver
 from repro.service.requests import SolveRequest
 from repro.service.service import SolveService
 
 
-def dyadic_mvc_problem(
-    num_vertices: int, edge_probability: float, storage: str, seed: int = 0
-) -> MVCProblem:
+def dyadic_mvc_problem(num_vertices: int, edge_probability: float, seed: int = 0) -> MVCProblem:
     """Random MVC instance with dyadic weights (all encoding arithmetic exact)."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.random((num_vertices, num_vertices)) < edge_probability, k=1)
@@ -43,160 +46,235 @@ def dyadic_mvc_problem(
     instance = MVCInstance(
         adjacency=adjacency, weights=weights, name=f"parity-mvc-{edge_probability}"
     )
-    return MVCProblem(instance, storage=storage)
+    return MVCProblem(instance)
 
 
-def integer_tsp_problem(num_cities: int, storage: str, seed: int = 0) -> TSPProblem:
+def integer_tsp_problem(num_cities: int, seed: int = 0) -> TSPProblem:
     """Random TSP instance with integer distances (exact arithmetic)."""
     rng = np.random.default_rng(seed)
     upper = np.triu(rng.integers(1, 100, size=(num_cities, num_cities)), k=1)
     distances = (upper + upper.T).astype(np.float64)
     instance = TSPInstance(distances=distances, name="parity-tsp")
-    return TSPProblem(instance, storage=storage)
+    return TSPProblem(instance)
 
 
-# Edge probabilities straddling the CSR auto-backend threshold (0.10), at the
+def nondyadic_twins(n: int, density: float, seed: int = 0):
+    """One non-dyadic, asymmetric matrix passed dense and as CSR.
+
+    Both triangles hold independent thirds of normal draws, so symmetrising,
+    scoring and perturbing all round; any arithmetic that depends on the
+    input form shows in the low bits.
+    """
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < density)
+    Q = np.where(upper | upper.T, rng.normal(size=(n, n)) / 3.0, 0.0)
+    return (
+        QUBOModel(Q, offset=0.1, name="twin"),
+        QUBOModel(sparse.csr_array(Q), offset=0.1, name="twin"),
+    )
+
+
+def input_twins(model: QUBOModel):
+    """``model``'s coefficients passed back in dense and in CSR form."""
+    return tuple(
+        QUBOModel(Q, offset=model.offset, name=model.name)
+        for Q in (model.dense_Q(), model.sparse_Q())
+    )
+
+
+def rule_storage(model: QUBOModel) -> str:
+    """The storage the rule gives ``model``, recomputed from its dense coefficients."""
+    n = model.num_variables
+    density = np.count_nonzero(model.dense_Q()) / float(n * n)
+    in_regime = n >= SPARSE_MIN_VARIABLES and density < SPARSE_DENSITY_THRESHOLD
+    return "sparse" if in_regime else "dense"
+
+
+def _dense(matrix) -> np.ndarray:
+    return matrix.toarray() if sparse.issparse(matrix) else np.asarray(matrix)
+
+
+def assert_one_model(a: QUBOModel, b: QUBOModel) -> None:
+    assert a.storage == b.storage
+    assert a.fingerprint() == b.fingerprint()
+    assert a.offset == b.offset
+    assert a.to_dict() == b.to_dict()
+    a_ising, b_ising = a.to_ising(), b.to_ising()
+    assert np.array_equal(a_ising.h, b_ising.h)
+    assert a_ising.offset == b_ising.offset
+    assert sparse.issparse(a_ising.J) == sparse.issparse(b_ising.J)
+    assert np.array_equal(_dense(a_ising.J), _dense(b_ising.J))
+
+
+def assert_same_bytes(a, b) -> None:
+    """Two sample sets hold byte-identical assignments and energies."""
+    assert a.assignments.dtype == b.assignments.dtype
+    assert a.assignments.tobytes() == b.assignments.tobytes()
+    assert a.energies.dtype == b.energies.dtype
+    assert a.energies.tobytes() == b.energies.tobytes()
+
+
+# Edge probabilities straddling the CSR density threshold (0.10), at the
 # minimum sparse-regime size.  The relaxed model's density tracks the graph
 # density closely, so these cover sparse-regime, boundary and dense-regime.
 MVC_DENSITIES = [0.02, 0.08, 0.10, 0.30]
 
+#: One non-dyadic matrix on each side of the regime boundary, with the
+#: storage the rule gives it.
+REGIME_CASES = [(600, 0.02, "sparse"), (40, 0.3, "dense")]
 
-def both_encodings(problem_factory):
-    dense = problem_factory("dense").encode()
-    sparse = problem_factory("sparse").encode()
-    return dense, sparse
+TWIN_SOLVERS = [
+    "sa?num_sweeps=6",
+    "tabu?num_steps=40",
+    "qbsolv?subproblem_size=32&max_rounds=1",
+    "qa?base_config.num_sweeps=6",
+]
+
+
+class TestOneFingerprintOneStorage:
+    """The input form never reaches the model: one fingerprint, one set of bytes."""
+
+    @pytest.mark.parametrize("n, density, storage", REGIME_CASES)
+    def test_input_form_does_not_choose_the_storage(self, n, density, storage):
+        from_dense, from_csr = nondyadic_twins(n, density)
+        assert from_dense.storage == storage
+        assert_one_model(from_dense, from_csr)
+
+    @pytest.mark.parametrize("solver", TWIN_SOLVERS)
+    @pytest.mark.parametrize("n, density, storage", REGIME_CASES)
+    def test_seeded_samples_byte_identical(self, n, density, storage, solver):
+        from_dense, from_csr = nondyadic_twins(n, density)
+        assert_same_bytes(
+            make_solver(solver).sample(from_dense, num_reads=3, rng=7),
+            make_solver(solver).sample(from_csr, num_reads=3, rng=7),
+        )
+
+    @pytest.mark.parametrize("solver", TWIN_SOLVERS)
+    @pytest.mark.parametrize("n, density, storage", REGIME_CASES)
+    def test_cache_served_bytes_equal_a_direct_call(self, n, density, storage, solver):
+        from_dense, from_csr = nondyadic_twins(n, density)
+        with SolveService(seed=0) as service:
+            first = service.submit(
+                SolveRequest(solver=solver, model=from_dense, num_reads=3, seed=5)
+            ).result()
+            served = service.submit(
+                SolveRequest(solver=solver, model=from_csr, num_reads=3, seed=5)
+            ).result()
+        assert not first.from_cache and served.from_cache
+        direct = make_solver(solver).sample(from_csr, num_reads=3, rng=np.random.default_rng(5))
+        assert_same_bytes(served.samples, direct)
 
 
 class TestEncodingParity:
+    """Encoder models land on the rule's storage, and rebuilding one from
+    either input form gives back the same model."""
+
     @pytest.mark.parametrize("density", MVC_DENSITIES)
-    def test_mvc_storage_matches_request(self, density):
-        dense, sparse = both_encodings(
-            lambda storage: dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density, storage)
-        )
-        assert dense.objective.storage == dense.penalty.storage == "dense"
-        assert sparse.objective.storage == sparse.penalty.storage == "sparse"
+    def test_mvc_storage_follows_rule(self, density):
+        encoding = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density).encode()
+        for model in (encoding.objective, encoding.penalty, encoding.relax(2.5)):
+            assert model.storage == rule_storage(model)
+
+    def test_tsp_storage_follows_rule(self):
+        # 23 cities (n = 529): H_B and H_A are each below the density
+        # threshold, their relaxed sum is not.
+        encoding = integer_tsp_problem(23).encode()
+        relaxed = encoding.relax(128.0)
+        assert encoding.objective.is_sparse and encoding.penalty.is_sparse
+        assert not relaxed.is_sparse
+        for model in (encoding.objective, encoding.penalty, relaxed):
+            assert model.storage == rule_storage(model)
 
     @pytest.mark.parametrize("density", MVC_DENSITIES)
     def test_mvc_models_identical(self, density):
-        dense, sparse = both_encodings(
-            lambda storage: dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density, storage)
-        )
-        for d, s in ((dense.objective, sparse.objective), (dense.penalty, sparse.penalty)):
-            assert d.fingerprint() == s.fingerprint()
-            assert d.offset == s.offset
-            assert d.density() == s.density()
-            assert np.array_equal(np.asarray(d.Q), s.dense_Q() if s.in_sparse_regime() else np.asarray(s.Q))
+        encoding = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density).encode()
+        for model in (encoding.objective, encoding.penalty):
+            for twin in input_twins(model):
+                assert_one_model(twin, model)
+                assert twin.density() == model.density()
+                assert np.array_equal(twin.dense_Q(), model.dense_Q())
 
     @pytest.mark.parametrize("density", [0.02, 0.30])
     def test_mvc_energies_identical(self, density):
-        dense, sparse = both_encodings(
-            lambda storage: dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density, storage)
-        )
+        encoding = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density).encode()
         rng = np.random.default_rng(1)
         X = rng.integers(0, 2, size=(8, SPARSE_MIN_VARIABLES)).astype(np.float64)
-        for d, s in ((dense.objective, sparse.objective), (dense.penalty, sparse.penalty)):
-            assert np.array_equal(d.energies(X), s.energies(X))
-            assert np.array_equal(d.local_fields(X), s.local_fields(X))
-            assert d.energy(X[0]) == s.energy(X[0])
+        for model in (encoding.objective, encoding.penalty):
+            for twin in input_twins(model):
+                assert np.array_equal(twin.energies(X), model.energies(X))
+                assert np.array_equal(twin.local_fields(X), model.local_fields(X))
+                assert twin.energy(X[0]) == model.energy(X[0])
 
     @pytest.mark.parametrize("density", [0.02, 0.30])
     def test_mvc_relaxed_dict_and_ising_identical(self, density):
-        dense, sparse = both_encodings(
-            lambda storage: dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density, storage)
-        )
-        A = 2.5
-        d_model, s_model = dense.relax(A), sparse.relax(A)
-        assert d_model.fingerprint() == s_model.fingerprint()
-        assert d_model.to_dict() == s_model.to_dict()
-        d_ising, s_ising = d_model.to_ising(), s_model.to_ising()
-        assert np.array_equal(d_ising.h, s_ising.h)
-        assert d_ising.offset == s_ising.offset
-        s_J = s_ising.J.toarray() if hasattr(s_ising.J, "toarray") else np.asarray(s_ising.J)
-        assert np.array_equal(np.asarray(d_ising.h), np.asarray(s_ising.h))
-        assert np.array_equal(np.asarray(d_ising.J), s_J)
+        relaxed = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density).encode().relax(2.5)
+        for twin in input_twins(relaxed):
+            assert_one_model(twin, relaxed)
 
     def test_tsp_models_identical(self):
-        dense, sparse = both_encodings(lambda storage: integer_tsp_problem(6, storage))
-        for d, s in ((dense.objective, sparse.objective), (dense.penalty, sparse.penalty)):
-            assert d.fingerprint() == s.fingerprint()
-            assert d.to_dict() == s.to_dict()
-        A = 128.0
-        d_model, s_model = dense.relax(A), sparse.relax(A)
-        rng = np.random.default_rng(2)
-        X = rng.integers(0, 2, size=(6, 36)).astype(np.float64)
-        assert np.array_equal(d_model.energies(X), s_model.energies(X))
-        d_ising, s_ising = d_model.to_ising(), s_model.to_ising()
-        s_J = s_ising.J.toarray() if hasattr(s_ising.J, "toarray") else np.asarray(s_ising.J)
-        assert np.array_equal(np.asarray(d_ising.h), np.asarray(s_ising.h))
-        assert np.array_equal(np.asarray(d_ising.J), s_J)
-        assert d_ising.offset == s_ising.offset
+        encoding = integer_tsp_problem(6).encode()
+        X = np.random.default_rng(2).integers(0, 2, size=(6, 36)).astype(np.float64)
+        for model in (encoding.objective, encoding.penalty, encoding.relax(128.0)):
+            for twin in input_twins(model):
+                assert_one_model(twin, model)
+                assert np.array_equal(twin.energies(X), model.energies(X))
 
     def test_tsp_auto_storage_matches_seed_path_for_small_instances(self):
-        # Small instances (below SPARSE_MIN_VARIABLES) auto-densify, keeping
-        # the historical dense numerics bit for bit.
-        problem = integer_tsp_problem(6, "auto")
-        encoding = problem.encode()
+        # Small instances (below SPARSE_MIN_VARIABLES) are dense, keeping the
+        # historical dense numerics bit for bit.
+        encoding = integer_tsp_problem(6).encode()
         assert encoding.objective.storage == "dense"
         assert encoding.penalty.storage == "dense"
 
 
 class TestSolveParity:
+    """Seeded solves of an encoder's relaxed model and of that model rebuilt
+    from either input form are byte-identical."""
+
+    @staticmethod
+    def _assert_twins_match(problem, A, solver, num_reads, seed):
+        with SolveService(seed=0) as service:
+            encoded = service.solve(
+                problem=problem,
+                relaxation_parameter=A,
+                solver=solver,
+                num_reads=num_reads,
+                seed=seed,
+            )
+        for twin in input_twins(problem.build_qubo(A)):
+            direct = make_solver(solver).sample(
+                twin, num_reads=num_reads, rng=np.random.default_rng(seed)
+            )
+            assert_same_bytes(encoded.samples, direct)
+
     @pytest.mark.parametrize("density", MVC_DENSITIES)
     @pytest.mark.parametrize("solver", ["sa?num_sweeps=6", "tabu?num_steps=12"])
     def test_mvc_seeded_solve_byte_identical(self, density, solver):
-        results = {}
-        for storage in ("dense", "sparse"):
-            problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density, storage)
-            with SolveService(seed=0) as service:
-                results[storage] = service.solve(
-                    problem=problem,
-                    relaxation_parameter=2.0,
-                    solver=solver,
-                    num_reads=3,
-                    seed=123,
-                )
-        dense, sparse = results["dense"], results["sparse"]
-        assert np.array_equal(dense.samples.assignments, sparse.samples.assignments)
-        assert np.array_equal(dense.samples.energies, sparse.samples.energies)
+        problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, density)
+        self._assert_twins_match(problem, 2.0, solver, num_reads=3, seed=123)
 
     def test_qbsolv_seeded_solve_byte_identical_across_storage(self):
-        # qbsolv branches on the auto-selected operator kind (a function of
-        # size/density, not storage), so both storages of an in-regime model
-        # follow the same trajectory — required for the storage-invariant
-        # fingerprint to be a sound cache/grouping key.
-        self._assert_qbsolv_storage_parity(num_reads=1)
+        # qbsolv branches on the model's storage, which both input forms of
+        # one model share.
+        problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02)
+        self._assert_twins_match(
+            problem, 2.0, "qbsolv?subproblem_size=32&max_rounds=1", num_reads=1, seed=9
+        )
 
     def test_qbsolv_multi_read_seeded_solve_byte_identical_across_storage(self):
         # Several reads take the batched lock-step loop (one read takes the
-        # scalar kernel), so pin storage invariance on that path too.
-        self._assert_qbsolv_storage_parity(num_reads=4)
-
-    @staticmethod
-    def _assert_qbsolv_storage_parity(num_reads):
-        results = {}
-        for storage in ("dense", "sparse"):
-            problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02, storage)
-            with SolveService(seed=0) as service:
-                results[storage] = service.solve(
-                    problem=problem,
-                    relaxation_parameter=2.0,
-                    solver="qbsolv?subproblem_size=32&max_rounds=1",
-                    num_reads=num_reads,
-                    seed=9,
-                )
-        assert np.array_equal(
-            results["dense"].samples.assignments, results["sparse"].samples.assignments
-        )
-        assert np.array_equal(
-            results["dense"].samples.energies, results["sparse"].samples.energies
+        # scalar kernel), so pin the invariance on that path too.
+        problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02)
+        self._assert_twins_match(
+            problem, 2.0, "qbsolv?subproblem_size=32&max_rounds=1", num_reads=4, seed=9
         )
 
     def test_qbsolv_runs_on_sparse_regime_models(self):
         # qbsolv steers through the sparse operator instead of densifying; the
         # returned energies are still re-scored against the exact model.
-        problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02, "sparse")
+        problem = dyadic_mvc_problem(SPARSE_MIN_VARIABLES, 0.02)
         model = problem.build_qubo(2.0)
-        assert model.in_sparse_regime()
+        assert model.is_sparse
         with SolveService(seed=0) as service:
             result = service.solve(
                 problem=problem,
@@ -211,25 +289,14 @@ class TestSolveParity:
         )
 
     def test_tsp_seeded_solve_byte_identical(self):
-        results = {}
-        for storage in ("dense", "sparse"):
-            problem = integer_tsp_problem(5, storage)
-            with SolveService(seed=0) as service:
-                results[storage] = service.solve(
-                    problem=problem,
-                    relaxation_parameter=256.0,
-                    solver="sa?num_sweeps=8",
-                    num_reads=4,
-                    seed=11,
-                )
-        dense, sparse = results["dense"], results["sparse"]
-        assert np.array_equal(dense.samples.assignments, sparse.samples.assignments)
-        assert np.array_equal(dense.samples.energies, sparse.samples.energies)
+        self._assert_twins_match(
+            integer_tsp_problem(5), 256.0, "sa?num_sweeps=8", num_reads=4, seed=11
+        )
 
 
 class TestLazyServiceEncoding:
     def test_model_key_does_not_materialise(self, monkeypatch):
-        problem = dyadic_mvc_problem(32, 0.3, "auto")
+        problem = dyadic_mvc_problem(32, 0.3)
         calls = []
         original = RelaxedEncoding.relax
         monkeypatch.setattr(
@@ -242,7 +309,7 @@ class TestLazyServiceEncoding:
         assert key == request.model_key()
 
     def test_model_key_distinguishes_nearby_parameters(self):
-        problem = dyadic_mvc_problem(16, 0.4, "auto")
+        problem = dyadic_mvc_problem(16, 0.4)
         a = SolveRequest(problem=problem, relaxation_parameter=2.0, solver="sa")
         b = SolveRequest(
             problem=problem, relaxation_parameter=2.0 + 1e-10, solver="sa"
@@ -250,7 +317,7 @@ class TestLazyServiceEncoding:
         assert a.model_key() != b.model_key()
 
     def test_map_requests_materialises_once_per_group(self, monkeypatch):
-        problem = dyadic_mvc_problem(24, 0.3, "auto")
+        problem = dyadic_mvc_problem(24, 0.3)
         calls = []
         original = RelaxedEncoding.relax
         monkeypatch.setattr(
@@ -272,7 +339,7 @@ class TestLazyServiceEncoding:
         assert calls == [2.0]
 
     def test_problem_requests_group_with_model_requests_is_separate(self):
-        problem = dyadic_mvc_problem(16, 0.4, "auto")
+        problem = dyadic_mvc_problem(16, 0.4)
         model = problem.build_qubo(2.0)
         problem_request = SolveRequest(
             problem=problem, relaxation_parameter=2.0, solver="sa?num_sweeps=4"
@@ -283,7 +350,7 @@ class TestLazyServiceEncoding:
         assert problem_request.model_key() != model_request.model_key()
 
     def test_solve_keyword_forms(self):
-        problem = dyadic_mvc_problem(16, 0.4, "auto")
+        problem = dyadic_mvc_problem(16, 0.4)
         with SolveService(seed=0) as service:
             by_keyword = service.solve(
                 problem=problem,
@@ -309,7 +376,7 @@ class TestLazyServiceEncoding:
         assert np.array_equal(by_model.samples.assignments, by_keyword.samples.assignments)
 
     def test_solve_argument_validation(self):
-        problem = dyadic_mvc_problem(16, 0.4, "auto")
+        problem = dyadic_mvc_problem(16, 0.4)
         with SolveService(seed=0) as service:
             with pytest.raises(ValueError):
                 service.solve()
@@ -376,7 +443,6 @@ class TestSparseEndToEndAcceptance:
         assert encoding.penalty.storage == "sparse"
         relaxed = encoding.relax(1.5 * problem.relaxation_scale())
         assert relaxed.storage == "sparse"
-        assert relaxed.in_sparse_regime()
         assert relaxed.density() <= 0.01
 
     def test_sparse_instance_generator_stays_sparse(self):

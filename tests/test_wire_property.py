@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.qubo.model import QUBOModel, random_qubo
 from repro.qubo.sampleset import SampleSet
 from repro.service.distributed import wire
-from repro.utils.sparse import scipy_sparse
 
 NUM_TRIALS = 25
 
@@ -40,7 +40,7 @@ def random_sparse_model(rng: np.random.Generator) -> QUBOModel:
     rows = rng.integers(0, n, nnz)
     cols = rng.integers(0, n, nnz)
     vals = rng.normal(size=nnz)
-    Q = scipy_sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    Q = sparse.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
     return QUBOModel(Q, offset=float(rng.normal()), name=str(rng.choice(UNICODE_NAMES)))
 
 
@@ -112,21 +112,17 @@ class TestModelFrames:
         assert decoded.fingerprint() == model.fingerprint()
         assert decoded.num_variables == 1
 
-    @pytest.mark.skipif(scipy_sparse is None, reason="scipy not available")
     def test_random_sparse_models_stay_sparse(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             model = random_sparse_model(rng)
             decoded = wire.decode_model(wire.encode_model(model))
             assert decoded.fingerprint() == model.fingerprint()
-            assert decoded.in_sparse_regime(), "decode must not densify a CSR model"
+            assert decoded.is_sparse, "decode must not densify a CSR model"
 
-    @pytest.mark.skipif(scipy_sparse is None, reason="scipy not available")
     def test_zero_nnz_csr_round_trips(self):
         n = 640
-        model = QUBOModel(
-            scipy_sparse.csr_array((n, n)), offset=4.5, name="empty-graph"
-        )
+        model = QUBOModel(sparse.csr_array((n, n)), offset=4.5, name="empty-graph")
         decoded = wire.decode_model(wire.encode_model(model))
         assert decoded.fingerprint() == model.fingerprint()
         assert decoded.offset == 4.5
