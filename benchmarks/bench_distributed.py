@@ -7,10 +7,6 @@ more than one core, while the process backend runs the same engine calls on
 worker processes.  The benchmark runs the identical seeded comparison on both
 backends at >= 4 workers and reports the wall-clock ratio.
 
-A second section measures the cross-run :class:`ShardedResultCache`: a seeded
-request sweep is run twice against one on-disk store — the re-run performs
-zero solver calls and its wall time is pure cache-read cost.
-
 The >= 2x speedup assertion is gated on ``os.cpu_count() >= 4``: with fewer
 cores there is nothing for the worker processes to run on and the process
 backend can only add dispatch overhead (the report records that too).
@@ -21,20 +17,11 @@ from __future__ import annotations
 import os
 import time
 
-import numpy as np
-
 from repro.experiments.runner import baseline_tuner_factories, run_comparison
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import random_qubo
-from repro.service import (
-    ProcessPoolBackend,
-    ShardedResultCache,
-    SolveRequest,
-    SolverCallCache,
-    SolveService,
-    make_solver,
-)
+from repro.service import ProcessPoolBackend, make_solver
 
 WORKERS = 4
 #: Python-loop-heavy solver: tabu steps are tiny numpy ops under the GIL.
@@ -101,40 +88,3 @@ def test_process_backend_speeds_up_comparison(record_timing):
             f"on {cores} cores"
         )
 
-
-def test_sharded_cache_rerun_is_free(record_timing, tmp_path):
-    model = random_qubo(48, rng=3)
-    requests = [
-        SolveRequest(solver=SOLVER_SPEC, model=model, num_reads=4, seed=seed)
-        for seed in range(8)
-    ]
-
-    def sweep() -> "tuple[float, list]":
-        cache = SolverCallCache(persistent=ShardedResultCache(tmp_path / "store"))
-        service = SolveService(max_workers=2, cache=cache, backend="thread")
-        try:
-            started = time.perf_counter()
-            results = service.map_requests(requests)
-            elapsed = time.perf_counter() - started
-            return elapsed, results
-        finally:
-            service.close()
-
-    cold_s, cold = sweep()
-    warm_s, warm = sweep()  # fresh memory cache, same disk store
-    assert all(r.from_cache for r in warm)
-    for a, b in zip(cold, warm):
-        assert np.array_equal(a.samples.energies, b.samples.energies)
-
-    record_timing(
-        "bench_distributed_cache",
-        "\n".join(
-            [
-                f"seeded sweep of {len(requests)} requests, solver {SOLVER_SPEC!r}",
-                f"  cold run (engine)     : {cold_s * 1e3:.1f} ms",
-                f"  re-run (disk cache)   : {warm_s * 1e3:.1f} ms",
-                f"  engine calls on re-run: 0 (all served from ShardedResultCache)",
-            ]
-        ),
-    )
-    assert warm_s < cold_s

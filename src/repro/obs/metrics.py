@@ -2,7 +2,7 @@
 
 This is the one store under every ``stats()`` readout in the library.  The
 solve service, the admission gates, the remote fleet client, the worker
-control plane and the cache tiers each hold their counts as per-instance
+control plane and the call cache each hold their counts as per-instance
 children (:meth:`Counter.child`, :meth:`Gauge.child`) of the families below.
 One update moves the child and its family together, so an object's
 ``stats()`` is a read of its children and a registry snapshot is their sum
@@ -25,11 +25,10 @@ low-cardinality dimensions are labels:
 (labels)                                  ``outcome="served"|"failed"``
 ``qross_service_request_seconds``         request latency histogram
 (labels)                                  ``path="seeded"|"unseeded"|"merged"``
-``qross_cache_lookups_total``             cache probe outcomes
-(labels)                                  ``cache="call"|"sharded"``,
+``qross_cache_lookups_total``             call-cache probe outcomes
+(labels)                                  ``cache="call"``,
                                           ``result="hit"|"miss"``
 ``qross_cache_evictions_total``           LRU evictions (``cache="call"``)
-``qross_cache_corrupt_removed_total``     corrupt disk entries dropped
 ``qross_remote_requests_total``           remote engine calls attempted
 ``qross_remote_served_total``             remote engine calls answered
 ``qross_remote_transport_retries_total``  retries after transport failures

@@ -27,6 +27,9 @@ class SampleRecord:
 class SampleSet:
     """Batch of solver reads with convenience statistics.
 
+    The set keeps energy-sorted, read-only copies of the three arrays; copy
+    one (``samples.assignments.copy()``) before editing it.
+
     Parameters
     ----------
     assignments:
@@ -70,6 +73,11 @@ class SampleSet:
         self._assignments = assignments[order]
         self._energies = energies[order]
         self._num_occurrences = num_occurrences[order]
+        # The sorted copies are the set's own, and the service's dedup cache
+        # hands one set to every identical seeded request: freeze them so no
+        # caller can edit what the next one receives.
+        for array in (self._assignments, self._energies, self._num_occurrences):
+            array.flags.writeable = False
         self.solver_name = solver_name
         self.info = dict(info or {})
 

@@ -26,7 +26,6 @@ from repro.service.distributed import (
     EXECUTION_BACKEND_ENV,
     ExecutionBackend,
     ProcessPoolBackend,
-    ShardedResultCache,
     ThreadExecutionBackend,
     resolve_backend,
     shared_backend,
@@ -61,7 +60,6 @@ __all__ = [
     "ExecutionBackend",
     "ThreadExecutionBackend",
     "ProcessPoolBackend",
-    "ShardedResultCache",
     "resolve_backend",
     "shared_backend",
 ]

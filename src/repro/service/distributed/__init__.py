@@ -1,6 +1,6 @@
 """Distributed execution subsystem of the solve service.
 
-Three pieces, layered so each is useful on its own:
+Two pieces, layered so each is useful on its own:
 
 * :mod:`~repro.service.distributed.wire` — a compact, versioned, pickle-free
   wire format (JSON header + raw numpy buffers) for QUBO models (dense *and*
@@ -9,14 +9,10 @@ Three pieces, layered so each is useful on its own:
 * :mod:`~repro.service.distributed.backends` — the :class:`ExecutionBackend`
   seam behind :class:`~repro.service.service.SolveService`, the in-thread
   backend (today's behaviour, byte-identical) and the resolution of backend
-  specs; and
-* :mod:`~repro.service.distributed.sharded_cache` — an on-disk,
-  fingerprint-sharded result store :class:`~repro.service.cache.SolverCallCache`
-  tiers onto, giving repeated ``(model, solver, seed)`` calls cache hits
-  across processes and across runs.
+  specs.
 
 The out-of-process backends live in :mod:`repro.service.remote` and build on
-the first two layers: :class:`ProcessPoolBackend` (``"process"``) and
+both layers: :class:`ProcessPoolBackend` (``"process"``) and
 ``RemoteBackend`` (``"remote"``) are one TCP client shipping engine-call
 frames to :class:`~repro.service.remote.worker.WorkerServer` processes — a
 localhost fleet the process backend spawns itself, or a fleet of standalone
@@ -30,7 +26,6 @@ from repro.service.distributed.backends import (
     resolve_backend,
     shared_backend,
 )
-from repro.service.distributed.sharded_cache import ShardedResultCache
 from repro.service.distributed.wire import (
     WireFormatError,
     decode_model,
@@ -48,7 +43,6 @@ __all__ = [
     "ProcessPoolBackend",
     "resolve_backend",
     "shared_backend",
-    "ShardedResultCache",
     "WireFormatError",
     "encode_model",
     "decode_model",

@@ -82,9 +82,9 @@ class SolveService:
     max_workers:
         Width of the request pool (default: modest, CPU-count-capped).
     cache:
-        :class:`SolverCallCache` used to dedupe seeded requests and, via
-        :meth:`evaluate`, aggregate statistics.  A private cache is created
-        when omitted.
+        :class:`SolverCallCache` used to dedupe seeded requests.  A private
+        cache is created when omitted.  :meth:`evaluate` does not read it; it
+        memoises aggregate statistics in its own ``cache=`` argument.
     registry:
         Solver registry resolving spec strings (default: the global one).
     seed:

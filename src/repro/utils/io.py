@@ -1,4 +1,4 @@
-"""Filesystem helpers shared by the persistence layers."""
+"""Filesystem helpers: atomic file writes (the metrics snapshot dump uses them)."""
 
 from __future__ import annotations
 

@@ -1,4 +1,4 @@
-"""Tests of the distributed execution subsystem: wire format, backends, caches.
+"""Tests of the distributed execution subsystem: wire format and backends.
 
 Most process-backend tests share one module-scoped local fleet (spawning
 workers per test would dominate the suite's runtime); everything they assert
@@ -18,22 +18,17 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 import pytest
 from scipy import sparse
 
-from repro import obs
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
-from repro.qubo.sampleset import SampleSet
 from repro.service import (
     ProcessPoolBackend,
-    ShardedResultCache,
     SolveRequest,
-    SolverCallCache,
     SolverRegistry,
     SolveService,
     SpecSerializationError,
@@ -41,7 +36,6 @@ from repro.service import (
     make_solver,
     resolve_backend,
 )
-from repro.service.cache import CachedEvaluation
 from repro.service.distributed import wire
 from repro.solvers.base import QUBOSolver
 from repro.solvers.simulated_annealing import (
@@ -605,317 +599,6 @@ class TestLocalFleetLifecycle:
         )
         assert result.returncode != 0
         assert "RuntimeError: a local worker process died at startup" in result.stderr
-
-
-# ------------------------------------------------------------------ disk caching
-class TestShardedResultCache:
-    def test_samples_round_trip(self, tmp_path, model):
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=10")
-        samples = solver.sample(model, num_reads=3, rng=np.random.default_rng(1))
-        assert store.lookup_samples("k1") is None
-        store.store_samples("k1", samples)
-        got = store.lookup_samples("k1")
-        assert np.array_equal(got.assignments, samples.assignments)
-        assert np.array_equal(got.energies, samples.energies)
-        assert store.entry_counts() == {"samples": 1, "evaluations": 0}
-
-    def test_evaluation_round_trip(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        entry = CachedEvaluation(0.25, -1.5, 0.75, None)
-        store.store_evaluation("ek", entry)
-        assert store.lookup_evaluation("ek") == entry
-        assert store.lookup_evaluation("other") is None
-
-    def test_corrupt_entry_reads_as_miss_and_is_removed(self, tmp_path, model):
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=10")
-        store.store_samples("k", solver.sample(model, 2, rng=np.random.default_rng(0)))
-        path = store._entry_path("k", ".samples")
-        path.write_bytes(path.read_bytes()[:10])
-        assert store.lookup_samples("k") is None
-        assert not path.exists()
-
-    @pytest.mark.parametrize("kind", ["samples", "evaluation"])
-    def test_corrupt_lookup_counts_one_miss(self, tmp_path, model, kind):
-        store = ShardedResultCache(tmp_path / "cache")
-        if kind == "samples":
-            solver = make_solver("sa?num_sweeps=10")
-            store.store_samples("k", solver.sample(model, 2, rng=np.random.default_rng(0)))
-            path, lookup = store._entry_path("k", ".samples"), store.lookup_samples
-        else:
-            store.store_evaluation("k", CachedEvaluation(1.0, 0.0, 0.0, None))
-            path, lookup = store._entry_path("k", ".eval.json"), store.lookup_evaluation
-        path.write_bytes(path.read_bytes()[:10])
-        before = obs.metrics_snapshot()
-        assert lookup("k") is None
-        after = obs.metrics_snapshot()
-
-        def moved(name):
-            return after.get(name, 0) - before.get(name, 0)
-
-        assert (store.hits, store.misses) == (0, 1)
-        assert moved('qross_cache_lookups_total{cache="sharded",result="hit"}') == 0
-        assert moved('qross_cache_lookups_total{cache="sharded",result="miss"}') == 1
-        assert moved('qross_cache_corrupt_removed_total{cache="sharded"}') == 1
-
-    def test_writes_leave_no_temp_files(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        store.store_evaluation("k", CachedEvaluation(1.0, 0.0, 0.0, 2.0))
-        leftovers = [p for p in (tmp_path / "cache").rglob(".tmp-*")]
-        assert leftovers == []
-
-    def test_versioned_layout(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        store.store_evaluation("k", CachedEvaluation(1.0, 0.0, 0.0, None))
-        assert (tmp_path / "cache" / "v1").is_dir()
-
-
-class TestShardedCachePrune:
-    """GC tooling for the on-disk store: keep-newest pruning, stale temp
-    cleanup, and safety under concurrent readers."""
-
-    @staticmethod
-    def _fill(store: ShardedResultCache, keys, base_mtime: float = 1_000_000_000.0):
-        """Store one evaluation per key with strictly increasing mtimes."""
-        for index, key in enumerate(keys):
-            store.store_evaluation(key, CachedEvaluation(0.5, float(index), 0.0, None))
-            path = store._entry_path(key, ".eval.json")
-            os.utime(path, (base_mtime + index, base_mtime + index))
-
-    def test_prune_keeps_the_newest_entries(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        keys = [f"k{i}" for i in range(6)]
-        self._fill(store, keys)
-        stats = store.prune(max_entries=2)
-        assert (stats["kept"], stats["removed"], stats["removed_tmp"]) == (2, 4, 0)
-        assert stats["kept_bytes"] > 0 and stats["removed_expired"] == 0
-        assert store.entry_counts() == {"samples": 0, "evaluations": 2}
-        # The two newest survive; everything older reads as a miss.
-        assert store.lookup_evaluation("k5") is not None
-        assert store.lookup_evaluation("k4") is not None
-        assert store.lookup_evaluation("k0") is None
-
-    def test_prune_ranks_samples_and_evaluations_together(self, tmp_path, model):
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=5")
-        store.store_samples("s", solver.sample(model, 2, rng=np.random.default_rng(0)))
-        os.utime(store._entry_path("s", ".samples"), (1_000_000_005, 1_000_000_005))
-        self._fill(store, ["e0", "e1"])  # older than the sample entry
-        assert store.prune(max_entries=1)["removed"] == 2
-        assert store.entry_counts() == {"samples": 1, "evaluations": 0}
-
-    def test_prune_to_zero_clears_the_store(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        self._fill(store, ["a", "b"])
-        assert store.prune(max_entries=0)["kept"] == 0
-        assert store.entry_counts() == {"samples": 0, "evaluations": 0}
-        # A pruned key can be re-stored and read back immediately.
-        store.store_evaluation("a", CachedEvaluation(1.0, 0.0, 0.0, None))
-        assert store.lookup_evaluation("a") is not None
-
-    def test_prune_rejects_negative_budget(self, tmp_path):
-        with pytest.raises(ValueError, match="non-negative"):
-            ShardedResultCache(tmp_path / "cache").prune(max_entries=-1)
-
-    def test_prune_requires_at_least_one_criterion(self, tmp_path):
-        with pytest.raises(ValueError, match="at least one criterion"):
-            ShardedResultCache(tmp_path / "cache").prune()
-
-    def test_prune_byte_budget_keeps_a_newest_prefix(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        keys = [f"k{i}" for i in range(6)]
-        self._fill(store, keys)
-        sizes = {
-            key: store._entry_path(key, ".eval.json").stat().st_size for key in keys
-        }
-        # Budget for exactly the two newest entries, not a third.
-        budget = sizes["k5"] + sizes["k4"]
-        stats = store.prune(max_total_bytes=budget)
-        assert stats["kept"] == 2
-        assert stats["kept_bytes"] == budget
-        assert stats["removed"] == 4
-        assert store.lookup_evaluation("k5") is not None
-        assert store.lookup_evaluation("k4") is not None
-        assert store.lookup_evaluation("k3") is None
-
-    def test_prune_byte_budget_cut_is_strict_recency(self, tmp_path, model):
-        # A large new entry exhausts the byte budget; a small older entry that
-        # *would* still fit must NOT be kept — the survivors are always a
-        # newest-prefix, so concurrent pruners agree on the kept set.
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=5")
-        store.store_samples("big", solver.sample(model, 2, rng=np.random.default_rng(0)))
-        os.utime(store._entry_path("big", ".samples"), (1_000_000_009, 1_000_000_009))
-        self._fill(store, ["small"])  # older and tiny
-        big_size = store._entry_path("big", ".samples").stat().st_size
-        stats = store.prune(max_total_bytes=big_size)
-        assert stats["kept"] == 1 and stats["kept_bytes"] == big_size
-        assert store.lookup_samples("big") is not None
-        assert store.lookup_evaluation("small") is None
-
-    def test_prune_age_ttl_expires_old_entries(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        self._fill(store, ["ancient", "old"])  # mtimes ~2001
-        store.store_evaluation("fresh", CachedEvaluation(1.0, 0.0, 0.0, None))
-        stats = store.prune(max_age_s=3600.0)
-        assert stats["removed_expired"] == 2
-        assert stats["removed"] == 2
-        assert stats["kept"] == 1
-        assert store.lookup_evaluation("fresh") is not None
-        assert store.lookup_evaluation("old") is None
-
-    def test_prune_ttl_composes_with_entry_budget(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        self._fill(store, ["stale0", "stale1"])  # expired by TTL
-        for key in ("new0", "new1", "new2"):
-            store.store_evaluation(key, CachedEvaluation(1.0, 0.0, 0.0, None))
-        stats = store.prune(max_entries=2, max_age_s=3600.0)
-        assert stats["removed_expired"] == 2
-        assert stats["kept"] == 2
-        assert stats["removed"] == 3  # 2 expired + 1 over the entry budget
-        assert store.entry_counts() == {"samples": 0, "evaluations": 2}
-
-    def test_prune_removes_only_stale_temp_files(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        self._fill(store, ["a"])
-        shard = store._entry_path("a", ".eval.json").parent
-        stale = shard / ".x.eval.json.tmp-stale"
-        fresh = shard / ".y.eval.json.tmp-fresh"
-        stale.write_bytes(b"partial")
-        os.utime(stale, (1_000_000_000, 1_000_000_000))
-        fresh.write_bytes(b"in-flight")  # mtime = now: a live writer's file
-        stats = store.prune(max_entries=10)
-        assert stats["removed_tmp"] == 1
-        assert not stale.exists() and fresh.exists()
-
-    def test_prune_removes_corrupt_entries_past_the_budget(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        self._fill(store, ["old", "mid", "new"])
-        corrupt = store._entry_path("old", ".eval.json")
-        corrupt.write_bytes(b"\x00garbage")
-        os.utime(corrupt, (999_999_000, 999_999_000))
-        stats = store.prune(max_entries=1)
-        assert (stats["kept"], stats["removed"], stats["removed_tmp"]) == (1, 2, 0)
-        assert not corrupt.exists()
-        assert store.lookup_evaluation("new") is not None
-
-    def test_prune_is_safe_under_concurrent_readers(self, tmp_path, model):
-        import threading
-
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=5")
-        samples = solver.sample(model, 2, rng=np.random.default_rng(1))
-        keys = [f"key-{i}" for i in range(12)]
-        for key in keys:
-            store.store_samples(key, samples)
-
-        errors = []
-        stop = threading.Event()
-
-        def reader():
-            try:
-                while not stop.is_set():
-                    for key in keys:
-                        got = store.lookup_samples(key)
-                        if got is not None:
-                            # A served entry is always complete, never partial.
-                            assert np.array_equal(got.assignments, samples.assignments)
-            except BaseException as exc:  # noqa: BLE001 - repack for the main thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=reader) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        try:
-            for budget in (8, 4, 0):
-                store.prune(max_entries=budget)
-        finally:
-            stop.set()
-            for thread in threads:
-                thread.join()
-        assert errors == []
-        assert store.entry_counts() == {"samples": 0, "evaluations": 0}
-        # Readers that lost the race recorded misses, nothing else.
-        assert store.lookup_samples(keys[0]) is None
-
-
-class TestSolverCallCacheTiering:
-    def test_memory_miss_falls_back_to_disk_and_repopulates(self, tmp_path, model):
-        store = ShardedResultCache(tmp_path / "cache")
-        solver = make_solver("sa?num_sweeps=10")
-        samples = solver.sample(model, 2, rng=np.random.default_rng(2))
-        writer = SolverCallCache(persistent=store)
-        writer.store_samples("key", samples)
-
-        reader = SolverCallCache(persistent=store)  # cold memory, same disk
-        got = reader.lookup_samples("key")
-        assert got is not None and np.array_equal(got.assignments, samples.assignments)
-        assert reader.hits == 1
-        # Second lookup is served from memory (no disk read): still a hit.
-        assert reader.lookup_samples("key") is not None
-        assert reader.hits == 2
-
-    def test_lru_eviction_recovers_from_disk(self, tmp_path, model):
-        store = ShardedResultCache(tmp_path / "cache")
-        cache = SolverCallCache(max_sample_entries=1, persistent=store)
-        solver = make_solver("sa?num_sweeps=10")
-        first = solver.sample(model, 2, rng=np.random.default_rng(0))
-        second = solver.sample(model, 2, rng=np.random.default_rng(1))
-        cache.store_samples("a", first)
-        cache.store_samples("b", second)  # evicts "a" from memory
-        assert cache.num_sample_entries == 1
-        got = cache.lookup_samples("a")  # disk saves it
-        assert got is not None and np.array_equal(got.assignments, first.assignments)
-
-    def test_evaluations_not_persisted_by_default(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        cache = SolverCallCache(persistent=store)
-        cache.store("ek", CachedEvaluation(0.5, 1.0, 2.0, None))
-        assert store.entry_counts()["evaluations"] == 0
-        assert SolverCallCache(persistent=store).lookup("ek") is None
-
-    def test_evaluation_persistence_is_opt_in(self, tmp_path):
-        store = ShardedResultCache(tmp_path / "cache")
-        entry = CachedEvaluation(0.5, 1.0, 2.0, None)
-        SolverCallCache(persistent=store, persist_evaluations=True).store("ek", entry)
-        reader = SolverCallCache(persistent=store, persist_evaluations=True)
-        assert reader.lookup("ek") == entry
-        with pytest.raises(ValueError, match="requires persistent"):
-            SolverCallCache(persist_evaluations=True)
-
-    def test_save_is_atomic_and_loadable(self, tmp_path):
-        cache = SolverCallCache()
-        cache.store("k", CachedEvaluation(0.5, 1.0, 2.0, 3.0))
-        target = tmp_path / "out" / "cache.json"
-        cache.save(target)
-        assert SolverCallCache.load(target).lookup("k") is not None
-        assert [p for p in target.parent.iterdir() if p.name != "cache.json"] == []
-
-    def test_second_seeded_sweep_runs_zero_solver_calls(self, tmp_path, model):
-        """Acceptance: a re-run of a seeded sweep is served entirely from disk."""
-
-        def run_sweep():
-            solver = CountingSolver(num_sweeps=12)
-            cache = SolverCallCache(persistent=ShardedResultCache(tmp_path / "cache"))
-            service = SolveService(max_workers=2, cache=cache, backend="thread")
-            try:
-                results = service.map_requests(
-                    [
-                        SolveRequest(solver=solver, model=model, num_reads=2, seed=seed)
-                        for seed in range(5)
-                    ]
-                )
-                return solver.calls, [r.samples.energies for r in results]
-            finally:
-                service.close()
-
-        first_calls, first_energies = run_sweep()
-        second_calls, second_energies = run_sweep()
-        assert first_calls == 5
-        assert second_calls == 0
-        for a, b in zip(first_energies, second_energies):
-            assert np.array_equal(a, b)
 
 
 # ------------------------------------------------------------- runner integration

@@ -21,6 +21,10 @@ from repro.experiments.runner import (
     run_comparison,
     tune_instance,
 )
+from repro.problems.base import ConstrainedProblem
+from repro.problems.tsp.generator import generate_instance
+from repro.problems.tsp.qubo import TSPProblem
+from repro.qubo.expression import QUBOAccumulator, RelaxedEncoding
 from repro.service.cache import SolverCallCache
 from repro.service.service import default_service
 from repro.solvers.random_solver import RandomSolver
@@ -33,6 +37,36 @@ def history_from(entries) -> TrialHistory:
     for parameter, pf, fitness in entries:
         history.append(TrialResult(parameter=parameter, probability_of_feasibility=pf, best_fitness=fitness))
     return history
+
+
+class _OneHot(ConstrainedProblem):
+    """Pick exactly one of ``costs``; no ``instance``, and the default ``name``."""
+
+    def __init__(self, costs) -> None:
+        self.costs = np.asarray(costs, dtype=np.float64)
+
+    @property
+    def num_qubo_variables(self) -> int:
+        return self.costs.size
+
+    def _encode(self) -> RelaxedEncoding:
+        indices = np.arange(self.costs.size)
+        objective = QUBOAccumulator(self.costs.size).add_linear(indices, self.costs).build()
+        penalty = (
+            QUBOAccumulator(self.costs.size)
+            .add_squared_linear_penalty(indices, 1.0, constant=1.0)
+            .build()
+        )
+        return RelaxedEncoding(objective=objective, penalty=penalty)
+
+    def is_feasible(self, assignment) -> bool:
+        return int(np.sum(assignment)) == 1
+
+    def fitness(self, assignment) -> float:
+        return float(self.costs @ assignment)
+
+    def relaxation_scale(self) -> float:
+        return float(self.costs.max())
 
 
 class TestOptimalityGap:
@@ -207,18 +241,30 @@ class TestSolverCallCache:
         )
         assert cache.hits == 1 and len(cache) == 2
 
-    def test_persistence_roundtrip(self, tsp_problem, tmp_path):
-        cache = SolverCallCache()
-        solver = RandomSolver()
+    @pytest.mark.parametrize("pair", ["tsp-mvodm", "one-hot-no-instance"])
+    def test_different_encodings_do_not_collide(self, pair):
+        # Regression: the key named the problem by its instance's distance
+        # hash, else by ``name``.  A plain and an MVODM TSP over one instance
+        # shared an entry, and so did any two problems without an instance
+        # (both named "problem"); the second was served the first's statistics.
+        if pair == "tsp-mvodm":
+            instance = generate_instance(6, rng=1)
+            first = TSPProblem(instance)
+            second = TSPProblem(instance, use_mvodm_preprocessing=True)
+        else:
+            first, second = _OneHot([1.0, 2.0, 3.0, 4.0]), _OneHot([10.0, 20.0, 30.0, 40.0])
         service = default_service()
-        service.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0, cache=cache)
-        path = tmp_path / "cache.json"
-        cache.save(path)
-        restored = SolverCallCache.load(path)
-        assert len(restored) == 1
-        value = service.evaluate(tsp_problem, solver, 1.5, num_reads=4, rng=0, cache=restored)
-        assert restored.hits == 1
-        assert 0.0 <= value.probability_of_feasibility <= 1.0
+
+        def evaluate(problem, cache):
+            return service.evaluate(
+                problem, "sa?num_sweeps=200", 60.0, num_reads=8, rng=0, cache=cache
+            )
+
+        shared = SolverCallCache()
+        evaluate(first, shared)
+        served = evaluate(second, shared)
+        assert shared.misses == 2 and shared.hits == 0 and len(shared) == 2
+        assert served == evaluate(second, SolverCallCache())
 
     def test_tune_instance_fills_an_empty_caller_cache(self, tsp_problem):
         # Regression: ``cache or SolverCallCache()`` replaced an empty caller

@@ -312,6 +312,8 @@ class TestMetrics:
         target = tmp_path / "metrics.prom"
         obs.write_prometheus(target)
         assert "qross_test_obs_written_total" in target.read_text()
+        # The atomic write leaves no temp file beside the target.
+        assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
 
 
 # -------------------------------------------------------------------- profiler

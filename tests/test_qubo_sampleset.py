@@ -124,3 +124,37 @@ class TestTools:
         assert merged.info["wall_time_s"] == pytest.approx(0.75)
         assert merged.info["num_sweeps"] == 100  # first set's scalar wins
         assert merged.info["solver"] == "sa"
+
+
+class TestReadOnly:
+    @pytest.mark.parametrize("attribute", ["assignments", "energies", "num_occurrences"])
+    def test_arrays_are_read_only(self, sample_set, attribute):
+        array = getattr(sample_set, attribute)
+        before = array.copy()
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7
+        assert np.array_equal(getattr(sample_set, attribute), before)
+
+    def test_caller_arrays_stay_writable_and_detached(self):
+        assignments = np.array([[1, 0], [0, 1]], dtype=np.int8)
+        energies = np.array([2.0, 1.0])
+        samples = SampleSet(assignments, energies)
+        assert assignments.flags.writeable and energies.flags.writeable
+        assignments[...] = 0
+        energies[...] = 9.0
+        assert samples.assignments.tolist() == [[0, 1], [1, 0]]
+        assert samples.energies.tolist() == [1.0, 2.0]
+
+    def test_derived_sets_are_read_only(self, sample_set):
+        for derived in (
+            sample_set.truncated(2),
+            SampleSet.concatenate([sample_set, sample_set]),
+        ):
+            with pytest.raises(ValueError, match="read-only"):
+                derived.energies[0] = 0.0
+
+    def test_a_copy_is_editable(self, sample_set):
+        copy = sample_set.assignments.copy()
+        copy[0] = 1
+        assert copy[0].tolist() == [1, 1, 1]
+        assert sample_set.assignments[0].tolist() == [0, 0, 0]

@@ -233,6 +233,33 @@ class TestSolveService:
             results[0].samples.assignments, results[1].samples.assignments
         )
 
+    def test_caller_cannot_edit_the_cached_sample_set(self):
+        # Regression: a seeded hit is the stored SampleSet itself, and its
+        # arrays were writable, so a caller's in-place edit changed what every
+        # later identical request received.
+        model = random_qubo(20, rng=0)
+        request = SolveRequest(solver="sa?num_sweeps=20", model=model, num_reads=4, seed=7)
+        with SolveService(max_workers=1) as service:
+            first = service.submit(request).result().samples
+            for array, value in (
+                (first.assignments, 0),
+                (first.energies, 123.0),
+                (first.num_occurrences, 2),
+            ):
+                with pytest.raises(ValueError, match="read-only"):
+                    array[...] = value
+            again = service.submit(request).result()
+        assert again.from_cache
+        direct = make_solver("sa?num_sweeps=20").sample(
+            model, num_reads=4, rng=np.random.default_rng(7)
+        )
+        for got, want in (
+            (again.samples.assignments, direct.assignments),
+            (again.samples.energies, direct.energies),
+            (again.samples.num_occurrences, direct.num_occurrences),
+        ):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_different_seeds_do_not_dedupe(self, model):
         cache = SolverCallCache()
         with SolveService(max_workers=2, cache=cache) as service:
@@ -307,8 +334,9 @@ class TestSolveService:
             with pytest.raises(ValueError, match="relaxation_parameter"):
                 service.solve(model, solver="random", relaxation_parameter=2.0)
 
-    def test_sample_store_is_lru_bounded(self, model):
-        cache = SolverCallCache(max_sample_entries=2)
+    def test_sample_store_is_lru_bounded(self, model, monkeypatch):
+        monkeypatch.setattr("repro.service.cache.SAMPLE_CACHE_SIZE", 2)
+        cache = SolverCallCache()
         with SolveService(max_workers=1, cache=cache) as service:
             for seed in range(4):
                 service.solve(model, solver="random", num_reads=1, seed=seed)
