@@ -2,9 +2,12 @@
 
 One *record* corresponds to one solver call: a problem instance ``g``, a
 relaxation parameter ``A`` and the resulting batch statistics ``Pf``, ``Eavg``
-and ``Estd`` (paper Section 3.3).  Each call is one
-:meth:`~repro.service.service.SolveService.evaluate` on the default service,
-the same path every tuning trial takes.  This module handles
+and ``Estd`` (paper Section 3.3).  An instance's records come from two
+:meth:`~repro.service.service.SolveService.evaluate_many` calls on the default
+service, one for the coarse grid and one for the refinement points: two
+engine calls per instance for a solver that batches models (DA, qbsolv), and
+records byte-identical to one :meth:`~repro.service.service.SolveService.evaluate`
+per ``A``, the path every tuning trial takes.  This module handles
 
 * running a solver over a collection of instances and a well-chosen set of
   parameter values (covering the sigmoid slope *and* both plateaus),
@@ -202,8 +205,11 @@ def collect_instance_records(
 ) -> List[SurrogateRecord]:
     """Collect training records for a single instance following ``plan``.
 
-    Every evaluation draws one child seed from ``rng``, so the records are
-    byte-identical on every execution backend of the default service.
+    The coarse grid and then the refinement points each run as one
+    :meth:`~repro.service.service.SolveService.evaluate_many` call over the
+    parameters not evaluated yet.  Every evaluation draws one child seed from
+    ``rng``, so the records are byte-identical on every execution backend of
+    the default service.
     """
     rng = ensure_rng(rng)
     service = default_service()
@@ -213,14 +219,12 @@ def collect_instance_records(
 
     evaluated: dict[float, CachedEvaluation] = {}
 
-    def evaluate(parameter: float) -> None:
-        if parameter not in evaluated:
-            evaluated[parameter] = service.evaluate(
-                problem, solver, parameter, plan.num_reads, rng=rng
-            )
+    def evaluate(parameters) -> None:
+        fresh = list(dict.fromkeys(p for p in parameters if p not in evaluated))
+        entries = service.evaluate_many(problem, solver, fresh, plan.num_reads, rng=rng)
+        evaluated.update(zip(fresh, entries))
 
-    for multiplier in plan.coarse_multipliers:
-        evaluate(multiplier * a_scale)
+    evaluate([multiplier * a_scale for multiplier in plan.coarse_multipliers])
 
     # Refine the transition region so the sigmoid slope is well sampled.
     if plan.num_refinement_points > 0:
@@ -240,8 +244,10 @@ def collect_instance_records(
             low, high = high, low
         if high == low:
             low, high = 0.8 * low, 1.2 * high
-        for parameter in np.linspace(low, high, plan.num_refinement_points + 2)[1:-1]:
-            evaluate(float(parameter))
+        evaluate(
+            float(parameter)
+            for parameter in np.linspace(low, high, plan.num_refinement_points + 2)[1:-1]
+        )
 
     return [
         SurrogateRecord(

@@ -40,7 +40,7 @@ low-cardinality dimensions are labels:
 ``qross_worker_served_total``             engine calls a worker executed
 ``qross_worker_solve_errors_total``       engine calls that raised
 ``qross_worker_solve_seconds``            worker-side solve latency
-``qross_engine_sample_seconds``           end-to-end ``solver.sample`` latency
+``qross_engine_sample_seconds``           one ``sample`` / ``sample_many`` call
 (labels)                                  ``solver=<registry name>``
 ``qross_engine_sweeps_per_second``        profiled sweep throughput (opt-in)
 ``qross_engine_sweep_acceptance``         per-sweep flip acceptance (opt-in)

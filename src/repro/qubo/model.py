@@ -70,7 +70,7 @@ class DenseOperator:
 
     @property
     def num_variables(self) -> int:
-        return int(self._Q.shape[0])
+        return int(self._Q.shape[1])
 
     def right_multiply(self, X: np.ndarray) -> np.ndarray:
         """``X @ Q`` for a batch of states — initialises local fields."""
@@ -116,7 +116,7 @@ class SparseOperator:
 
     @property
     def num_variables(self) -> int:
-        return int(self._csr.shape[0])
+        return int(self._csr.shape[1])
 
     def right_multiply(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X @ self._csr, dtype=self.dtype)
@@ -143,6 +143,25 @@ class SparseOperator:
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
         return dX_block @ self.rows(block)
+
+
+def stack_rows(ops: Sequence["DenseOperator | SparseOperator"]):
+    """One operator over the rows of same-size, same-dtype operators, stacked.
+
+    Row ``g * n + i`` of the result is row ``i`` of ``ops[g]``, with the
+    values ``ops[g].rows`` returns.  Only its row gathers (:meth:`rows`,
+    :meth:`row`) are meaningful.  All-sparse operators stack as CSR; any
+    dense one makes the stack dense, ``len(ops) * n * n`` entries.
+    """
+    dtype = ops[0].dtype
+    if all(op.kind == "sparse" for op in ops):
+        return SparseOperator(sparse.vstack([op._csr for op in ops], format="csr"), dtype)
+    return DenseOperator(
+        np.concatenate(
+            [op._Q if op.kind == "dense" else op.rows(np.arange(op.num_variables)) for op in ops]
+        ),
+        dtype,
+    )
 
 
 @dataclass(frozen=True)

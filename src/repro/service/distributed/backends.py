@@ -2,8 +2,8 @@
 
 The :class:`~repro.service.service.SolveService` orchestrates requests
 (grouping, caching, RNG discipline) on its thread pool; the *engine call* —
-``solver.sample(model, num_reads, rng)`` — is delegated to an
-:class:`ExecutionBackend`.  This module holds the base class, the default
+``solver.sample(model, num_reads, rng)``, or ``solver.sample_many`` over one
+problem's relaxations — is delegated to an :class:`ExecutionBackend`.  This module holds the base class, the default
 :class:`ThreadExecutionBackend` (the call runs in the submitting thread:
 numpy kernels release the GIL and states never cross a process boundary) and
 the resolution of backend specs.
@@ -38,7 +38,7 @@ import abc
 import atexit
 import os
 import threading
-from typing import Dict, Union
+from typing import Dict, List, Sequence, Union
 
 import numpy as np
 
@@ -77,6 +77,24 @@ class ExecutionBackend(abc.ABC):
     ) -> SampleSet:
         """Execute one engine call with the deterministic stream ``default_rng(seed)``."""
 
+    def run_many(
+        self,
+        models: Sequence[QUBOModel],
+        solver: QUBOSolver,
+        num_reads: int,
+        seeds: Sequence[int],
+    ) -> List[SampleSet]:
+        """Execute one engine call per model, model ``k`` under ``seeds[k]``.
+
+        Must return what ``[self.run(m, solver, num_reads, s) for m, s in
+        zip(models, seeds)]`` returns, which is what this default does.  The
+        thread backend instead runs them as one
+        :meth:`~repro.solvers.base.QUBOSolver.sample_many` call (a single
+        kernel call for a solver that batches models); the out-of-process
+        backends keep the loop, each ``run`` one wire request.
+        """
+        return [self.run(model, solver, num_reads, seed) for model, seed in zip(models, seeds)]
+
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
 
@@ -101,6 +119,17 @@ class ThreadExecutionBackend(ExecutionBackend):
         self, model: QUBOModel, solver: QUBOSolver, num_reads: int, seed: int
     ) -> SampleSet:
         return solver.sample(model, num_reads=num_reads, rng=np.random.default_rng(int(seed)))
+
+    def run_many(
+        self,
+        models: Sequence[QUBOModel],
+        solver: QUBOSolver,
+        num_reads: int,
+        seeds: Sequence[int],
+    ) -> List[SampleSet]:
+        return solver.sample_many(
+            models, num_reads, [np.random.default_rng(int(seed)) for seed in seeds]
+        )
 
 
 # ----------------------------------------------------------- backend resolution

@@ -533,41 +533,113 @@ class SolveService:
         """Aggregate statistics of one solver call at relaxation parameter ``A``.
 
         This is the paper's unit of work — training-data collection and every
-        tuning trial are built from it.  A cache hit returns the stored entry
-        and leaves ``rng`` untouched.  A miss draws one child seed from
-        ``rng``, then one pool task builds the relaxed model, runs the engine
-        call on the execution backend with that seed and summarises the reads
-        against the exact problem, all on one thread.  The result is therefore
+        tuning trial are built from it — and the one-element case of
+        :meth:`evaluate_many`.  A cache hit returns the stored entry and
+        leaves ``rng`` untouched.  A miss draws one child seed from ``rng``,
+        then one pool task builds the relaxed model, runs the engine call on
+        the execution backend with that seed and summarises the reads against
+        the exact problem, all on one thread.  The result is therefore
         byte-identical on every backend.
 
         ``cache=None`` uses a throwaway cache (no cross-call memory).  Never
         call this from a task running on this service's own pool: the call
         blocks on a second task of the same pool.
         """
-        resolved = self.resolve_solver(solver)
-        cache = cache if cache is not None else SolverCallCache()
-        key = cache.evaluation_key(problem, resolved, parameter, num_reads)
-        entry = cache.lookup(key)
-        if entry is None:
-            seed = _draw_seed(ensure_rng(rng))
-            entry = self._admit_submit(
-                self._evaluate_on_backend, problem, resolved, parameter, num_reads, seed
-            ).result()
-            cache.store(key, entry)
-        return entry
+        return self.evaluate_many(problem, solver, [parameter], num_reads, rng=rng, cache=cache)[0]
 
-    def _evaluate_on_backend(
+    def evaluate_many(
+        self,
+        problem: ConstrainedProblem,
+        solver: SolverLike,
+        parameters: Sequence[float],
+        num_reads: int,
+        rng: RngLike = None,
+        cache: Optional[SolverCallCache] = None,
+    ) -> List[CachedEvaluation]:
+        """:meth:`evaluate` at every parameter, all misses in one pool task.
+
+        Returns exactly what ``[self.evaluate(problem, solver, A, num_reads,
+        rng, cache) for A in parameters]`` returns and leaves ``rng`` in the
+        same state: hits draw nothing and every miss draws one child seed, in
+        list order.  With a shared ``cache`` a repeated parameter is served
+        from its first occurrence; with ``cache=None`` (a throwaway cache per
+        parameter) every occurrence is a miss with its own seed.  An empty
+        list returns ``[]`` and draws nothing.
+
+        All misses run in one pool task, through one
+        :meth:`~repro.service.distributed.backends.ExecutionBackend.run_many`
+        call: one kernel call on the thread backend for a solver that batches
+        models (:attr:`~repro.solvers.base.QUBOSolver.batches_models`).  The
+        call opens a ``service.evaluate`` span (``solver``,
+        ``num_parameters``, ``misses``).  The same pool-task caveat as
+        :meth:`evaluate` applies.
+        """
+        parameters = list(parameters)
+        if not parameters:
+            return []
+        resolved = self.resolve_solver(solver)
+        shared = cache is not None
+        cache = cache if shared else SolverCallCache()
+        keys = [cache.evaluation_key(problem, resolved, A, num_reads) for A in parameters]
+        entries: List[Optional[CachedEvaluation]] = [None] * len(parameters)
+        misses: List[int] = []
+        repeats: List[int] = []  # served from an earlier miss of the same key
+        pending = set()
+        for index, key in enumerate(keys):
+            if shared and key in pending:
+                repeats.append(index)
+                continue
+            entries[index] = cache.lookup(key)
+            if entries[index] is None:
+                pending.add(key)
+                misses.append(index)
+        with obs.span(
+            "service.evaluate",
+            solver=resolved.name,
+            num_parameters=len(parameters),
+            misses=len(misses),
+        ):
+            if misses:
+                rng = ensure_rng(rng)
+                seeds = [_draw_seed(rng) for _ in misses]
+                fresh = self._admit_submit(
+                    self._evaluate_misses,
+                    problem,
+                    resolved,
+                    [parameters[i] for i in misses],
+                    num_reads,
+                    seeds,
+                ).result()
+                for index, entry in zip(misses, fresh):
+                    entries[index] = entry
+                    cache.store(keys[index], entry)
+            for index in repeats:
+                entries[index] = cache.lookup(keys[index])
+        return entries  # type: ignore[return-value]
+
+    def _evaluate_misses(
         self,
         problem: ConstrainedProblem,
         solver: QUBOSolver,
-        parameter: float,
+        parameters: List[float],
         num_reads: int,
-        seed: int,
-    ) -> CachedEvaluation:
-        """Build, run and summarise one evaluation (one pool task, one thread)."""
-        model = problem.build_qubo(parameter)
-        samples = self.backend.run(model, solver, num_reads, seed)
-        return CachedEvaluation.from_samples(problem, samples)
+        seeds: List[int],
+    ) -> List[CachedEvaluation]:
+        """Build, run and summarise evaluations (one pool task, one thread).
+
+        The models run as one ``run_many`` call.  Each ``A`` is then relaxed
+        again (a hit in the encoding's relaxation cache) right before its
+        reads are scored, so on this thread every fitness answer follows the
+        relaxation of its own ``A``, as in a lone evaluation.
+        """
+        models = [problem.build_qubo(A) for A in parameters]
+        batches = self.backend.run_many(models, solver, num_reads, seeds)
+        entries = []
+        for A, samples in zip(parameters, batches):
+            if len(parameters) > 1:
+                problem.build_qubo(A)
+            entries.append(CachedEvaluation.from_samples(problem, samples))
+        return entries
 
 
 _default_service: Optional[SolveService] = None

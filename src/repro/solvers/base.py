@@ -12,7 +12,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import time
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -47,13 +47,64 @@ class QUBOSolver(abc.ABC):
         rng = ensure_rng(rng)
         with obs.span("engine.sample", solver=self.name, num_reads=num_reads):
             assignments, extra_info = self._sample(model, num_reads, rng)
+        self._observe_latency(started_at)
+        return self._finalize(model, assignments, started_at, extra_info=extra_info)
+
+    def _observe_latency(self, started_at: float) -> None:
         obs.histogram(
             "qross_engine_sample_seconds",
             labels={"solver": self.name},
             buckets=obs.LATENCY_BUCKETS,
-            help="Wall time of one solver.sample() call",
+            help="Wall time of one engine call (sample or sample_many)",
         ).observe(time.perf_counter() - started_at)
-        return self._finalize(model, assignments, started_at, extra_info=extra_info)
+
+    def sample_many(
+        self,
+        models: Sequence[QUBOModel],
+        num_reads: int = 1,
+        rngs: Optional[Sequence[RngLike]] = None,
+    ) -> list[SampleSet]:
+        """Draw ``num_reads`` reads for each of ``models``, model ``k`` from ``rngs[k]``.
+
+        Returns what ``[self.sample(m, num_reads, rng) for m, rng in
+        zip(models, rngs)]`` returns, byte for byte.  ``models`` are one
+        problem's relaxations and must share one size (``ValueError``
+        otherwise).  A solver that :attr:`batches_models` runs them all in one
+        kernel call under one ``engine.sample`` span, whose ``num_reads`` is
+        the total over the models and ``num_models`` their count; any other
+        solver loops :meth:`sample`.
+        """
+        models = list(models)
+        rngs = [None] * len(models) if rngs is None else list(rngs)
+        if len(rngs) != len(models):
+            raise ValueError(f"need one rng per model, got {len(rngs)} for {len(models)} models")
+        sizes = sorted({model.num_variables for model in models})
+        if len(sizes) > 1:
+            raise ValueError(f"sample_many needs models of one size, got sizes {sizes}")
+        if not self.batches_models:
+            return [self.sample(model, num_reads, rng) for model, rng in zip(models, rngs)]
+        if not models:
+            return []
+        started_at = time.perf_counter()
+        num_reads = validate_reads(num_reads)
+        rngs = [ensure_rng(rng) for rng in rngs]
+        with obs.span(
+            "engine.sample",
+            solver=self.name,
+            num_reads=num_reads * len(models),
+            num_models=len(models),
+        ):
+            results = self._sample_many(models, num_reads, rngs)
+        self._observe_latency(started_at)
+        return [
+            self._finalize(model, assignments, started_at, extra_info=extra_info)
+            for model, (assignments, extra_info) in zip(models, results)
+        ]
+
+    @property
+    def batches_models(self) -> bool:
+        """Whether :meth:`sample_many` runs all its models in one kernel call."""
+        return type(self)._sample_many is not QUBOSolver._sample_many
 
     @abc.abstractmethod
     def _sample(
@@ -70,6 +121,21 @@ class QUBOSolver(abc.ABC):
         always recomputed against the exact ``model`` by the template, so a
         backend that searched a perturbed model needs no special handling.
         """
+
+    def _sample_many(
+        self,
+        models: Sequence[QUBOModel],
+        num_reads: int,
+        rngs: Sequence[np.random.Generator],
+    ) -> list[tuple[np.ndarray, Optional[dict]]]:
+        """Grouped search: one ``(assignments, extra_info)`` per model.
+
+        Overridden by solvers whose kernel runs many same-size models at once
+        (see :attr:`batches_models`); entry ``k`` must equal
+        ``_sample(models[k], num_reads, rngs[k])``.  Without an override,
+        :meth:`sample_many` loops :meth:`sample` and never calls this.
+        """
+        raise NotImplementedError
 
     def config_fingerprint(self) -> str:
         """Stable short hash identifying this solver's configuration.

@@ -13,7 +13,10 @@ paper's DA experiments can be reproduced on a CPU:
   simulated annealing — this is why the energy-vs-A "dipper" in Fig. 1 is much
   sharper for DA than for SA.
 
-All replicas (reads) are propagated together with numpy.
+All replicas (reads) are propagated together with numpy, and
+:meth:`DigitalAnnealerSolver.sample_many` anneals several same-size models
+(one problem's relaxations) in the same kernel call, one row group of
+replicas per model, each group byte-identical to its model's lone call.
 
 ``max_parallel_flips`` enables the *multi-flip* DA variant: instead of one
 accepted flip per step, up to that many accepted flips (chosen by the same
@@ -29,7 +32,7 @@ single-flip algorithm, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -98,28 +101,44 @@ class DigitalAnnealerSolver(QUBOSolver):
     def _sample(
         self, model: QUBOModel, num_reads: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, Optional[dict]]:
-        n = model.num_variables
+        return self._sample_many([model], num_reads, [rng])[0]
+
+    def _sample_many(
+        self, models: Sequence[QUBOModel], num_reads: int, rngs: Sequence[np.random.Generator]
+    ) -> list[tuple[np.ndarray, Optional[dict]]]:
+        """All models in one kernel: one row group of replicas per model.
+
+        Group ``k`` draws its initial states, its Metropolis uniforms and its
+        scoring uniforms from ``rngs[k]`` alone, and makes the scoring draw
+        only at steps where one of its replicas accepted a flip, as a lone
+        call does.  Its temperatures, dynamic-offset step, diagonal and
+        constant offset are its own model's, so it returns what
+        ``_sample(models[k], num_reads, rngs[k])`` returns, byte for byte.
+        """
+        n = models[0].num_variables
         num_steps = self._num_steps(n)
-        schedule = resolve_schedule(model, self.config.schedule)
-        temperatures = schedule(num_steps)
-
-        offset_step = self.config.offset_increase_rate * max(model.max_abs_coefficient(), 1e-12)
-
-        state = AnnealingState(model, num_reads, rng=rng, dtype=self.config.dtype)
-        offsets = np.zeros(num_reads, dtype=state.dtype)
+        state = AnnealingState(models, num_reads, rng=rngs, dtype=self.config.dtype)
+        schedules = [resolve_schedule(m, self.config.schedule)(num_steps) for m in models]
+        # One model anneals on the scalar-temperature path; a group's rows
+        # carry its own temperatures.  Per-row constants are in the state
+        # dtype (AnnealingState.per_row).
+        temperatures = schedules[0] if len(models) == 1 else state.per_row(np.stack(schedules, axis=1))
+        offset_step = state.per_row(
+            [self.config.offset_increase_rate * max(m.max_abs_coefficient(), 1e-12) for m in models]
+        )
+        offsets = np.zeros(state.num_reads, dtype=state.dtype)
         zero = state.dtype.type(0.0)
         unchosen = state.dtype.type(-1.0)
-        replica_rows = np.arange(num_reads)
+        replica_rows = np.arange(state.num_reads)
         max_flips = min(self.config.max_parallel_flips, n)
         all_cols = np.arange(n)
 
         for step in range(num_steps):
-            temperature = temperatures[step]
             # Energy change of flipping each variable of each replica.
             delta = state.flip_deltas()
             effective = delta - offsets[:, None]
             accept = metropolis_accept(
-                effective, temperature, state.uniforms(rng, (num_reads, n))
+                effective, temperatures[step], state.group_uniforms(rngs)
             )
 
             any_accepted = accept.any(axis=1)
@@ -127,19 +146,19 @@ class DigitalAnnealerSolver(QUBOSolver):
             offsets = np.where(any_accepted, zero, offsets + offset_step)
             if not any_accepted.any():
                 continue
+            # A group with no accepted candidate skips the step, as a lone
+            # call does: it draws no scores.
+            scores = np.where(accept, state.group_uniforms(rngs, any_accepted), unchosen)
 
             if max_flips == 1:
                 # Pick one accepted flip per replica uniformly at random.
-                scores = np.where(accept, state.uniforms(rng, (num_reads, n)), unchosen)
-                chosen = scores.argmax(axis=1)
                 rows = replica_rows[any_accepted]
-                cols = chosen[any_accepted]
+                cols = scores.argmax(axis=1)[any_accepted]
                 state.apply_single_flips(rows, cols, delta[rows, cols])
             else:
                 # Multi-flip variant: the same uniform scoring, but the top
                 # ``max_flips`` accepted candidates of each replica are
                 # applied together as one block update.
-                scores = np.where(accept, state.uniforms(rng, (num_reads, n)), unchosen)
                 chosen = accept
                 if max_flips < n:
                     top = np.argpartition(-scores, max_flips - 1, axis=1)[:, :max_flips]
@@ -153,4 +172,7 @@ class DigitalAnnealerSolver(QUBOSolver):
         info = {"num_steps": num_steps}
         if max_flips > 1:
             info["max_parallel_flips"] = max_flips
-        return state.best_X, info
+        return [
+            (state.best_X[k * num_reads : (k + 1) * num_reads], dict(info))
+            for k in range(len(models))
+        ]

@@ -56,11 +56,11 @@ afterwards, so both dtypes consume the same random stream.
 from __future__ import annotations
 
 import os
-from typing import Optional
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.qubo.model import QUBOModel
+from repro.qubo.model import QUBOModel, stack_rows
 from repro.utils.rng import ensure_rng
 
 #: Environment variable selecting the engine dtype when a solver leaves its
@@ -220,40 +220,80 @@ def propose_ladder_swaps(energies, betas, offset: int, uniforms) -> np.ndarray:
 class AnnealingState:
     """Batched single-flip search state shared by the annealing solvers.
 
+    ``model`` is one :class:`~repro.qubo.model.QUBOModel`, or a sequence of
+    ``K`` models of one size (one problem's relaxations).  The state then
+    holds ``K`` row groups of ``num_reads`` replicas, group ``g`` in rows
+    ``g * num_reads`` to ``(g + 1) * num_reads - 1``; one model is the
+    ``K = 1`` case.  ``rng`` is one generator per group (a lone generator or
+    seed for one model), and group ``g`` draws its initial states from its
+    own.  The per-model constants are per row, in the state dtype: ``offset``
+    has shape ``(R,)``, and ``diag`` is the model's ``(n,)`` diagonal for one
+    group (it broadcasts over the rows) and ``(R, n)`` for ``K``.  Every
+    mutator computes a group's rows exactly as a state of its model alone
+    would, so a group keeps the trajectory of a lone call byte for byte.
+
     ``dtype`` is the solver's ``dtype`` option: the state's arrays and its
-    coefficient operator live in :func:`resolve_engine_dtype` of it; the
-    operator is the model's own (:meth:`repro.qubo.model.QUBOModel.operator`).
+    coefficient operators live in :func:`resolve_engine_dtype` of it; the
+    operators are the models' own (:meth:`repro.qubo.model.QUBOModel.operator`).
     Initial states are drawn on the host in float64 and cast once, so the
     random stream does not depend on the dtype.
     """
 
     def __init__(
         self,
-        model: QUBOModel,
+        model: Union[QUBOModel, Sequence[QUBOModel]],
         num_reads: int,
-        rng: Optional[np.random.Generator] = None,
+        rng=None,
         initial_states: Optional[np.ndarray] = None,
         dtype: Optional[str] = None,
     ) -> None:
-        self.model = model
+        self.models = [model] if isinstance(model, QUBOModel) else list(model)
+        sizes = sorted({m.num_variables for m in self.models})
+        if len(sizes) != 1:
+            raise ValueError(f"grouped models must share one size, got sizes {sizes}")
+        n = sizes[0]
+        self.num_groups = len(self.models)
+        self.group_size = int(num_reads)
+        total = self.num_groups * self.group_size
         self.dtype = resolve_engine_dtype(dtype)
-        self.op = model.operator(self.dtype)
-        n = model.num_variables
+        self.ops = [m.operator(self.dtype) for m in self.models]
         if initial_states is not None:
             X = np.array(initial_states, dtype=np.float64)
             if X.ndim == 1:
                 X = X[None, :]
-            if X.shape != (num_reads, n):
+            if X.shape != (total, n):
                 raise ValueError(
-                    f"initial_states must have shape ({num_reads}, {n}), got {X.shape}"
+                    f"initial_states must have shape ({total}, {n}), got {X.shape}"
                 )
         else:
-            rng = ensure_rng(rng)
-            X = rng.integers(0, 2, size=(num_reads, n), dtype=np.int8).astype(np.float64)
+            rngs = list(rng) if isinstance(rng, (list, tuple)) else [rng]
+            if len(rngs) != self.num_groups:
+                raise ValueError(f"need one rng per model, got {len(rngs)} for {self.num_groups}")
+            X = np.concatenate([
+                ensure_rng(r).integers(0, 2, size=(num_reads, n), dtype=np.int8).astype(np.float64)
+                for r in rngs
+            ])
         self.X = X.astype(self.dtype, copy=False)
-        self.H = self.op.right_multiply(self.X)
-        self.diag = self.op.diag
-        self.offset = model.offset
+        #: ``(rows, operator)`` of every group, rows as a slice.
+        self._groups = [
+            (slice(g * self.group_size, (g + 1) * self.group_size), op)
+            for g, op in enumerate(self.ops)
+        ]
+        self.H = np.concatenate([op.right_multiply(self.X[rows]) for rows, op in self._groups])
+        self.offset = self.per_row([m.offset for m in self.models])
+        if self.num_groups == 1:
+            self.op = self.ops[0]
+            self._row_base = None
+            self.diag = self.op.diag
+        else:
+            # A replica's coefficient row lives at ``group * n + col`` of the
+            # row stack, so one gather serves every group.  The stack copies
+            # the K models' rows (K * n * n entries when dense): the per-step
+            # gather over all groups needs one array, and K separate gathers
+            # per step cost about what grouping saves.
+            self.op = stack_rows(self.ops)
+            self._row_base = np.repeat(np.arange(self.num_groups) * n, self.group_size)
+            self.diag = np.repeat(np.stack([op.diag for op in self.ops]), self.group_size, axis=0)
         self.current_energies = self.energies_from_fields()
         self.best_X = self.X.copy()
         self.best_energies = self.current_energies.copy()
@@ -262,9 +302,33 @@ class AnnealingState:
         #: single-attribute-test fast path.
         self.profiler = None
 
+    def per_row(self, values) -> np.ndarray:
+        """One value per group (last axis) -> one per replica row, in the state dtype.
+
+        Per-model constants must enter the kernels in the state dtype: a
+        float64 array would promote float32 states, where a lone call's
+        Python-float constant does not.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        return np.repeat(values, self.group_size, axis=-1).astype(self.dtype, copy=False)
+
     def uniforms(self, rng: np.random.Generator, shape) -> np.ndarray:
         """``rng.random(shape)`` in the state dtype (drawn in float64, then cast)."""
         return rng.random(shape).astype(self.dtype, copy=False)
+
+    def group_uniforms(self, rngs, rows=None) -> np.ndarray:
+        """Uniforms for every replica row, each group's block from its own rng.
+
+        With a boolean ``rows`` mask (at least one row selected), only the
+        groups with a selected row draw; the rows of the others read 0.
+        Drawn in float64, then cast, as :meth:`uniforms` does.
+        """
+        shape = (self.group_size, self.num_variables)
+        if self.num_groups == 1:
+            return self.uniforms(rngs[0], shape)
+        drawing = [True] * self.num_groups if rows is None else rows.reshape(self.num_groups, -1).any(axis=1)
+        draws = [rng.random(shape) if draw else np.zeros(shape) for rng, draw in zip(rngs, drawing)]
+        return np.concatenate(draws).astype(self.dtype, copy=False)
 
     # ----------------------------------------------------------------- shapes
     @property
@@ -285,14 +349,10 @@ class AnnealingState:
 
         Shape ``(R, n)`` without ``cols``, ``(R, len(cols))`` with.
         """
-        if cols is None:
-            x = self.X
-            h = self.H
-            d = self.diag[None, :]
-        else:
-            x = self.X[:, cols]
-            h = self.H[:, cols]
-            d = self.diag[cols][None, :]
+        x, h, d = self.X, self.H, self.diag
+        if cols is not None:
+            x, h = x[:, cols], h[:, cols]
+            d = d[cols] if d.ndim == 1 else d[:, cols]
         return (1.0 - 2.0 * x) * (d + 2.0 * h - 2.0 * d * x)
 
     # --------------------------------------------------------------- mutators
@@ -305,7 +365,8 @@ class AnnealingState:
         dx = 1.0 - 2.0 * self.X[rows, cols]
         self.X[rows, cols] += dx
         self.current_energies[rows] += deltas
-        self.H[rows] += dx[:, None] * self.op.rows(cols)
+        stacked = cols if self._row_base is None else self._row_base[rows] + cols
+        self.H[rows] += dx[:, None] * self.op.rows(stacked)
 
     def apply_block_flips(self, block, accept) -> None:
         """Apply the accepted flips of a variable block simultaneously.
@@ -316,6 +377,8 @@ class AnnealingState:
         interactions *within* the block are not re-evaluated between flips this
         is an approximation of sequential Metropolis — callers should refresh
         ``current_energies`` via :meth:`refresh_energies` before reading them.
+        Each group with an accepted flip applies its own active columns with
+        its own model's block product.
         """
         if self.profiler is not None:
             # Count before the no-accepts early return so proposals are never
@@ -324,11 +387,16 @@ class AnnealingState:
             self.profiler.count_flips(proposed, int(np.count_nonzero(accept)))
         if not accept.any():
             return
-        active = accept.any(axis=0)
-        cols = block[active]
-        dX = np.where(accept[:, active], 1.0 - 2.0 * self.X[:, cols], self.dtype.type(0.0))
-        self.X[:, cols] += dX
-        self.H += self.op.block_product(dX, cols)
+        for rows, op in self._groups:
+            group_accept = accept[rows]
+            if self.num_groups > 1 and not group_accept.any():
+                continue
+            active = group_accept.any(axis=0)
+            cols = block[active]
+            X = self.X[rows]
+            dX = np.where(group_accept[:, active], 1.0 - 2.0 * X[:, cols], self.dtype.type(0.0))
+            X[:, cols] += dX
+            self.H[rows] += op.block_product(dX, cols)
 
     def refresh_energies(self) -> None:
         """Recompute ``current_energies`` from the local fields."""
@@ -338,15 +406,21 @@ class AnnealingState:
         """Replace the states of the replicas selected by boolean ``mask``."""
         new_states = new_states.astype(self.dtype, copy=False)
         self.X[mask] = new_states
-        self.H[mask] = self.op.right_multiply(new_states)
-        self.current_energies[mask] = (new_states * self.H[mask]).sum(axis=1) + self.offset
+        taken = 0
+        for rows, op in self._groups:
+            picked = mask[rows]
+            count = int(np.count_nonzero(picked))
+            if count:
+                self.H[rows][picked] = op.right_multiply(new_states[taken : taken + count])
+                taken += count
+        self.current_energies[mask] = (new_states * self.H[mask]).sum(axis=1) + self.offset[mask]
 
     def swap_rows(self, rows_i, rows_j) -> None:
         """Exchange replica rows ``rows_i`` and ``rows_j`` of the live state.
 
         Used by parallel tempering to realise accepted ladder swaps; ``best``
         tracking is deliberately untouched (each replica slot keeps its own
-        best-visited record).
+        best-visited record).  Both rows must lie in one group.
         """
         for arr in (self.X, self.H, self.current_energies):
             tmp = arr[rows_i].copy()

@@ -19,14 +19,17 @@ windows of the reads still improving stack into one ``(R, w, w)`` array that
 :meth:`~repro.solvers.tabu.TabuSearchSolver.refine_many` searches in one
 batched loop.  The per-read host work (initial draw, window order, clamping,
 acceptance) stays per read, and each read draws only from its own child RNG
-stream spawned from the call's generator.  A read therefore returns exactly
-what it would return if it were solved on its own.
+stream spawned from its model's generator.  :meth:`QbsolvSolver.sample_many`
+puts the reads of several same-size models (one problem's relaxations) in
+the same lock step, each read with its own model.  A read therefore returns
+exactly what it would return if it were solved on its own, for any mix of
+models in the call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -35,6 +38,14 @@ from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import validate_engine_dtype
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
 from repro.utils.rng import spawn_rngs
+
+
+class _WindowView(NamedTuple):
+    """One model's diagonal, local-field and window-clamping functions."""
+
+    diag: np.ndarray
+    full_field: Callable[[np.ndarray], np.ndarray]
+    clamp: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, float]]
 
 
 @dataclass(frozen=True)
@@ -90,33 +101,87 @@ class QbsolvSolver(QUBOSolver):
     def _sample(
         self, model: QUBOModel, num_reads: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, Optional[dict]]:
-        # One child stream per read, each consumed in the order a read solved
-        # on its own would consume it: seeded results do not depend on which
-        # reads share a batch.
-        streams = spawn_rngs(rng, num_reads)
-        best_x = [None] * num_reads
-        best_energy = [np.inf] * num_reads
+        return self._sample_many([model], num_reads, [rng])[0]
+
+    def _sample_many(
+        self, models: Sequence[QUBOModel], num_reads: int, rngs: Sequence[np.random.Generator]
+    ) -> list[tuple[np.ndarray, Optional[dict]]]:
+        # One child stream per read, spawned from its model's generator and
+        # consumed in the order a read solved on its own would consume it:
+        # seeded results do not depend on which reads, of which models, share
+        # a batch.
+        streams = [stream for rng in rngs for stream in spawn_rngs(rng, num_reads)]
+        read_models = [model for model in models for _ in range(num_reads)]
+        best_x = [None] * len(streams)
+        best_energy = [np.inf] * len(streams)
         for _ in range(self.config.num_restarts):
-            for r, x in enumerate(self._decompose(model, streams)):
-                energy = model.energy(x)
+            for r, x in enumerate(self._decompose(read_models, streams)):
+                energy = read_models[r].energy(x)
                 if energy < best_energy[r]:
                     best_energy[r] = energy
                     best_x[r] = x
-        return np.array(best_x), None
+        return [
+            (np.array(best_x[k * num_reads : (k + 1) * num_reads]), None)
+            for k in range(len(models))
+        ]
 
     # ------------------------------------------------------------------ internals
     def _decompose(
-        self, model: QUBOModel, streams: list[np.random.Generator]
+        self, models: Sequence[QUBOModel], streams: list[np.random.Generator]
     ) -> list[np.ndarray]:
         """One full decomposition run per stream, all runs in lock step.
 
-        Every read walks the same window positions, so the windows of all
-        active reads stack into one ``(R, w, w)`` array for a single
-        :meth:`~repro.solvers.tabu.TabuSearchSolver.refine_many` call.  A read
+        Run ``r`` solves ``models[r]``; the models share one size.  Every run
+        walks the same window positions, so the windows of all active runs
+        stack into one ``(R, w, w)`` array for a single
+        :meth:`~repro.solvers.tabu.TabuSearchSolver.refine_many` call.  A run
         leaves the active set after a round without improvement.
         """
-        n = model.num_variables
+        n = models[0].num_variables
         window = min(self.config.subproblem_size, n)
+        by_model = {}
+        for model in models:
+            if id(model) not in by_model:
+                by_model[id(model)] = self._window_view(model)
+        view = [by_model[id(model)] for model in models]
+
+        X = [rng.integers(0, 2, size=n).astype(np.float64) for rng in streams]
+        energies = [model.energy(x) for model, x in zip(models, X)]
+        active = list(range(len(streams)))
+
+        for _ in range(self.config.max_rounds):
+            orders = [
+                self._impact_order(view[r].full_field(X[r]), view[r].diag, X[r], streams[r])
+                for r in active
+            ]
+            improved = set()
+            for start in range(0, n, window):
+                blocks = [order[start : start + window] for order in orders]
+                if blocks[0].size < 2:
+                    continue
+                windows = [view[r].clamp(X[r], block) for r, block in zip(active, blocks)]
+                refined = self._subsolver.refine_many(
+                    np.stack([sub_Q for sub_Q, _ in windows]),
+                    [offset for _, offset in windows],
+                    np.stack([X[r][block] for r, block in zip(active, blocks)]),
+                    [streams[r] for r in active],
+                )
+                for r, block, sub_x in zip(active, blocks, refined):
+                    candidate = X[r].copy()
+                    candidate[block] = sub_x
+                    candidate_energy = models[r].energy(candidate)
+                    if candidate_energy < energies[r] - 1e-12:
+                        X[r] = candidate
+                        energies[r] = candidate_energy
+                        improved.add(r)
+            active = [r for r in active if r in improved]
+            if not active:
+                break
+
+        return [x.astype(np.int8) for x in X]
+
+    def _window_view(self, model: QUBOModel) -> "_WindowView":
+        """What the decomposition loop needs of one model."""
         # The model's storage is a function of its coefficients, so the seeded
         # trajectory is one per fingerprint (the key of cache lookups and
         # request grouping), whatever form the model was built from.
@@ -147,39 +212,7 @@ class QbsolvSolver(QUBOSolver):
             def clamp(x: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
                 return self._clamp_dense(model, Q, x, block)
 
-        X = [rng.integers(0, 2, size=n).astype(np.float64) for rng in streams]
-        energies = [model.energy(x) for x in X]
-        active = list(range(len(streams)))
-
-        for _ in range(self.config.max_rounds):
-            orders = [
-                self._impact_order(full_field(X[r]), diag, X[r], streams[r]) for r in active
-            ]
-            improved = set()
-            for start in range(0, n, window):
-                blocks = [order[start : start + window] for order in orders]
-                if blocks[0].size < 2:
-                    continue
-                windows = [clamp(X[r], block) for r, block in zip(active, blocks)]
-                refined = self._subsolver.refine_many(
-                    np.stack([sub_Q for sub_Q, _ in windows]),
-                    [offset for _, offset in windows],
-                    np.stack([X[r][block] for r, block in zip(active, blocks)]),
-                    [streams[r] for r in active],
-                )
-                for r, block, sub_x in zip(active, blocks, refined):
-                    candidate = X[r].copy()
-                    candidate[block] = sub_x
-                    candidate_energy = model.energy(candidate)
-                    if candidate_energy < energies[r] - 1e-12:
-                        X[r] = candidate
-                        energies[r] = candidate_energy
-                        improved.add(r)
-            active = [r for r in active if r in improved]
-            if not active:
-                break
-
-        return [x.astype(np.int8) for x in X]
+        return _WindowView(diag, full_field, clamp)
 
     @staticmethod
     def _impact_order(

@@ -124,7 +124,7 @@ class TabuSearchSolver(QUBOSolver):
                     flips = rng.choice(n, size=max(1, n // 10), replace=False)
                     x[flips] = 1.0 - x[flips]
                     h[:] = op.right_multiply(x[None, :])[0]
-                    energy = float((x * h).sum() + state.offset)
+                    energy = float((x * h).sum() + state.offset[0])
                     tabu_until[:] = -1
                     stall = 0
         state.current_energies[0] = energy

@@ -8,8 +8,10 @@ byte-identical per ``(spec, seed)``.  The spec list is built from
 (parallel tempering and multi-flip DA landed this way) is covered the moment
 it registers — a backend that cannot keep the seeded thread/process
 byte-parity contract fails here before anything else.  The service's
-live-``rng`` entry points, ``SolveService.sample`` and
-``SolveService.evaluate``, are pinned the same way across the three backends.
+live-``rng`` entry points, ``SolveService.sample``, ``SolveService.evaluate``
+and ``SolveService.evaluate_many``, are pinned the same way across the three
+backends, and ``QUBOSolver.sample_many`` is pinned to a loop of ``sample``
+for every solver, on dense and CSR models in both engine dtypes.
 
 The process pool is module-scoped (spawn-starting a pool per test would
 dominate the suite) — pool reuse cannot mask failures because every
@@ -18,9 +20,13 @@ assertion is a pure input/output comparison.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
+from repro.problems.mvc.generator import generate_sparse_mvc_instance
+from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import random_qubo
@@ -28,6 +34,7 @@ from repro.service import (
     CachedEvaluation,
     ProcessPoolBackend,
     SolveService,
+    SolverCallCache,
     SolverRegistry,
     ThreadExecutionBackend,
     make_solver,
@@ -214,6 +221,93 @@ def test_service_evaluate_is_byte_identical_across_backends(
         assert entry == expected, f"{spec!r} seed {seed}: {name} evaluate() differs"
 
 
+def _next_seed(rng: np.random.Generator) -> int:
+    return int(rng.integers(0, 2**63 - 1))
+
+
+@pytest.mark.parametrize("spec", SERVICE_SPECS)
+def test_evaluate_many_is_a_loop_of_evaluate(spec, tsp_problem, services):
+    """Same entries, same stream; a duplicate ``A`` draws its own seed
+    without a shared cache, as a loop of throwaway caches does."""
+    scale = float(tsp_problem.relaxation_scale())
+    parameters = [0.5 * scale, scale, 0.5 * scale, 2.0 * scale]
+    for name, service in services.items():
+        loop_rng = np.random.default_rng(7)
+        expected = [service.evaluate(tsp_problem, spec, A, 6, rng=loop_rng) for A in parameters]
+        rng = np.random.default_rng(7)
+        entries = service.evaluate_many(tsp_problem, spec, parameters, 6, rng=rng)
+        assert entries == expected, f"{spec!r}: {name} evaluate_many() differs from evaluate()"
+        assert _next_seed(rng) == _next_seed(loop_rng), f"{name}: streams diverged"
+
+
+@pytest.mark.parametrize("spec", SERVICE_SPECS)
+def test_evaluate_many_with_a_shared_cache(spec, tsp_problem, services):
+    """A stored ``A`` is a hit that draws no seed, and a repeated ``A`` is
+    served from its first occurrence."""
+    scale = float(tsp_problem.relaxation_scale())
+    stored, fresh = 2.0 * scale, [0.5 * scale, scale]
+    parameters = [fresh[0], stored, fresh[1], fresh[0]]
+    for name, service in services.items():
+        loop_cache, cache = SolverCallCache(), SolverCallCache()
+        for each in (loop_cache, cache):
+            service.evaluate(tsp_problem, spec, stored, 6, rng=1, cache=each)
+        loop_rng = np.random.default_rng(7)
+        expected = [
+            service.evaluate(tsp_problem, spec, A, 6, rng=loop_rng, cache=loop_cache)
+            for A in parameters
+        ]
+        rng = np.random.default_rng(7)
+        entries = service.evaluate_many(tsp_problem, spec, parameters, 6, rng=rng, cache=cache)
+        assert entries == expected, f"{spec!r}: {name} evaluate_many() differs from evaluate()"
+        assert entries[3] is entries[0]
+        assert entries[1] == service.evaluate(tsp_problem, spec, stored, 6, rng=1)
+        # Two misses, two seeds.
+        reference = np.random.default_rng(7)
+        reference.integers(0, 2**63 - 1, size=2)
+        assert _next_seed(rng) == _next_seed(reference) == _next_seed(loop_rng)
+
+
+def test_evaluate_many_of_nothing_draws_nothing(tsp_problem, services):
+    for service in services.values():
+        rng = np.random.default_rng(7)
+        assert service.evaluate_many(tsp_problem, SERVICE_SPECS[0], [], 6, rng=rng) == []
+        assert _next_seed(rng) == _next_seed(np.random.default_rng(7))
+
+
+class TaggingTSPProblem(TSPProblem):
+    """Tags each ``fitness`` answer with its thread's last ``build_qubo`` ``A``."""
+
+    def __init__(self, instance) -> None:
+        super().__init__(instance)
+        self.answers = []
+        self._relaxed = threading.local()
+
+    def build_qubo(self, relaxation_parameter: float):
+        model = super().build_qubo(relaxation_parameter)
+        self._relaxed.parameter = float(relaxation_parameter)
+        return model
+
+    def fitness(self, assignment: np.ndarray) -> float:
+        value = super().fitness(assignment)
+        self.answers.append((getattr(self._relaxed, "parameter", None), value))
+        return value
+
+
+def test_evaluate_many_scores_each_a_after_relaxing_it(services):
+    """Relax ``A``, then score its reads: on the scoring thread, every
+    fitness answer follows the relaxation of its own ``A``."""
+    problem = TaggingTSPProblem(generate_instance(5, rng=0, name="tagging-tsp"))
+    scale = float(problem.relaxation_scale())
+    parameters = [1.5 * scale, 2.0 * scale, 3.0 * scale]
+    for name, service in services.items():
+        problem.answers.clear()
+        entries = service.evaluate_many(problem, "da?num_steps=150", parameters, 8, rng=3)
+        for A, entry in zip(parameters, entries):
+            assert entry.best_fitness is not None, f"{name}: no feasible read at A={A}"
+            tagged = [value for parameter, value in problem.answers if parameter == A]
+            assert entry.best_fitness in tagged, f"{name}: A={A} scored after another relaxation"
+
+
 def test_matrix_covers_every_registered_backend():
     """The spec list tracks the registry — nobody can register a solver
     without it entering the matrix."""
@@ -285,3 +379,69 @@ def test_dtype_axis(spec, dtype, model, monkeypatch):
             f"{axis_spec!r} best energy {first.energies.min()} is far worse "
             f"than float64's {reference.energies.min()}"
         )
+
+
+# --------------------------------------------------------------------------
+# Grouped-call axis.
+#
+# ``QUBOSolver.sample_many`` returns, model by model, the bytes of one
+# ``sample`` per model.  DA and qbsolv run all models in one kernel call; the
+# other solvers loop ``sample``.  The models are three relaxations of one
+# problem: a TSP (dense) and an MVC at n = 512 (CSR), in both engine dtypes.
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def relaxations():
+    problems = {
+        "dense": TSPProblem(generate_instance(5, rng=0, name="grouped-tsp")),
+        "sparse": MVCProblem(generate_sparse_mvc_instance(512, num_edges=1024, rng=0)),
+    }
+    out = {}
+    for storage, problem in problems.items():
+        scale = float(problem.relaxation_scale())
+        out[storage] = [problem.build_qubo(m * scale) for m in (0.5, 1.0, 2.0)]
+        assert {model.storage for model in out[storage]} == {storage}
+    return out
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("num_reads", [1, 4])
+@pytest.mark.parametrize("storage", ["dense", "sparse"])
+@pytest.mark.parametrize("spec", matrix_specs())
+def test_sample_many_is_byte_identical_to_sample(
+    spec, storage, num_reads, dtype, relaxations, monkeypatch
+):
+    monkeypatch.setenv(DTYPE_ENV, dtype)
+    models = relaxations[storage]
+    solver = make_solver(spec)
+    lone_rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
+    group_rngs = [np.random.default_rng(seed) for seed in (3, 4, 5)]
+    singles = [solver.sample(model, num_reads, rng) for model, rng in zip(models, lone_rngs)]
+    grouped = solver.sample_many(models, num_reads, group_rngs)
+    assert len(grouped) == len(models)
+    # Each model's generator moves exactly as in its lone call, even where
+    # the reads land on the same best states.
+    for k, (lone, group) in enumerate(zip(lone_rngs, group_rngs)):
+        assert lone.bit_generator.state == group.bit_generator.state, (
+            f"{spec!r} {storage} {dtype} reads={num_reads}: model {k}'s stream moved differently"
+        )
+    for k, (single, many) in enumerate(zip(singles, grouped)):
+        assert np.array_equal(single.assignments, many.assignments), (
+            f"{spec!r} {storage} {dtype} reads={num_reads}: model {k} differs"
+        )
+        assert np.array_equal(single.energies, many.energies)
+        assert np.array_equal(single.num_occurrences, many.num_occurrences)
+        assert single.assignments.dtype == many.assignments.dtype
+
+
+@pytest.mark.parametrize("spec", matrix_specs())
+def test_sample_many_rejects_models_of_mixed_size(spec, model, relaxations):
+    with pytest.raises(ValueError, match="one size"):
+        make_solver(spec).sample_many([relaxations["dense"][0], model], 2, [1, 2])
+
+
+def test_da_and_qbsolv_batch_models():
+    names = SolverRegistry.default().names()
+    batching = {name for name in names if make_solver(name).batches_models}
+    assert batching == {"da", "qbsolv"}

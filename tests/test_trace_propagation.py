@@ -16,7 +16,13 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.core import dataset
+from repro.core.dataset import SamplingPlan, collect_instance_records
+from repro.core.features import TSPStatisticsExtractor
+from repro.problems.tsp.generator import generate_instance
+from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
+from repro.service import ProcessPoolBackend, ThreadExecutionBackend
 from repro.service.distributed import wire
 from repro.service.registry import make_solver
 from repro.service.remote import RemoteBackend, WorkerServer
@@ -182,6 +188,64 @@ class TestStitchedTraces:
             if e["name"] == "service.solve"
         ]
         assert sorted(caches) == ["hit", "miss"]
+
+
+# ------------------------------------------------------ grouped collection
+class TestCollectionSpans:
+    @pytest.mark.parametrize("backend", ["thread", "process"])
+    def test_collection_evaluates_twice_with_nested_engine_calls(
+        self, backend, tmp_path, monkeypatch
+    ):
+        """One instance's collection: a ``service.evaluate`` span for the
+        coarse grid and one for the refinement points, every engine call
+        nested under one of them and no orphan span.  The thread backend runs
+        each stage as one grouped DA call; the process backend sends one wire
+        request per ``A``."""
+        sink = tmp_path / "trace.jsonl"
+        # Spawned workers read QROSS_TRACE at start-up and append to the sink.
+        monkeypatch.setenv(obs.TRACE_ENV, str(sink))
+        obs.reset_tracing()
+        problem = TSPProblem(generate_instance(5, rng=1, name="trace-tsp"))
+        plan = SamplingPlan(
+            coarse_multipliers=(0.25, 0.5, 1.0, 2.0, 3.0), num_refinement_points=2, num_reads=4
+        )
+        execution = (
+            ThreadExecutionBackend() if backend == "thread" else ProcessPoolBackend(max_workers=1)
+        )
+        try:
+            with SolveService(max_workers=2, backend=execution) as service:
+                monkeypatch.setattr(dataset, "default_service", lambda: service)
+                records = collect_instance_records(
+                    problem, make_solver("da?num_steps=60"), TSPStatisticsExtractor(), plan, rng=0
+                )
+        finally:
+            execution.close()
+        obs.reset_tracing()
+
+        events = read_events(sink)
+        by_id = span_index(events)
+        assert [e for e in events if e["parent_id"] and e["parent_id"] not in by_id] == []
+
+        def enclosing_evaluate(event):
+            while event["parent_id"] is not None:
+                event = by_id[event["parent_id"]]
+                if event["name"] == "service.evaluate":
+                    return event
+            return None
+
+        evaluates = [e for e in events if e["name"] == "service.evaluate"]
+        assert len(evaluates) == 2
+        assert sum(e["attrs"]["misses"] for e in evaluates) == len(records)
+        samples = [e for e in events if e["name"] == "engine.sample"]
+        parents = [enclosing_evaluate(e) for e in samples]
+        assert all(parent is not None for parent in parents)
+        if backend == "thread":
+            assert len(samples) == 2
+            for sample, parent in zip(samples, parents):
+                assert sample["attrs"]["num_models"] == parent["attrs"]["misses"]
+                assert sample["attrs"]["num_reads"] == 4 * parent["attrs"]["misses"]
+        else:
+            assert len(samples) == len(records)
 
 
 # ----------------------------------------------------- determinism + stats_ack
