@@ -6,8 +6,7 @@ probability of feasibility (the sigmoid) and the best energy (the dipper), and
 then shows the same landscape as *predicted* by a trained surrogate — the
 "predict the landscape without calling the solver" feature from the paper's
 introduction.  A final section re-measures the sigmoid by submitting the whole
-sweep to the batching :class:`~repro.service.SolveService` in one
-``map_requests`` call.
+sweep to a :class:`~repro.service.SolveService` in one ``map_requests`` call.
 
 Run with:  python examples/landscape_study.py
 """

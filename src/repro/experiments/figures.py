@@ -131,7 +131,6 @@ def _comparison_on(
         num_trials=profile.num_trials,
         num_reads=profile.num_reads,
         rng=rng,
-        backend=profile.execution_backend,
     )
     return ComparisonFigure(title=title, solver_backend=backend, dataset_name=dataset_name, result=result)
 

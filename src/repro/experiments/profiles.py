@@ -52,16 +52,6 @@ class ExperimentProfile:
     # MVC workload sizing (Appendix B study and the sparse-encoding path).
     mvc_num_vertices: int = 24
     mvc_edge_probability: float = 0.5
-    # Execution: where the tuning-comparison engine calls run.  ``None``
-    # inherits the process default (the ``QROSS_EXECUTION_BACKEND`` env var,
-    # ``"thread"`` out of the box); ``"process"`` fans the Python-heavy
-    # annealing loops of the comparison runs out across cores — worthwhile at
-    # ``small``/``paper`` scale, pure overhead for the smoke profile.
-    # ``"remote"`` (with a fleet from ``QROSS_REMOTE_WORKERS`` or an explicit
-    # ``remote?workers=host:port,...`` spec) ships the same calls to TCP
-    # worker servers on other machines — the ``paper``-scale option when one
-    # host is not enough.  Seeded runs are byte-identical on every choice.
-    execution_backend: str | None = None
     # Parallel tempering (replica exchange): ladder rungs per read and sweeps
     # between swap rounds.  The sweep budget is shared with SA
     # (``sa_num_sweeps``) so PT-vs-SA comparisons are same-budget by default.

@@ -24,7 +24,7 @@ low-cardinality dimensions are labels:
 ``qross_service_tasks_total``             settled service tasks
 (labels)                                  ``outcome="served"|"failed"``
 ``qross_service_request_seconds``         request latency histogram
-(labels)                                  ``path="seeded"|"unseeded"|"merged"``
+(labels)                                  ``path="seeded"|"unseeded"``
 ``qross_cache_lookups_total``             call-cache probe outcomes
 (labels)                                  ``cache="call"``,
                                           ``result="hit"|"miss"``

@@ -43,8 +43,8 @@ class ConstrainedProblem(abc.ABC):
         """The cached ``(H_B, H_A)`` encoding of this instance.
 
         Built once on first use via :meth:`_encode`; every relaxation, solver
-        call and feature extraction shares the same encoding, and the service
-        keys request batching on its fingerprint without materialising any
+        call and feature extraction shares the same encoding, and the
+        evaluation cache keys on its fingerprint without materialising any
         relaxed model.
         """
         cached = getattr(self, "_cached_encoding", None)

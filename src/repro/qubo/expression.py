@@ -168,8 +168,8 @@ class RelaxedEncoding:
     Each model holds the storage its coefficients give; :meth:`relax` sums
     two sparse models in CSR (never densifying them), the relaxed model picks
     its own storage, and the most recent relaxed models are cached per
-    parameter, so service-level batching materialises each ``(encoding, A)``
-    exactly once.
+    parameter, so repeated requests at one ``(encoding, A)`` share one
+    composed model.
     """
 
     objective: QUBOModel
@@ -233,8 +233,9 @@ class RelaxedEncoding:
         """Stable hash of the ``(objective, penalty)`` pair.
 
         Together with the relaxation parameter this identifies the relaxed
-        model *without materialising it* — the service keys request groups on
-        ``(encoding fingerprint, A)`` and builds the model lazily in a worker.
+        model *without materialising it*: the aggregate evaluation cache keys
+        on ``(encoding fingerprint, A)``
+        (:meth:`~repro.service.cache.SolverCallCache.evaluation_key`).
         """
         if not self._fingerprint_cache:
             digest = hashlib.sha256()

@@ -563,9 +563,9 @@ class QUBOModel:
         The hash covers the canonical COO triplets of the symmetrised matrix,
         which both storages enumerate in the same row-major order.  The
         storage is itself a function of the coefficients, so one fingerprint
-        means one storage, and service-level batching and deduplication can
-        key on it.  Cached — immutable models are fingerprinted repeatedly by
-        the request-grouping path.
+        means one storage, and the service's seeded-request deduplication can
+        key on it.  Cached — immutable models are fingerprinted on every
+        seeded request.
         """
         if self._fingerprint is None:
             if self._storage == "sparse":

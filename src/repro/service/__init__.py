@@ -1,4 +1,4 @@
-"""Public solve-service API: solver registry, request/response types, batching executor.
+"""Public solve-service API: solver registry, request/response types, pooled executor.
 
 The canonical way to run solves:
 

@@ -99,9 +99,9 @@ class SolverCallCache:
     ) -> str:
         """Cache key of an aggregate (encoding, solver, parameter, reads) evaluation.
 
-        The problem enters as the fingerprint of its ``(H_B, H_A)`` encoding,
-        the identity request batching keys on too: two problems share an entry
-        only if they relax to the same QUBO at every ``A``.
+        The problem enters as the fingerprint of its ``(H_B, H_A)`` encoding:
+        two problems share an entry only if they relax to the same QUBO at
+        every ``A``.
 
         Deliberately seed-free: within a run, two evaluations of the same
         tuple are treated as interchangeable estimates.  Every execution

@@ -4,7 +4,7 @@ A :class:`SolveRequest` is everything needed to reproduce one solver call:
 the QUBO (given directly, or as a problem plus relaxation parameter), the
 solver (a registry spec or an instance), the batch size and an optional seed.
 A :class:`SolveResult` pairs the request with the :class:`SampleSet` it
-produced plus provenance (solver fingerprint, cache/batching metadata).
+produced plus provenance (solver fingerprint, whether the cache served it).
 
 Both are frozen: a request can be hashed into a cache key, retried, or
 shipped to a worker without aliasing surprises.
@@ -21,6 +21,7 @@ from repro.problems.base import ConstrainedProblem
 from repro.qubo.model import QUBOModel
 from repro.qubo.sampleset import SampleRecord, SampleSet
 from repro.solvers.base import QUBOSolver, validate_reads
+from repro.utils.validation import check_positive
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,17 +36,17 @@ class SolveRequest:
         A constrained problem; the QUBO is built as
         ``problem.build_qubo(relaxation_parameter)``.
     relaxation_parameter:
-        Required with ``problem``; the penalty weight ``A``.
+        Required with ``problem``; the penalty weight ``A`` (finite, > 0).
     solver:
         Registry spec string (``"da"``, ``"tabu?tenure=16"``) or an existing
         :class:`QUBOSolver` instance.
     num_reads:
         Batch size of the call.
     seed:
-        ``None`` draws a fresh child stream from the service; an ``int`` makes
-        the request fully deterministic (and thereby cacheable): the result is
-        byte-identical to ``solver.sample(model, num_reads,
-        rng=np.random.default_rng(seed))``.
+        ``None`` draws a seed from the service's root generator when the
+        request is submitted; a non-negative ``int`` makes the request fully
+        deterministic (and thereby cacheable): the result is byte-identical
+        to ``solver.sample(model, num_reads, rng=np.random.default_rng(seed))``.
     label:
         Free-form tag carried through to the result (for callers correlating
         batched submissions).
@@ -66,28 +67,14 @@ class SolveRequest:
             raise ValueError("relaxation_parameter is required with problem=")
         if self.model is not None and self.relaxation_parameter is not None:
             raise ValueError("relaxation_parameter only applies with problem=")
+        if self.problem is not None:
+            check_positive(self.relaxation_parameter, "relaxation_parameter")
         validate_reads(self.num_reads)
-        if self.seed is not None and not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an int or None, got {self.seed!r}")
-
-    def model_key(self) -> str:
-        """Stable identity of the model this request solves, *without materialising it*.
-
-        Model-based requests key on the model fingerprint; problem-based
-        requests key on the instance's encoding fingerprint plus the
-        relaxation parameter.  The encoding (``H_B``, ``H_A``) is built once
-        per problem and cached there — no relaxed ``H_B + A * H_A`` model is
-        composed until a worker actually needs it, so the service can group
-        and deduplicate requests lazily.
-        """
-        if self.model is not None:
-            return self.model.fingerprint()
-        # float.hex() is exact — distinct parameters can never collide into
-        # one merged group the way a rounded decimal format could.
-        return (
-            f"{self.problem.encode().fingerprint()}"
-            f"|A={float(self.relaxation_parameter).hex()}"
-        )
+        if self.seed is not None:
+            if not isinstance(self.seed, (int, np.integer)):
+                raise ValueError(f"seed must be an int or None, got {self.seed!r}")
+            if self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def resolve_model(self) -> QUBOModel:
         """The QUBO this request solves (building it from the problem if needed).
@@ -100,20 +87,13 @@ class SolveRequest:
             return self.model
         return self.problem.build_qubo(float(self.relaxation_parameter))
 
-    def rng(self) -> Optional[np.random.Generator]:
-        """The request's deterministic stream, or ``None`` when unseeded."""
-        if self.seed is None:
-            return None
-        return np.random.default_rng(int(self.seed))
-
 
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     """Outcome of one :class:`SolveRequest`.
 
-    ``from_cache`` marks results served without running the solver;
-    ``batched_group_size`` > 1 marks reads carved out of a merged engine call
-    (the sample set's ``wall_time_s`` then covers the whole merged batch).
+    ``from_cache`` marks a seeded result served from the service's cache
+    without running the solver.
     """
 
     request: SolveRequest
@@ -121,7 +101,6 @@ class SolveResult:
     solver_name: str
     solver_fingerprint: str
     from_cache: bool = False
-    batched_group_size: int = 1
 
     # --------------------------------------------------------------- shortcuts
     @property

@@ -1,4 +1,4 @@
-"""The solve service: batching, deduplicating, thread-pooled QUBO solving.
+"""The solve service: deduplicating, thread-pooled QUBO solving.
 
 This is the production entry point the paper's setting implies — many
 instances hitting the same solver backends under different relaxation
@@ -6,11 +6,7 @@ parameters.  The service accepts :class:`~repro.service.requests.SolveRequest`
 objects and
 
 * executes them across a configurable thread pool (:meth:`SolveService.submit`
-  returns a future; :meth:`SolveService.map_requests` resolves a whole batch),
-* groups same-(model, solver-fingerprint) unseeded requests into a *single
-  batched engine call* — the replica-vectorised solvers make one call with
-  ``sum(num_reads)`` reads far cheaper than separate calls — and deals the
-  merged reads back to the requests through an unbiased random permutation,
+  returns a future; :meth:`SolveService.map_requests` submits a whole batch),
 * dedupes *seeded* requests through :class:`SolverCallCache`: identical
   requests run the engine exactly once, and
 * hands every engine call one concrete integer seed: a seeded request is
@@ -20,10 +16,11 @@ objects and
   seed from the service's root generator, and :meth:`SolveService.sample` and
   :meth:`SolveService.evaluate` draw one from the caller's ``rng``.
 
-The aggregate-statistics path used by training-data collection and the
-tuners (:meth:`SolveService.evaluate`) and the raw passthrough
-(:meth:`SolveService.sample`) run on the same pool, so every solver call in
-the library flows through one seam.
+Every call that returns a sample set (:meth:`SolveService.solve`,
+:meth:`SolveService.map_requests` and :meth:`SolveService.sample`) is a
+:meth:`SolveService.submit`.  The aggregate-statistics path used by
+training-data collection and the tuners (:meth:`SolveService.evaluate`) runs
+on the same pool, so every solver call in the library flows through one seam.
 
 Where the engine call itself executes is delegated to an
 :class:`~repro.service.distributed.backends.ExecutionBackend`: the default
@@ -41,9 +38,8 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -156,7 +152,7 @@ class SolveService:
                 labels={"path": path},
                 help="Service request latency by execution path",
             )
-            for path in ("seeded", "unseeded", "merged")
+            for path in ("seeded", "unseeded")
         }
 
     # ---------------------------------------------------------------- plumbing
@@ -203,10 +199,6 @@ class SolveService:
         """
         with self._lock:
             return _draw_seed(self._root_rng)
-
-    def _spawn_rng(self) -> np.random.Generator:
-        """Thread-safe child stream for an unseeded request."""
-        return np.random.default_rng(self._spawn_seed())
 
     def _key_lock(self, key: str) -> threading.Lock:
         return self._key_locks[hash(key) % len(self._key_locks)]
@@ -275,180 +267,73 @@ class SolveService:
         )
         return data
 
-    # ------------------------------------------------------------- single shot
+    # ---------------------------------------------------------------- requests
     def submit(self, request: SolveRequest) -> "Future[SolveResult]":
         """Schedule one request; returns a future resolving to its result.
 
         The request's QUBO is *not* materialised here: problem-based requests
         carry their ``(encoding, A)`` identity and the relaxed model is
         composed lazily by the pool worker (once per parameter, through the
-        problem's encoding cache).
+        problem's encoding cache).  An unseeded request draws its seed from
+        the service's root generator now, in submission order.
         """
-        solver = self.resolve_solver(request.solver)
-        return self._submit_request(request, solver)
+        return self._submit(request, self.resolve_solver(request.solver))
 
-    def _submit_request(
-        self, request: SolveRequest, solver: QUBOSolver
-    ) -> "Future[SolveResult]":
-        if request.seed is not None:
-            return self._admit_submit(self._run_seeded, request, solver)
-        seed = self._spawn_seed()
-        return self._admit_submit(self._run_unseeded, request, solver, seed)
+    def _submit(self, request: SolveRequest, solver: QUBOSolver) -> "Future[SolveResult]":
+        seed = self._spawn_seed() if request.seed is None else int(request.seed)
+        return self._admit_submit(self._run, request, solver, seed)
 
-    def _run_seeded(self, request: SolveRequest, solver: QUBOSolver) -> SolveResult:
+    def _run(self, request: SolveRequest, solver: QUBOSolver, seed: int) -> SolveResult:
+        """Resolve the model and run one engine call with ``seed`` (one pool task).
+
+        Only a request that carries its own seed is deterministic, so only
+        such a request dedups through the cache; an unseeded one always runs.
+        """
+        path = "unseeded" if request.seed is None else "seeded"
         started = time.perf_counter()
         with obs.span(
             "service.solve",
-            path="seeded",
+            path=path,
             solver=solver.name,
             num_reads=int(request.num_reads),
-            seed=int(request.seed),
+            seed=seed,
         ) as sp:
             model = request.resolve_model()
-            key = SolverCallCache.sample_key(model, solver, request.num_reads, int(request.seed))
-            # Per-key lock: concurrent duplicates wait for the first execution
-            # and are then served from the cache — the engine runs exactly once.
-            with self._key_lock(key):
-                samples = self.cache.lookup_samples(key)
-                if samples is not None:
-                    sp.set(cache="hit")
-                    result = self._result(request, samples, solver, from_cache=True)
-                else:
-                    sp.set(cache="miss")
-                    samples = self.backend.run(model, solver, request.num_reads, int(request.seed))
-                    self.cache.store_samples(key, samples)
-                    result = self._result(request, samples, solver)
-        self._latency["seeded"].observe(time.perf_counter() - started)
-        return result
-
-    def _run_unseeded(
-        self,
-        request: SolveRequest,
-        solver: QUBOSolver,
-        seed: int,
-    ) -> SolveResult:
-        started = time.perf_counter()
-        with obs.span(
-            "service.solve", path="unseeded", solver=solver.name, num_reads=int(request.num_reads)
-        ):
-            samples = self.backend.run(request.resolve_model(), solver, request.num_reads, seed)
-            result = self._result(request, samples, solver)
-        self._latency["unseeded"].observe(time.perf_counter() - started)
-        return result
-
-    @staticmethod
-    def _result(
-        request: SolveRequest,
-        samples: SampleSet,
-        solver: QUBOSolver,
-        from_cache: bool = False,
-        batched_group_size: int = 1,
-    ) -> SolveResult:
+            if request.seed is None:
+                samples = self.backend.run(model, solver, request.num_reads, seed)
+                from_cache = False
+            else:
+                key = SolverCallCache.sample_key(model, solver, request.num_reads, seed)
+                # Per-key lock: concurrent duplicates wait for the first
+                # execution and are then served from the cache — the engine
+                # runs exactly once.
+                with self._key_lock(key):
+                    samples = self.cache.lookup_samples(key)
+                    from_cache = samples is not None
+                    sp.set(cache="hit" if from_cache else "miss")
+                    if not from_cache:
+                        samples = self.backend.run(model, solver, request.num_reads, seed)
+                        self.cache.store_samples(key, samples)
+        self._latency[path].observe(time.perf_counter() - started)
         return SolveResult(
             request=request,
             samples=samples,
             solver_name=solver.name,
             solver_fingerprint=solver.config_fingerprint(),
             from_cache=from_cache,
-            batched_group_size=batched_group_size,
         )
 
-    # ------------------------------------------------------------------ batches
     def map_requests(self, requests: Iterable[SolveRequest]) -> List[SolveResult]:
-        """Execute a batch of requests, preserving input order in the results.
+        """Submit every request and return the results in input order.
 
-        Requests are grouped by ``(model key, solver fingerprint)`` — the
-        model key (:meth:`SolveRequest.model_key`) identifies problem-based
-        requests by their encoding fingerprint and relaxation parameter, so
-        grouping never materialises a relaxed QUBO.  Within a group, unseeded
-        requests are merged into one engine call with the summed read count
-        (the model is composed once, inside the worker); seeded requests keep
-        their own deterministic streams (and cache dedup) and run individually.
+        Every solver is resolved before the first submission, so a bad spec
+        anywhere in the batch submits nothing.  Each request is then one
+        :meth:`submit`: seeded duplicates dedup through the cache, and every
+        unseeded request runs its own engine call with its own seed.
         """
-        requests = list(requests)
-        resolved: List[Tuple[SolveRequest, QUBOSolver]] = []
-        groups: Dict[Tuple[str, str], List[int]] = defaultdict(list)
-        for index, request in enumerate(requests):
-            solver = self.resolve_solver(request.solver)
-            resolved.append((request, solver))
-            groups[(request.model_key(), f"{solver.name}:{solver.config_fingerprint()}")].append(index)
-
-        futures: Dict[int, "Future"] = {}
-        merged: List[Tuple[List[int], "Future[List[SolveResult]]"]] = []
-        for indices in groups.values():
-            unseeded = [i for i in indices if requests[i].seed is None]
-            for i in indices:
-                if requests[i].seed is not None:
-                    request, solver = resolved[i]
-                    futures[i] = self._submit_request(request, solver)
-            if len(unseeded) == 1:
-                request, solver = resolved[unseeded[0]]
-                futures[unseeded[0]] = self._submit_request(request, solver)
-            elif unseeded:
-                _, solver = resolved[unseeded[0]]
-                entries = [resolved[i][0] for i in unseeded]
-                rng = self._spawn_rng()
-                merged.append(
-                    (unseeded, self._admit_submit(self._run_merged, entries, solver, rng))
-                )
-
-        results: List[Optional[SolveResult]] = [None] * len(requests)
-        for index, future in futures.items():
-            results[index] = future.result()
-        for indices, future in merged:
-            for index, result in zip(indices, future.result()):
-                results[index] = result
-        return results  # type: ignore[return-value]
-
-    def _run_merged(
-        self,
-        entries: Sequence[SolveRequest],
-        solver: QUBOSolver,
-        rng: np.random.Generator,
-    ) -> List[SolveResult]:
-        """One engine call for a group of unseeded same-(model, solver) requests.
-
-        The model is materialised here, once for the whole group.  The merged
-        sample set is dealt back through a random permutation, so every
-        request receives an exchangeable (unbiased) subset of the reads rather
-        than a slice of the energy-sorted batch.
-
-        ``rng`` is the group's child stream of the service root: the engine
-        call gets one seed drawn from it, then the permutation draws from it,
-        so a merged group deals the same reads on every backend.
-        """
-        started = time.perf_counter()
-        model = entries[0].resolve_model()
-        total = sum(request.num_reads for request in entries)
-        with obs.span(
-            "service.solve",
-            path="merged",
-            solver=solver.name,
-            num_reads=total,
-            group_size=len(entries),
-        ):
-            samples = self.backend.run(model, solver, total, _draw_seed(rng))
-        self._latency["merged"].observe(time.perf_counter() - started)
-        permutation = rng.permutation(total)
-        results: List[SolveResult] = []
-        offset = 0
-        for request in entries:
-            take = permutation[offset : offset + request.num_reads]
-            offset += request.num_reads
-            info = dict(samples.info)
-            info["batched_group_size"] = len(entries)
-            info["batched_total_reads"] = total
-            subset = SampleSet(
-                samples.assignments[take],
-                samples.energies[take],
-                samples.num_occurrences[take],
-                solver_name=samples.solver_name,
-                info=info,
-            )
-            results.append(
-                self._result(request, subset, solver, batched_group_size=len(entries))
-            )
-        return results
+        resolved = [(request, self.resolve_solver(request.solver)) for request in requests]
+        futures = [self._submit(request, solver) for request, solver in resolved]
+        return [future.result() for future in futures]
 
     # ------------------------------------------------------------ conveniences
     def solve(
@@ -508,18 +393,19 @@ class SolveService:
         num_reads: int = 1,
         rng: RngLike = None,
     ) -> SampleSet:
-        """Raw passthrough: run one solver call on the pool with the caller's RNG.
+        """One solver call on ``model``, seeded from the caller's ``rng``.
 
-        One child seed is drawn from ``rng`` (advancing it by exactly one
-        ``integers`` draw) and the call routes through the configured backend
-        like every other engine call, so the result is byte-identical on every
-        backend: ``backend.run(model, solver, num_reads, seed)``.
+        A seeded :meth:`submit`: one child seed is drawn from ``rng``
+        (advancing it by exactly one ``integers`` draw), so the result is
+        byte-identical on every backend to ``backend.run(model, solver,
+        num_reads, seed)``, and a repeat with an equal ``rng`` state is
+        served from the cache.
         """
-        resolved = self.resolve_solver(solver)
-        seed = _draw_seed(ensure_rng(rng))
-        return self._admit_submit(
-            self.backend.run, model, resolved, num_reads, seed
-        ).result()
+        resolved = self.resolve_solver(solver)  # first: a bad spec draws nothing
+        request = SolveRequest(
+            solver=resolved, model=model, num_reads=num_reads, seed=_draw_seed(ensure_rng(rng))
+        )
+        return self.submit(request).result().samples
 
     def evaluate(
         self,

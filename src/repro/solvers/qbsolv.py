@@ -183,8 +183,8 @@ class QbsolvSolver(QUBOSolver):
     def _window_view(self, model: QUBOModel) -> "_WindowView":
         """What the decomposition loop needs of one model."""
         # The model's storage is a function of its coefficients, so the seeded
-        # trajectory is one per fingerprint (the key of cache lookups and
-        # request grouping), whatever form the model was built from.
+        # trajectory is one per fingerprint (the key of cache lookups),
+        # whatever form the model was built from.
         if model.is_sparse:
             op = model.operator()
             # CSR path: steer window selection and clamping through the sparse

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -14,8 +16,10 @@ def check_probability(value: float, name: str = "value") -> float:
 
 
 def check_positive(value: float, name: str = "value", strict: bool = True) -> float:
-    """Validate that ``value`` is positive (strictly by default) and return it."""
+    """Validate that ``value`` is finite and positive (strictly by default) and return it."""
     value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
     if strict and value <= 0:
         raise ValueError(f"{name} must be > 0, got {value}")
     if not strict and value < 0:

@@ -20,7 +20,13 @@ from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import random_qubo
 from repro.qubo.sampleset import SampleSet
-from repro.service import SolveRequest, SolverCallCache, SolveService, make_solver
+from repro.service import (
+    SolveRequest,
+    SolverCallCache,
+    SolveService,
+    ThreadExecutionBackend,
+    make_solver,
+)
 from repro.service import cache as cache_module
 from repro.service.cache import CachedEvaluation
 from repro.solvers.base import QUBOSolver
@@ -282,6 +288,28 @@ class TestServiceDedup:
         for a, b in zip(first, second):
             assert a.samples.energies.tobytes() == b.samples.energies.tobytes()
             assert a.samples.assignments.tobytes() == b.samples.assignments.tobytes()
+
+    def test_sample_is_a_seeded_submit(self, model):
+        """``sample`` draws one seed from ``rng`` and dedups like a seeded request."""
+        stream = np.random.default_rng(3)
+        seed = int(stream.integers(0, 2**63 - 1))
+        expected = ThreadExecutionBackend().run(model, CountingSolver(num_sweeps=12), 4, seed)
+        cache = SolverCallCache()
+        solver = CountingSolver(num_sweeps=12)
+        with SolveService(max_workers=1, cache=cache, backend="thread") as service:
+            rng = np.random.default_rng(3)
+            first = service.sample(model, solver, 4, rng=rng)
+            assert rng.bit_generator.state == stream.bit_generator.state
+            again = service.sample(model, solver, 4, rng=np.random.default_rng(3))
+        assert solver.calls == 1
+        assert (cache.hits, cache.misses) == (1, 1)
+        for samples in (first, again):
+            for got, want in (
+                (samples.assignments, expected.assignments),
+                (samples.energies, expected.energies),
+                (samples.num_occurrences, expected.num_occurrences),
+            ):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_unseeded_requests_bypass_the_cache(self, model):
         cache = SolverCallCache()

@@ -194,15 +194,19 @@ class TestSolveRequest:
         with pytest.raises(ValueError, match="seed"):
             SolveRequest(solver="sa", model=model, seed="abc")
 
+    def test_rejects_negative_seed_before_admission(self, model):
+        # Regression: a negative seed was admitted and then failed inside the
+        # engine call, with an error type that depended on the backend.
+        with SolveService(max_workers=1) as service:
+            for seed in (-1, np.int64(-5)):
+                with pytest.raises(ValueError, match="seed"):
+                    service.submit(SolveRequest(solver="sa", model=model, seed=seed))
+            assert service.stats()["admitted_total"] == 0
+
     def test_resolve_model_builds_from_problem(self, problem):
         request = SolveRequest(solver="sa", problem=problem, relaxation_parameter=2.5)
         built = request.resolve_model()
         assert built.fingerprint() == problem.build_qubo(2.5).fingerprint()
-
-    def test_rng_is_deterministic_per_seed(self, model):
-        request = SolveRequest(solver="sa", model=model, seed=11)
-        assert request.rng().integers(0, 100) == np.random.default_rng(11).integers(0, 100)
-        assert SolveRequest(solver="sa", model=model).rng() is None
 
 
 # ----------------------------------------------------------------------- service
@@ -270,30 +274,56 @@ class TestSolveService:
         assert cache.misses == 2 and cache.hits == 0
         assert not any(r.from_cache for r in results)
 
-    def test_map_requests_merges_unseeded_same_group(self, model):
-        with SolveService(max_workers=2) as service:
-            results = service.map_requests([
-                SolveRequest(solver="tabu?num_steps=40", model=model, num_reads=r)
-                for r in (3, 5, 2)
-            ])
+    def test_non_finite_relaxation_parameter_is_rejected(self, problem):
+        # Regression: NaN and inf passed the positivity check, so evaluate
+        # relaxed an all-NaN model and returned Pf 0 with NaN energies.
+        with SolveService(max_workers=1) as service:
+            with pytest.raises(ValueError, match="relaxation_parameter"):
+                service.evaluate(problem, "sa?num_sweeps=10", float("nan"), 4, rng=0)
+        with pytest.raises(ValueError, match="relaxation_parameter"):
+            SolveRequest(solver="sa", problem=problem, relaxation_parameter=float("inf"))
+
+    def test_map_requests_resolves_every_solver_before_submitting(self, model, monkeypatch):
+        solver = make_solver("sa?num_sweeps=10")
+        calls = []
+        monkeypatch.setattr(solver, "_sample", lambda *args: calls.append(args))
+        requests = [
+            SolveRequest(solver=solver, model=model, num_reads=2, seed=1),
+            SolveRequest(solver=solver, model=model, num_reads=2),
+            SolveRequest(solver="no-such-solver", model=model, num_reads=2, seed=2),
+        ]
+        with SolveService(max_workers=1, backend="thread") as service:
+            with pytest.raises(ValueError, match="unknown solver backend"):
+                service.map_requests(requests)
+            assert service.stats()["admitted_total"] == 0
+        assert calls == []
+
+    def test_map_requests_runs_each_unseeded_request_on_its_own_call(self, model, monkeypatch):
+        # Unseeded requests for one (model, solver) are never merged: each is
+        # its own engine call, with its own seed from the service root.
+        solver = make_solver("tabu?num_steps=40")
+        calls = []
+        original = solver._sample
+        monkeypatch.setattr(
+            solver,
+            "_sample",
+            lambda m, num_reads, rng: calls.append(
+                (num_reads, rng.bit_generator.state["state"]["state"])
+            )
+            or original(m, num_reads, rng),
+        )
+        with SolveService(max_workers=1, seed=0, backend="thread") as service:
+            results = service.map_requests(
+                [SolveRequest(solver=solver, model=model, num_reads=r) for r in (3, 5, 2)]
+            )
+            assert service.stats()["admitted_total"] == 3
+        assert [num_reads for num_reads, _ in calls] == [3, 5, 2]
+        assert len({state for _, state in calls}) == 3
         assert [r.num_samples for r in results] == [3, 5, 2]
         for result in results:
-            assert result.batched_group_size == 3
-            assert result.samples.info["batched_total_reads"] == 10
-            # Energies are consistent with the model (the merged rows were
-            # dealt back correctly).
+            assert not result.from_cache
             recomputed = model.energies(result.samples.assignments.astype(float))
             np.testing.assert_allclose(result.samples.energies, recomputed)
-
-    def test_map_requests_does_not_merge_across_models_or_solvers(self, model):
-        other = random_qubo(12, rng=8)
-        with SolveService(max_workers=2) as service:
-            results = service.map_requests([
-                SolveRequest(solver="tabu?num_steps=40", model=model, num_reads=2),
-                SolveRequest(solver="tabu?num_steps=40", model=other, num_reads=2),
-                SolveRequest(solver="tabu?num_steps=80", model=model, num_reads=2),
-            ])
-        assert all(r.batched_group_size == 1 for r in results)
 
     def test_map_requests_preserves_input_order(self, model):
         with SolveService(max_workers=4) as service:

@@ -16,6 +16,8 @@ without ever allocating a dense ``n x n`` array.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -295,33 +297,24 @@ class TestSolveParity:
 
 
 class TestLazyServiceEncoding:
-    def test_model_key_does_not_materialise(self, monkeypatch):
-        problem = dyadic_mvc_problem(32, 0.3)
-        calls = []
-        original = RelaxedEncoding.relax
-        monkeypatch.setattr(
-            RelaxedEncoding, "relax", lambda self, A: calls.append(A) or original(self, A)
-        )
-        request = SolveRequest(problem=problem, relaxation_parameter=2.0, solver="sa")
-        key = request.model_key()
-        assert calls == []
-        assert f"A={float(2.0).hex()}" in key
-        assert key == request.model_key()
-
-    def test_model_key_distinguishes_nearby_parameters(self):
-        problem = dyadic_mvc_problem(16, 0.4)
-        a = SolveRequest(problem=problem, relaxation_parameter=2.0, solver="sa")
-        b = SolveRequest(
-            problem=problem, relaxation_parameter=2.0 + 1e-10, solver="sa"
-        )
-        assert a.model_key() != b.model_key()
-
     def test_map_requests_materialises_once_per_group(self, monkeypatch):
+        # Three requests at one (problem, A): submitting relaxes nothing on the
+        # caller's thread, and on a one-worker service the first task composes
+        # the relaxed model while the other two are hits in the encoding's LRU.
         problem = dyadic_mvc_problem(24, 0.3)
-        calls = []
-        original = RelaxedEncoding.relax
+        relaxing_threads, compositions = [], []
+        original_relax = RelaxedEncoding.relax
+        original_scaled = QUBOModel.scaled
         monkeypatch.setattr(
-            RelaxedEncoding, "relax", lambda self, A: calls.append(A) or original(self, A)
+            RelaxedEncoding,
+            "relax",
+            lambda self, A: relaxing_threads.append(threading.get_ident())
+            or original_relax(self, A),
+        )
+        monkeypatch.setattr(
+            QUBOModel,
+            "scaled",
+            lambda self, factor: compositions.append(factor) or original_scaled(self, factor),
         )
         requests = [
             SolveRequest(
@@ -332,22 +325,12 @@ class TestLazyServiceEncoding:
             )
             for _ in range(3)
         ]
-        with SolveService(seed=0) as service:
+        with SolveService(max_workers=1, seed=0, backend="thread") as service:
             results = service.map_requests(requests)
         assert len(results) == 3
-        assert all(result.batched_group_size == 3 for result in results)
-        assert calls == [2.0]
-
-    def test_problem_requests_group_with_model_requests_is_separate(self):
-        problem = dyadic_mvc_problem(16, 0.4)
-        model = problem.build_qubo(2.0)
-        problem_request = SolveRequest(
-            problem=problem, relaxation_parameter=2.0, solver="sa?num_sweeps=4"
-        )
-        model_request = SolveRequest(model=model, solver="sa?num_sweeps=4")
-        # Keys differ in namespace (encoding+A vs model fingerprint) — both are
-        # stable identities; solving either yields a valid result.
-        assert problem_request.model_key() != model_request.model_key()
+        assert len(relaxing_threads) == 3
+        assert threading.get_ident() not in relaxing_threads
+        assert compositions == [2.0]
 
     def test_solve_keyword_forms(self):
         problem = dyadic_mvc_problem(16, 0.4)

@@ -189,6 +189,24 @@ class TestStitchedTraces:
         ]
         assert sorted(caches) == ["hit", "miss"]
 
+    def test_sample_is_a_traced_seeded_request(self, tmp_path):
+        """``sample`` opens a seeded ``service.solve`` span and feeds the latency histogram."""
+        sink = tmp_path / "trace.jsonl"
+        latency = obs.histogram("qross_service_request_seconds", labels={"path": "seeded"})
+        before = latency.count
+        seed = int(np.random.default_rng(3).integers(0, 2**63 - 1))
+        obs.configure_tracing(sink)
+        model = random_qubo(10, rng=4)
+        with SolveService(max_workers=1) as service:
+            for _ in range(2):
+                service.sample(model, "sa?num_sweeps=10", 2, rng=np.random.default_rng(3))
+        obs.reset_tracing()
+        solves = [e["attrs"] for e in read_events(sink) if e["name"] == "service.solve"]
+        assert [attrs["path"] for attrs in solves] == ["seeded", "seeded"]
+        assert [attrs["seed"] for attrs in solves] == [seed, seed]
+        assert sorted(attrs["cache"] for attrs in solves) == ["hit", "miss"]
+        assert latency.count == before + 2
+
 
 # ------------------------------------------------------ grouped collection
 class TestCollectionSpans:

@@ -76,6 +76,9 @@ class TestValidation:
         assert check_positive(2.0) == 2.0
         with pytest.raises(ValueError):
             check_positive(0.0)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                check_positive(value)
 
     def test_check_positive_non_strict_allows_zero(self):
         assert check_positive(0.0, strict=False) == 0.0
