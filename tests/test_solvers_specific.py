@@ -304,9 +304,10 @@ class TestQbsolvLockStep:
             assert {row.tobytes() for row in few} <= many
 
 
-#: sha256 of ``assignments`` + ``energies`` of seeded float64 engine calls on
-#: one CSR-regime model, recorded while the CSR operator still gathered rows
-#: one at a time.  Every kernel that reads the operator is covered: SA's and
+#: sha256 of ``assignments`` + ``energies`` of seeded engine calls on one
+#: CSR-regime model; the float64 ones were recorded while the CSR operator
+#: still gathered rows one at a time.  Every kernel that reads the operator
+#: is covered in both dtypes: SA's and
 #: PT's block products, DA's row gathers (single- and multi-flip), batched
 #: tabu's row gathers and the scalar tabu kernel's single rows.
 #: Entries: spec, num_reads, digest.
@@ -337,6 +338,30 @@ _CSR_DIGESTS = {
     ),
     "tabu-scalar": (
         "tabu?num_steps=120&restart_after=40&dtype=float64", 1,
+        "20befc59845e082bd9faef31d25f70decabc21d7446d4d9a98116ca234f325b9",
+    ),
+    # The same calls in float32, recorded while block products still ran as
+    # dense GEMMs over gathered rows.  They equal the float64 digests: the
+    # operator rounds this model's coefficients to float32 in both dtypes,
+    # and no accept or argmin decision falls the other way.
+    "sa-float32": (
+        "sa?num_sweeps=12&dtype=float32", 4,
+        "b8b687a6c0540386f2ec2311956b32e7eecf90a500a39eab7ff5d7b48d280a31",
+    ),
+    "da-float32": (
+        "da?num_steps=150&dtype=float32", 4,
+        "f364fceb6d44b8156e6189110af48ebcd4b222eab1f0991161bcd6902624b04b",
+    ),
+    "pt-float32": (
+        "pt?num_sweeps=6&num_replicas=4&swap_interval=2&dtype=float32", 4,
+        "d857929486f5d633834f38426563fc14a64c60be9750116ac0ed4930c78f9e6f",
+    ),
+    "tabu-batched-float32": (
+        "tabu?num_steps=120&restart_after=40&dtype=float32", 4,
+        "666d986d018cfab27b29f10d6994f8bf3273f502d65aa6c91a15203b6e3fbdb5",
+    ),
+    "tabu-scalar-float32": (
+        "tabu?num_steps=120&restart_after=40&dtype=float32", 1,
         "20befc59845e082bd9faef31d25f70decabc21d7446d4d9a98116ca234f325b9",
     ),
 }
