@@ -25,6 +25,7 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from repro.utils.validation import check_square_matrix
 
@@ -56,9 +57,9 @@ class DenseOperator:
     """Dense view of ``Q`` in one float dtype, exposing the kernels the solvers need.
 
     The solver engine never touches ``Q`` directly; it goes through this small
-    interface (``right_multiply`` / ``rows`` / ``row`` / ``block_product``) so
-    that the same annealing code runs unchanged on the CSR operator.  Every
-    array it returns is in ``dtype``.
+    interface (``right_multiply`` / ``rows`` / ``add_rows`` /
+    ``block_product``) so that the same annealing code runs unchanged on the
+    CSR operator.  Every array it returns is in ``dtype``.
     """
 
     kind = "dense"
@@ -80,9 +81,14 @@ class DenseOperator:
         """Dense gather of the requested rows, shape ``(len(indices), n)``."""
         return self._Q[indices]
 
-    def row(self, index: int) -> np.ndarray:
-        """Single dense row — a view (no copy)."""
-        return self._Q[index]
+    def add_rows(self, H: np.ndarray, rows, indices, dx) -> None:
+        """``H[rows[k]] += dx[k] * Q[indices[k]]`` for every ``k``, in place.
+
+        The local-field update of single flips (``dx`` in {-1, +1}, an
+        array or a numpy scalar).  ``rows`` must not repeat; scalar arguments
+        update one row.
+        """
+        H[rows] += dx[..., None] * self._Q[indices]
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
         """``dX_block @ Q[block, :]`` — the local-field update of a block flip."""
@@ -100,6 +106,18 @@ class SparseOperator:
     float64 model, so the rounding never leaks into reported results.
     ``diag`` stays exact, and products and local fields accumulate in
     ``dtype``.
+
+    Costs, for ``R`` states and ``b`` indexed rows holding ``nnz_b`` stored
+    entries:
+
+    * :meth:`right_multiply` — ``O(R * nnz(Q))``, through scipy;
+    * :meth:`rows` — a zero-filled ``(b, n)`` array plus an ``O(nnz_b)``
+      scatter, for callers that need dense rows (qbsolv's windows);
+    * :meth:`add_rows` — ``O(nnz_b)``: only the flipped rows' non-zeros
+      reach ``H``;
+    * :meth:`block_product` — ``O(R * nnz_b)`` multiply-adds, plus one
+      zero-filled ``(n, R)`` result.  The dense operator's GEMM costs
+      ``O(R * b * n)``.
     """
 
     kind = "sparse"
@@ -109,48 +127,88 @@ class SparseOperator:
         self.diag = np.asarray(Q.diagonal(), dtype=self.dtype)
         data = Q.data.astype(np.float32).astype(self.dtype)
         self._csr = sparse.csr_array((data, Q.indices, Q.indptr), shape=Q.shape)
-        # Raw CSR triplet: row gathers index these directly because scipy's
+        # Raw CSR triplet: the kernels index these directly because scipy's
         # fancy row indexing spends ~100x the gather cost on index validation
         # and matrix construction, which dominates per-step use.
         self._indptr, self._indices, self._data = self._csr.indptr, self._csr.indices, self._csr.data
+        self._row_nnz = np.diff(self._indptr)
+        self._num_variables = int(Q.shape[1])
 
     @property
     def num_variables(self) -> int:
-        return int(self._csr.shape[1])
+        return self._num_variables
 
     def right_multiply(self, X: np.ndarray) -> np.ndarray:
         return np.asarray(X @ self._csr, dtype=self.dtype)
 
+    def _nonzeros(self, indices):
+        """Stored entries of rows ``indices``: counts, row pointer, positions.
+
+        ``positions[ptr[k]:ptr[k + 1]]`` are the CSR positions of the
+        ``counts[k]`` entries of row ``indices[k]``, in column order; ``ptr``
+        is in the index dtype.
+        """
+        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
+        counts = self._row_nnz[idx]
+        ptr = np.zeros(idx.size + 1, dtype=self._indices.dtype)
+        ptr[1:] = counts.cumsum()
+        positions = (self._indptr[idx] - ptr[:-1]).repeat(counts) + np.arange(ptr[-1])
+        return counts, ptr, positions
+
     def rows(self, indices: np.ndarray) -> np.ndarray:
         """Dense rows ``Q[indices]``, gathered in one vectorised scatter."""
-        idx = np.atleast_1d(np.asarray(indices, dtype=np.int64))
-        starts = self._indptr[idx]
-        counts = self._indptr[idx + 1] - starts
-        total = int(counts.sum())
-        out = np.zeros((idx.size, self.num_variables), dtype=self.dtype)
-        if total:
-            offsets = np.cumsum(counts) - counts
-            positions = np.repeat(starts - offsets, counts) + np.arange(total)
-            row_ids = np.repeat(np.arange(idx.size), counts)
-            out[row_ids, self._indices[positions]] = self._data[positions]
+        counts, _, positions = self._nonzeros(indices)
+        out = np.zeros((counts.size, self._num_variables), dtype=self.dtype)
+        out[np.arange(counts.size).repeat(counts), self._indices[positions]] = self._data[positions]
         return out
 
-    def row(self, index: int) -> np.ndarray:
-        out = np.zeros(self.num_variables, dtype=self.dtype)
-        start, end = self._indptr[index], self._indptr[index + 1]
-        out[self._indices[start:end]] = self._data[start:end]
-        return out
+    def add_rows(self, H: np.ndarray, rows, indices, dx) -> None:
+        """``H[rows[k]] += dx[k] * Q[indices[k]]`` for every ``k``, in place.
+
+        Touches only the stored entries of the indexed rows.  Skipping the
+        zero terms leaves ``H`` byte-equal to the dense update unless it holds
+        ``-0.0``, which local fields summed from zero never do.  ``rows`` must
+        not repeat; scalar arguments update one row.
+        """
+        counts, _, positions = self._nonzeros(indices)
+        H[np.repeat(rows, counts), self._indices[positions]] += np.repeat(dx, counts) * self._data[positions]
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
-        return dX_block @ self.rows(block)
+        """``dX_block @ Q[block, :]`` for ``dX_block`` in {-1, 0, +1}.
+
+        Every term ``dX[r, k] * Q[block[k], j]`` is then exact, so a sum is
+        fixed by its order alone.  Each column sums its terms in block order,
+        starting from zero.  In float64 a sum of a few float32-rounded
+        coefficients is exact in any order, so the product equals the dense
+        GEMM ``dX_block @ self.rows(block)``; in float32 the block order is
+        the contract (an optimised sgemm may split a column's sum).  The
+        kernel is scipy's compiled CSC multi-vector product (the one
+        ``csc_array @ ndarray`` reaches), run on the block rows' raw CSR
+        entries read as the CSC form of ``Q[block].T``; building a scipy
+        array per block costs more than the product.
+        """
+        counts, ptr, positions = self._nonzeros(block)
+        if dX_block.ndim != 2 or dX_block.shape[1] != counts.size:
+            # The compiled kernel reads len(block) columns of dX unchecked.
+            raise ValueError(
+                f"dX_block must have shape (R, {counts.size}), got {dX_block.shape}"
+            )
+        num_states = dX_block.shape[0]
+        out = np.zeros((self._num_variables, num_states), dtype=self.dtype)
+        _sparsetools.csc_matvecs(
+            self._num_variables, counts.size, num_states,
+            ptr, self._indices[positions], self._data[positions],
+            np.ascontiguousarray(dX_block.T, dtype=self.dtype).ravel(), out.ravel(),
+        )
+        return out.T
 
 
 def stack_rows(ops: Sequence["DenseOperator | SparseOperator"]):
     """One operator over the rows of same-size, same-dtype operators, stacked.
 
     Row ``g * n + i`` of the result is row ``i`` of ``ops[g]``, with the
-    values ``ops[g].rows`` returns.  Only its row gathers (:meth:`rows`,
-    :meth:`row`) are meaningful.  All-sparse operators stack as CSR; any
+    values ``ops[g].rows`` returns.  Only its row kernels (:meth:`rows`,
+    :meth:`add_rows`) are meaningful.  All-sparse operators stack as CSR; any
     dense one makes the stack dense, ``len(ops) * n * n`` entries.
     """
     dtype = ops[0].dtype

@@ -77,32 +77,37 @@ class AdmissionGate:
         ).child()
 
     # ---------------------------------------------------------------- admission
-    def try_acquire(self) -> bool:
-        """Admit one unit of work; ``False`` (and a counted shed) when full."""
+    def try_acquire(self, count: int = 1) -> bool:
+        """Admit ``count`` units of work together, or none of them.
+
+        ``False`` (and ``count`` counted sheds) when they do not all fit
+        under the bound.
+        """
         with self._lock:
             pending = self._pending.value
-            if self.max_pending is not None and pending >= self.max_pending:
-                self._shed.inc()
+            if self.max_pending is not None and pending + count > self.max_pending:
+                self._shed.inc(count)
                 return False
-            self._pending.inc()
-            self._admitted.inc()
-            self._peak_pending = max(self._peak_pending, pending + 1)
+            self._pending.inc(count)
+            self._admitted.inc(count)
+            self._peak_pending = max(self._peak_pending, pending + count)
         return True
 
-    def acquire(self) -> None:
-        """Admit one unit of work or raise :class:`ServiceOverloaded`."""
-        if not self.try_acquire():
+    def acquire(self, count: int = 1) -> None:
+        """Admit ``count`` units of work together or raise :class:`ServiceOverloaded`."""
+        if not self.try_acquire(count):
             raise ServiceOverloaded(
                 f"{self.name} is at its pending-work bound "
-                f"(max_pending={self.max_pending}); request shed, not queued"
+                f"(max_pending={self.max_pending}); "
+                f"{'request' if count == 1 else f'batch of {count}'} shed, not queued"
             )
 
-    def release(self) -> None:
-        """Mark one admitted unit finished (success or failure alike)."""
+    def release(self, count: int = 1) -> None:
+        """Mark ``count`` admitted units finished (success or failure alike)."""
         with self._lock:
-            if self._pending.value <= 0:
+            if self._pending.value < count:
                 raise RuntimeError(f"{self.name}: release() without a matching acquire()")
-            self._pending.dec()
+            self._pending.dec(count)
 
     # ------------------------------------------------------------------ readouts
     @property

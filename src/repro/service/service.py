@@ -58,6 +58,7 @@ from repro.service.registry import SolverRegistry
 from repro.service.requests import SolveRequest, SolveResult
 from repro.solvers.base import QUBOSolver
 from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.validation import check_positive
 
 SolverLike = Union[str, QUBOSolver]
 
@@ -68,6 +69,12 @@ _MAX_PENDING_FROM_ENV = object()
 def _draw_seed(rng: np.random.Generator) -> int:
     """One child seed from ``rng``: the only randomness an engine call receives."""
     return int(rng.integers(0, 2**63 - 1))
+
+
+def _in_context(ctx, fn, *args):
+    """``fn(*args)`` under the trace context ``ctx`` (a pool task's caller's)."""
+    with obs.use_context(ctx):
+        return fn(*args)
 
 
 class SolveService:
@@ -203,38 +210,36 @@ class SolveService:
     def _key_lock(self, key: str) -> threading.Lock:
         return self._key_locks[hash(key) % len(self._key_locks)]
 
-    def _admit_submit(self, fn, *args) -> "Future":
-        """Admission-gated pool submission: every request path funnels here.
+    def _admit_submit(self, tasks: List[tuple]) -> List["Future"]:
+        """Admission-gated pool submission of ``(fn, *args)`` tasks.
 
-        Acquiring the gate may raise
-        :class:`~repro.service.admission.ServiceOverloaded`; an admitted task
-        releases its slot (and is counted served/failed) when its future
-        settles, whatever thread resolves it.  A submission the pool refuses
-        (the service is closed) settles at once as failed, so every admitted
-        request ends up served or failed.
+        Every request path funnels here.  The gate admits the whole batch in
+        one call or sheds all of it: a batch that does not fit raises
+        :class:`~repro.service.admission.ServiceOverloaded` before anything is
+        submitted.  An admitted task releases its slot (and is counted
+        served/failed) when its future settles, whatever thread resolves it.
+        Tasks the pool refuses (the service is closed) settle at once as
+        failed, so every admitted request ends up served or failed.
 
         When tracing is enabled, the submitting thread's trace context is
-        carried onto the pool thread, so spans opened inside the task nest
+        carried onto the pool thread, so spans opened inside a task nest
         under the caller's span instead of starting orphan traces.
         """
-        self._gate.acquire()
-        if obs.tracing_enabled():
-            ctx = obs.current_context()
-            if ctx is not None:
-                inner = fn
-
-                def fn(*call_args, _inner=inner, _ctx=ctx):
-                    with obs.use_context(_ctx):
-                        return _inner(*call_args)
-
+        self._gate.acquire(len(tasks))
+        ctx = obs.current_context() if obs.tracing_enabled() else None
+        futures = []
         try:
-            future = self._pool().submit(fn, *args)
+            pool = self._pool()
+            for task in tasks:
+                future = pool.submit(*task) if ctx is None else pool.submit(_in_context, ctx, *task)
+                future.add_done_callback(self._task_done)
+                futures.append(future)
         except BaseException:
-            self._failed.inc()
-            self._gate.release()
+            unsubmitted = len(tasks) - len(futures)
+            self._failed.inc(unsubmitted)
+            self._gate.release(unsubmitted)
             raise
-        future.add_done_callback(self._task_done)
-        return future
+        return futures
 
     def _task_done(self, future: "Future") -> None:
         try:
@@ -277,11 +282,14 @@ class SolveService:
         problem's encoding cache).  An unseeded request draws its seed from
         the service's root generator now, in submission order.
         """
-        return self._submit(request, self.resolve_solver(request.solver))
+        return self._submit_all([(request, self.resolve_solver(request.solver))])[0]
 
-    def _submit(self, request: SolveRequest, solver: QUBOSolver) -> "Future[SolveResult]":
-        seed = self._spawn_seed() if request.seed is None else int(request.seed)
-        return self._admit_submit(self._run, request, solver, seed)
+    def _submit_all(self, batch) -> List["Future[SolveResult]"]:
+        """Admit ``(request, solver)`` pairs as one batch, then run each."""
+        return self._admit_submit([
+            (self._run, request, solver, self._spawn_seed() if request.seed is None else int(request.seed))
+            for request, solver in batch
+        ])
 
     def _run(self, request: SolveRequest, solver: QUBOSolver, seed: int) -> SolveResult:
         """Resolve the model and run one engine call with ``seed`` (one pool task).
@@ -327,13 +335,15 @@ class SolveService:
         """Submit every request and return the results in input order.
 
         Every solver is resolved before the first submission, so a bad spec
-        anywhere in the batch submits nothing.  Each request is then one
-        :meth:`submit`: seeded duplicates dedup through the cache, and every
-        unseeded request runs its own engine call with its own seed.
+        anywhere in the batch submits nothing, and the admission gate admits
+        the batch whole: a batch that does not fit under ``max_pending`` is
+        shed whole (:class:`~repro.service.admission.ServiceOverloaded`, no
+        engine call).  Each request then runs as a :meth:`submit` would:
+        seeded duplicates dedup through the cache, and every unseeded request
+        runs its own engine call with its own seed.
         """
         resolved = [(request, self.resolve_solver(request.solver)) for request in requests]
-        futures = [self._submit(request, solver) for request, solver in resolved]
-        return [future.result() for future in futures]
+        return [future.result() for future in self._submit_all(resolved)]
 
     # ------------------------------------------------------------ conveniences
     def solve(
@@ -450,7 +460,10 @@ class SolveService:
         list order.  With a shared ``cache`` a repeated parameter is served
         from its first occurrence; with ``cache=None`` (a throwaway cache per
         parameter) every occurrence is a miss with its own seed.  An empty
-        list returns ``[]`` and draws nothing.
+        list returns ``[]`` and draws nothing.  A parameter that is not
+        finite and positive raises ``ValueError``, as a
+        :class:`SolveRequest` does, before any cache lookup, seed draw or
+        admission.
 
         All misses run in one pool task, through one
         :meth:`~repro.service.distributed.backends.ExecutionBackend.run_many`
@@ -461,6 +474,8 @@ class SolveService:
         :meth:`evaluate` applies.
         """
         parameters = list(parameters)
+        for A in parameters:
+            check_positive(A, "relaxation_parameter")
         if not parameters:
             return []
         resolved = self.resolve_solver(solver)
@@ -488,14 +503,15 @@ class SolveService:
             if misses:
                 rng = ensure_rng(rng)
                 seeds = [_draw_seed(rng) for _ in misses]
-                fresh = self._admit_submit(
+                (task,) = self._admit_submit([(
                     self._evaluate_misses,
                     problem,
                     resolved,
                     [parameters[i] for i in misses],
                     num_reads,
                     seeds,
-                ).result()
+                )])
+                fresh = task.result()
                 for index, entry in zip(misses, fresh):
                     entries[index] = entry
                     cache.store(keys[index], entry)

@@ -38,8 +38,13 @@ State transitions go through exactly two mutators:
 
 Coefficient access is routed through the operator returned by
 :meth:`repro.qubo.model.QUBOModel.operator` — CSR for a sparse model, dense
-otherwise — so sparse instances (e.g. MVC) avoid dense ``n × n`` row traffic
-without any solver-side changes.
+otherwise.  The state never gathers coefficient rows itself: a single flip
+adds its row through the operator's ``add_rows`` and a block flip adds the
+operator's ``block_product``.  On CSR both touch only the flipped rows'
+stored entries, ``O(R · nnz)`` per block instead of the dense
+``O(R · b · n)``, and a block product sums each field's terms in block
+order from zero, as the dense GEMM does, so sparse instances (e.g. MVC)
+run faster without any solver-side changes.
 
 Precision
 ---------
@@ -148,8 +153,11 @@ class AdaptiveBlockSizer:
     simultaneous flips).  The baseline is also the floor: hot sweeps run
     exactly the block the fixed heuristic would have used (no fidelity
     regression), cold sweeps run up to ``max_block`` (pure Python-overhead
-    savings).  Pass ``min_block`` explicitly to allow shrinking further, down
-    to the exact sequential sweep at ``1``.
+    savings: a sweep's multiply-adds do not depend on the block size, on the
+    dense GEMM and on the CSR block product, which touches only the block's
+    stored entries; on CSR a bigger block also writes fewer ``(n, R)``
+    results).  Pass ``min_block`` explicitly to allow shrinking further,
+    down to the exact sequential sweep at ``1``.
 
     The update consumes only the accepted-flip count of the previous sweep —
     no random draws — so enabling adaptivity never perturbs a solver's RNG
@@ -287,10 +295,10 @@ class AnnealingState:
             self.diag = self.op.diag
         else:
             # A replica's coefficient row lives at ``group * n + col`` of the
-            # row stack, so one gather serves every group.  The stack copies
-            # the K models' rows (K * n * n entries when dense): the per-step
-            # gather over all groups needs one array, and K separate gathers
-            # per step cost about what grouping saves.
+            # row stack, so one ``add_rows`` serves every group.  The stack
+            # copies the K models' rows (K * n * n entries when dense): the
+            # per-step update over all groups needs one operator, and K
+            # separate updates per step cost about what grouping saves.
             self.op = stack_rows(self.ops)
             self._row_base = np.repeat(np.arange(self.num_groups) * n, self.group_size)
             self.diag = np.repeat(np.stack([op.diag for op in self.ops]), self.group_size, axis=0)
@@ -366,7 +374,7 @@ class AnnealingState:
         self.X[rows, cols] += dx
         self.current_energies[rows] += deltas
         stacked = cols if self._row_base is None else self._row_base[rows] + cols
-        self.H[rows] += dx[:, None] * self.op.rows(stacked)
+        self.op.add_rows(self.H, rows, stacked, dx)
 
     def apply_block_flips(self, block, accept) -> None:
         """Apply the accepted flips of a variable block simultaneously.

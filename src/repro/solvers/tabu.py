@@ -109,7 +109,7 @@ class TabuSearchSolver(QUBOSolver):
             dx = 1.0 - 2.0 * x[i]
             x[i] += dx
             energy += delta[i]
-            h += dx * op.row(i)
+            op.add_rows(state.H, 0, i, dx)
             tabu_until[i] = step + tenure
 
             if energy < best_energy - 1e-12:

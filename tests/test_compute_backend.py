@@ -103,7 +103,9 @@ class TestBackendOperators:
         np.testing.assert_allclose(op.right_multiply(X), X @ Q, rtol=rtol)
         idx = np.array([1, 4, 7])
         np.testing.assert_allclose(op.rows(idx), Q[idx], rtol=rtol)
-        np.testing.assert_allclose(op.row(2), Q[2], rtol=rtol)
+        H = np.zeros((2, 10), dtype=dtype)
+        op.add_rows(H, 1, 2, np.dtype(dtype).type(-1.0))
+        np.testing.assert_allclose(H, [np.zeros(10), -Q[2]], rtol=rtol)
         np.testing.assert_allclose(op.diag, np.diag(Q), rtol=rtol)
 
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -119,7 +121,9 @@ class TestBackendOperators:
         idx = np.array([0, 17, 599, 17])
         assert op.rows(idx).dtype == np.dtype(dtype)
         np.testing.assert_array_equal(op.rows(idx), Q[idx].astype(dtype))
-        np.testing.assert_array_equal(op.row(42), Q[42].astype(dtype))
+        H = np.zeros((2, 600), dtype=dtype)
+        op.add_rows(H, 1, 42, np.dtype(dtype).type(-1.0))
+        np.testing.assert_array_equal(H, [np.zeros(600), -Q[42].astype(dtype)])
         dX = np.random.default_rng(2).normal(size=(2, 4)).astype(dtype)
         np.testing.assert_allclose(
             op.block_product(dX, idx), dX @ Q[idx], rtol=rtol, atol=1e-5

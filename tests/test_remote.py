@@ -673,6 +673,41 @@ class TestServiceAdmission:
             assert stats["pending"] == 0
             assert stats["backend"]["name"] == "thread"
 
+    def test_map_requests_sheds_a_batch_that_does_not_fit_whole(self, model):
+        class CountingBackend(_BlockingBackend):
+            def __init__(self):
+                super().__init__()
+                self.seeds = []
+                self.seeds_lock = threading.Lock()
+
+            def run(self, model, solver, num_reads, seed):
+                with self.seeds_lock:
+                    self.seeds.append(seed)
+                return super().run(model, solver, num_reads, seed)
+
+        backend = CountingBackend()
+        with SolveService(max_workers=2, backend=backend, max_pending=2) as service:
+            try:
+                with pytest.raises(ServiceOverloaded):
+                    service.map_requests(
+                        [SolveRequest(solver=SPEC, model=model, seed=seed) for seed in (1, 2, 3, 4)]
+                    )
+                shed = service.stats()
+            finally:
+                backend.release.set()
+            # A batch that fits runs whole.
+            results = service.map_requests(
+                [SolveRequest(solver=SPEC, model=model, seed=seed) for seed in (5, 6)]
+            )
+        stats = service.stats()
+        assert shed["shed_total"] == 4
+        assert shed["admitted_total"] == 0
+        assert shed["pending"] == 0
+        assert [result.request.seed for result in results] == [5, 6]
+        assert sorted(backend.seeds) == [5, 6]  # the shed batch reached no engine
+        assert stats["admitted_total"] == 2
+        assert stats["admitted_total"] == stats["served_total"] + stats["failed_total"]
+
     def test_service_reads_env_bound(self, monkeypatch):
         monkeypatch.setenv(MAX_PENDING_ENV, "5")
         with SolveService(max_workers=1) as service:

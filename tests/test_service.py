@@ -22,6 +22,7 @@ from repro.service import (
     make_solver,
     parse_spec,
 )
+from repro.service.distributed.backends import ThreadExecutionBackend
 from repro.service.registry import parse_value
 from repro.solvers.digital_annealer import DigitalAnnealerSolver
 from repro.solvers.qbsolv import QbsolvSolver
@@ -402,6 +403,36 @@ class TestSolveService:
             second = service.evaluate(problem, solver, parameter, 4, rng=0, cache=cache)
         assert first == second
         assert cache.hits == 1 and cache.misses == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("mixed", [False, True], ids=["alone", "mixed"])
+    def test_evaluate_rejects_bad_parameter_before_admission(self, problem, bad, mixed):
+        class CountingBackend(ThreadExecutionBackend):
+            calls = 0
+
+            def run(self, model, solver, num_reads, seed):
+                CountingBackend.calls += 1
+                return super().run(model, solver, num_reads, seed)
+
+            def run_many(self, models, solver, num_reads, seeds):
+                CountingBackend.calls += 1
+                return super().run_many(models, solver, num_reads, seeds)
+
+        scale = float(problem.relaxation_scale())
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with SolveService(max_workers=1, backend=CountingBackend()) as service:
+            before = service.stats()
+            with pytest.raises(ValueError, match="relaxation_parameter"):
+                if mixed:
+                    service.evaluate_many(problem, "sa?num_sweeps=4", [scale, bad, 2 * scale], 2, rng=rng)
+                else:
+                    service.evaluate(problem, "sa?num_sweeps=4", bad, 2, rng=rng)
+            after = service.stats()
+        assert CountingBackend.calls == 0
+        assert rng.bit_generator.state == state
+        assert after["admitted_total"] == before["admitted_total"]
+        assert after["failed_total"] == before["failed_total"]
 
 
 # ----------------------------------------------------------- tuning through service
