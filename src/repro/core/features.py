@@ -186,28 +186,19 @@ class GraphEncoderExtractor(FeatureExtractor):
 def _scaled_matrix_stats(model, scale: float) -> tuple[float, float, float, float]:
     """``(abs_mean, std, density, diag_mean)`` of ``Q / scale``.
 
-    Sparse models are summarised from their CSR data (zero entries contribute
-    zero to every moment) without densifying; dense models keep the
-    historical dense code path bit for bit.
+    Summarised from the stored coefficients of ``model.sparse_Q()`` (zero
+    entries contribute zero to every moment), so no model is densified.
     """
-    if model.is_sparse:
-        Q = model.sparse_Q()
-        size = float(Q.shape[0] * Q.shape[1])
-        data = np.asarray(Q.data, dtype=np.float64) / scale
-        mean = float(data.sum()) / size
-        second_moment = float(np.square(data).sum()) / size
-        return (
-            float(np.abs(data).sum()) / size,
-            float(np.sqrt(max(second_moment - mean**2, 0.0))),
-            float(Q.nnz) / size,
-            float(np.asarray(Q.diagonal()).mean()) / scale,
-        )
-    M = np.asarray(model.Q) / scale
+    Q = model.sparse_Q()
+    size = float(Q.shape[0] * Q.shape[1])
+    data = np.asarray(Q.data, dtype=np.float64) / scale
+    mean = float(data.sum()) / size
+    second_moment = float(np.square(data).sum()) / size
     return (
-        float(np.abs(M).mean()),
-        float(M.std()),
-        float(np.count_nonzero(M)) / M.size,
-        float(np.diag(M).mean()),
+        float(np.abs(data).sum()) / size,
+        float(np.sqrt(max(second_moment - mean**2, 0.0))),
+        float(Q.nnz) / size,
+        float(np.asarray(Q.diagonal()).mean()) / scale,
     )
 
 

@@ -1,4 +1,9 @@
-"""Weighted Minimum Vertex Cover instances (paper Appendix B)."""
+"""Weighted Minimum Vertex Cover instances (paper Appendix B).
+
+An instance holds its adjacency as boolean CSR whatever form it was given in,
+so a dense Erdős–Rényi graph and a large sparse one share one code path; the
+QUBO encoder and the cover checks read the instance's sorted edge list.
+"""
 
 from __future__ import annotations
 
@@ -18,38 +23,32 @@ class MVCInstance:
     ----------
     adjacency:
         Symmetric boolean adjacency matrix with a ``False`` diagonal — a dense
-        ndarray or a scipy sparse matrix.  Sparse adjacency keeps large sparse
-        graphs (the regime the sparse QUBO encoding targets) free of any dense
-        ``n x n`` allocation; :meth:`from_edges` builds one from an edge list.
+        array or a scipy sparse matrix, stored as boolean CSR either way, so
+        large sparse graphs (the regime the sparse QUBO encoding targets) hold
+        no dense ``n x n`` array; :meth:`from_edges` builds one from an edge
+        list without ever allocating one.
     weights:
         Per-vertex weights; defaults to all ones (unweighted MVC).
     name:
         Instance label.
     """
 
-    adjacency: np.ndarray
+    adjacency: sparse.csr_array
     weights: Optional[np.ndarray] = None
     name: str = "mvc"
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        adjacency = self.adjacency
-        if sparse.issparse(adjacency):
-            adjacency = sparse.csr_array(adjacency).astype(bool)
-            if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-                raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
-            if (adjacency != adjacency.T).nnz != 0:
-                raise ValueError("adjacency must be symmetric")
-            if adjacency.diagonal().any():
-                raise ValueError("adjacency must have no self-loops")
-        else:
-            adjacency = np.asarray(adjacency, dtype=bool)
-            if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
-                raise ValueError(f"adjacency must be square, got shape {adjacency.shape}")
-            if not np.array_equal(adjacency, adjacency.T):
-                raise ValueError("adjacency must be symmetric")
-            if np.any(np.diag(adjacency)):
-                raise ValueError("adjacency must have no self-loops")
+        shape = np.shape(self.adjacency)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"adjacency must be square, got shape {shape}")
+        adjacency = sparse.csr_array(self.adjacency).astype(bool)
+        # A stored zero is no edge; num_edges and edges() count stored entries.
+        adjacency.eliminate_zeros()
+        if (adjacency != adjacency.T).nnz != 0:
+            raise ValueError("adjacency must be symmetric")
+        if adjacency.diagonal().any():
+            raise ValueError("adjacency must have no self-loops")
         self.adjacency = adjacency
         if self.weights is None:
             self.weights = np.ones(adjacency.shape[0], dtype=np.float64)
@@ -90,15 +89,9 @@ class MVCInstance:
                 raise ValueError("self-loops are not allowed")
         rows = np.concatenate([edges[:, 0], edges[:, 1]])
         cols = np.concatenate([edges[:, 1], edges[:, 0]])
-        data = np.ones(rows.shape[0], dtype=np.int8)
-        adjacency = sparse.coo_array(
-            (data, (rows, cols)), shape=(num_vertices, num_vertices)
-        ).tocsr()
-        return cls(adjacency=adjacency.astype(bool), weights=weights, name=name)
-
-    @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.adjacency)
+        data = np.ones(rows.shape[0], dtype=bool)
+        adjacency = sparse.coo_array((data, (rows, cols)), shape=(num_vertices, num_vertices))
+        return cls(adjacency=adjacency, weights=weights, name=name)
 
     @property
     def num_vertices(self) -> int:
@@ -106,28 +99,21 @@ class MVCInstance:
 
     @property
     def num_edges(self) -> int:
-        if self.is_sparse:
-            return int(self.adjacency.nnz) // 2
-        return int(self.adjacency.sum()) // 2
+        return int(self.adjacency.nnz) // 2
 
     def edges(self) -> np.ndarray:
         """Array of undirected edges as ``(i, j)`` pairs with ``i < j`` (cached).
 
-        The sparse representation extracts the upper triangle directly from
-        the CSR structure — no dense ``n x n`` temporary.
+        Read from the upper triangle of the CSR structure in row-major order
+        (the order a dense scan would give; it feeds the fingerprint), with no
+        dense ``n x n`` temporary.
         """
         if self._edge_cache is None:
-            if self.is_sparse:
-                upper = sparse.triu(self.adjacency, k=1).tocoo()
-                i = np.asarray(upper.coords[0], dtype=np.int64)
-                j = np.asarray(upper.coords[1], dtype=np.int64)
-                # Canonical row-major order, matching the dense np.where scan
-                # (edge order feeds the storage-invariant fingerprint).
-                order = np.lexsort((j, i))
-                edges = np.column_stack([i[order], j[order]])
-            else:
-                i, j = np.where(np.triu(self.adjacency, k=1))
-                edges = np.column_stack([i, j])
+            upper = sparse.triu(self.adjacency, k=1).tocoo()
+            i = np.asarray(upper.coords[0], dtype=np.int64)
+            j = np.asarray(upper.coords[1], dtype=np.int64)
+            order = np.lexsort((j, i))
+            edges = np.column_stack([i[order], j[order]])
             # Read-only: callers share the cached array, and the fingerprint
             # and encoders hash/read it — an in-place edit must fail loudly.
             edges.flags.writeable = False
@@ -166,9 +152,9 @@ class MVCInstance:
     def fingerprint(self) -> str:
         """Stable content hash usable as a cache key.
 
-        Storage invariant: the hash covers the vertex count, the sorted edge
-        list and the weights, so a dense instance and its sparse twin key the
-        same cache entries.
+        The hash covers the vertex count, the sorted edge list and the
+        weights, so an instance built from a dense adjacency and one built
+        from the same edge list key the same cache entries.
         """
         digest = hashlib.sha256()
         digest.update(np.int64(self.num_vertices).tobytes())

@@ -10,10 +10,12 @@ The paper's starting point is the relaxation
 
 where ``A`` is the relaxation (penalty) parameter QROSS tunes.  This module
 provides that conversion for arbitrary linear equality constraints — sparse
-first: ``C`` may be a scipy sparse matrix, the penalty ``C^T C`` is computed
-sparsely and coalesced through a :class:`~repro.qubo.expression.QUBOAccumulator`,
-so large constraint systems never materialise a dense ``n x n`` array — plus a
-small helper for inequality constraints via slack variables.
+first: ``C`` is held as CSR whatever form it was given in, the penalty
+``C^T C`` is computed sparsely and coalesced through a
+:class:`~repro.qubo.expression.QUBOAccumulator`, so large constraint systems
+never materialise a dense ``n x n`` array, and the resulting model picks its
+own storage — plus a small helper for inequality constraints via slack
+variables.
 """
 
 from __future__ import annotations
@@ -32,30 +34,22 @@ from repro.qubo.model import QUBOModel
 class LinearConstraints:
     """Equality constraints ``C x = d`` over binary variables.
 
-    ``C`` may be a dense ndarray or any scipy sparse matrix (stored as CSR);
-    every method works on both representations.
+    ``C`` may be a dense array or any scipy sparse matrix; it is stored as
+    float64 CSR either way.
     """
 
-    C: np.ndarray
+    C: sparse.csr_array
     d: np.ndarray
 
     def __post_init__(self) -> None:
-        C = self.C
-        if sparse.issparse(C):
-            C = sparse.csr_array(C).astype(np.float64)
-        else:
-            C = np.asarray(C, dtype=np.float64)
-        if C.ndim != 2:
-            raise ValueError(f"C must be 2-D, got shape {C.shape}")
+        if np.ndim(self.C) != 2:
+            raise ValueError(f"C must be 2-D, got shape {np.shape(self.C)}")
+        C = sparse.csr_array(self.C).astype(np.float64)
         d = np.asarray(self.d, dtype=np.float64)
         if d.shape != (C.shape[0],):
             raise ValueError(f"d must have shape ({C.shape[0]},), got {d.shape}")
         object.__setattr__(self, "C", C)
         object.__setattr__(self, "d", d)
-
-    @property
-    def is_sparse(self) -> bool:
-        return sparse.issparse(self.C)
 
     @property
     def num_constraints(self) -> int:
@@ -84,11 +78,9 @@ class LinearConstraints:
         :class:`QUBOAccumulator`; the model keeps CSR only inside the sparse
         regime.
         """
-        n = self.num_variables
-        C = self.C if self.is_sparse else sparse.csr_array(np.asarray(self.C))
-        CtC = (C.T @ C).tocoo()
-        linear = np.asarray(-2.0 * (self.d @ C))
-        accumulator = QUBOAccumulator(n)
+        CtC = (self.C.T @ self.C).tocoo()
+        linear = np.asarray(-2.0 * (self.d @ self.C))
+        accumulator = QUBOAccumulator(self.num_variables)
         accumulator.add_quadratic(CtC.coords[0], CtC.coords[1], CtC.data)
         nonzero = np.nonzero(linear)[0]
         accumulator.add_linear(nonzero, linear[nonzero])

@@ -350,9 +350,7 @@ class QUBOModel:
         return int(self._Q.shape[0])
 
     def _diagonal(self) -> np.ndarray:
-        if self._storage == "sparse":
-            return np.asarray(self._Q.diagonal(), dtype=np.float64)
-        return np.diag(self._Q)
+        return np.asarray(self._Q.diagonal(), dtype=np.float64)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -383,14 +381,10 @@ class QUBOModel:
 
     def to_dict(self, tol: float = 0.0) -> Dict[Tuple[int, int], float]:
         """Return upper-triangular ``{(i, j): value}`` coefficients above ``tol``."""
-        if self._storage == "sparse":
-            coo = self._Q.tocoo()
-            rows = np.asarray(coo.coords[0], dtype=np.int64)
-            cols = np.asarray(coo.coords[1], dtype=np.int64)
-            vals = np.asarray(coo.data, dtype=np.float64)
-        else:
-            rows, cols = np.nonzero(self._Q)
-            vals = self._Q[rows, cols]
+        coo = self.sparse_Q().tocoo()
+        rows = np.asarray(coo.coords[0], dtype=np.int64)
+        cols = np.asarray(coo.coords[1], dtype=np.int64)
+        vals = np.asarray(coo.data, dtype=np.float64)
         upper = rows <= cols
         rows, cols, vals = rows[upper], cols[upper], vals[upper]
         vals = np.where(rows == cols, vals, 2.0 * vals)

@@ -6,6 +6,9 @@ control errors on quantum annealers, where the implemented Hamiltonian
 coefficients differ from the intended ones.  These models let us reproduce
 Fig. 6 without quantum hardware: a solver is wrapped so that it optimises a
 *perturbed* QUBO while solutions are still scored against the exact one.
+Both models act on the stored coefficients of a model's canonical CSR form
+(:meth:`~repro.qubo.model.QUBOModel.sparse_Q`), whatever its storage, and
+return a new model that picks its own storage.
 """
 
 from __future__ import annotations
@@ -22,12 +25,12 @@ from repro.utils.rng import RngLike, ensure_rng
 class AnalogNoiseModel:
     """Multiplicative + additive Gaussian perturbation of QUBO coefficients.
 
-    Each coefficient ``q`` becomes ``q * (1 + eps_m) + eps_a * scale`` where
-    ``eps_m ~ N(0, relative_error)``, ``eps_a ~ N(0, absolute_error)`` and
-    ``scale`` is the dynamic range of the coefficient matrix.  This mirrors the
-    analog control error of annealing hardware: the error floor is fixed by the
-    device, so when the penalty term inflates the dynamic range the *objective*
-    part of the Hamiltonian drowns in noise.
+    Each stored coefficient ``q`` becomes ``q * (1 + eps_m) + eps_a * scale``
+    where ``eps_m ~ N(0, relative_error)``, ``eps_a ~ N(0, absolute_error)``
+    and ``scale`` is the dynamic range of the coefficient matrix.  This
+    mirrors the analog control error of annealing hardware: the error floor is
+    fixed by the device, so when the penalty term inflates the dynamic range
+    the *objective* part of the Hamiltonian drowns in noise.
     """
 
     relative_error: float = 0.0
@@ -40,30 +43,17 @@ class AnalogNoiseModel:
     def perturb(self, model: QUBOModel, rng: RngLike = None) -> QUBOModel:
         """Return a perturbed copy of ``model``.
 
-        Noise lands on every coupler of a dense model and on the stored
-        couplers of a sparse one, mirroring hardware that only realises the
-        couplings present in the program — a sparse model is never densified.
-        Which of the two applies is a function of the coefficients (see
-        :class:`~repro.qubo.model.QUBOModel`), so one model always sees one
-        noise stream.
+        Noise lands on the stored couplers of ``model.sparse_Q()`` only,
+        mirroring hardware that only realises the couplings present in the
+        program: a zero coupler stays zero, and no model is densified.
         """
         rng = ensure_rng(rng)
         scale = model.max_abs_coefficient()
-        if model.is_sparse:
-            Q = model.sparse_Q().copy()
-            data = Q.data.copy()
-            if self.relative_error > 0:
-                data = data * (1.0 + rng.normal(0.0, self.relative_error, size=data.shape))
-            if self.absolute_error > 0 and scale > 0:
-                data = data + rng.normal(0.0, self.absolute_error * scale, size=data.shape)
-            Q.data = data
-            return QUBOModel(Q, offset=model.offset, name=model.name)
-        Q = np.array(model.Q, dtype=np.float64, copy=True)
+        Q = model.sparse_Q().copy()
         if self.relative_error > 0:
-            Q = Q * (1.0 + rng.normal(0.0, self.relative_error, size=Q.shape))
+            Q.data = Q.data * (1.0 + rng.normal(0.0, self.relative_error, size=Q.data.shape))
         if self.absolute_error > 0 and scale > 0:
-            Q = Q + rng.normal(0.0, self.absolute_error * scale, size=Q.shape)
-        Q = (Q + Q.T) / 2.0
+            Q.data = Q.data + rng.normal(0.0, self.absolute_error * scale, size=Q.data.shape)
         return QUBOModel(Q, offset=model.offset, name=model.name)
 
 
@@ -86,22 +76,12 @@ class QuantizationModel:
     def quantize(self, model: QUBOModel) -> QUBOModel:
         """Return a copy of ``model`` with quantised coefficients.
 
-        Sparse models quantise their stored coefficients in CSR form (zeros
-        quantise to zero anyway) — no densification.
+        Quantises the stored coefficients of ``model.sparse_Q()`` (zeros
+        quantise to zero anyway), so no model is densified.
         """
         scale = model.max_abs_coefficient()
-        if model.is_sparse:
-            Q = model.sparse_Q().copy()
-            if scale == 0:
-                return QUBOModel(Q, offset=model.offset, name=model.name)
-            levels = 2 ** (self.num_bits - 1) - 1
-            step = scale / levels
+        Q = model.sparse_Q().copy()
+        if scale > 0:
+            step = scale / (2 ** (self.num_bits - 1) - 1)
             Q.data = np.round(Q.data / step) * step
-            return QUBOModel(Q, offset=model.offset, name=model.name)
-        Q = np.array(model.Q, dtype=np.float64, copy=True)
-        if scale == 0:
-            return QUBOModel(Q, offset=model.offset, name=model.name)
-        levels = 2 ** (self.num_bits - 1) - 1
-        step = scale / levels
-        Q = np.round(Q / step) * step
         return QUBOModel(Q, offset=model.offset, name=model.name)

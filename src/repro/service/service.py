@@ -54,7 +54,7 @@ from repro.service.distributed.backends import (
     default_worker_count,
     resolve_backend,
 )
-from repro.service.registry import SolverRegistry
+from repro.service.registry import make_solver
 from repro.service.requests import SolveRequest, SolveResult
 from repro.solvers.base import QUBOSolver
 from repro.utils.rng import RngLike, ensure_rng
@@ -88,8 +88,6 @@ class SolveService:
         :class:`SolverCallCache` used to dedupe seeded requests.  A private
         cache is created when omitted.  :meth:`evaluate` does not read it; it
         memoises aggregate statistics in its own ``cache=`` argument.
-    registry:
-        Solver registry resolving spec strings (default: the global one).
     seed:
         Root seed for the child streams handed to *unseeded* requests.
     backend:
@@ -115,7 +113,6 @@ class SolveService:
         self,
         max_workers: Optional[int] = None,
         cache: Optional[SolverCallCache] = None,
-        registry: Optional[SolverRegistry] = None,
         seed: RngLike = None,
         backend: BackendLike = None,
         max_pending=_MAX_PENDING_FROM_ENV,
@@ -134,7 +131,6 @@ class SolveService:
             )
         self.max_workers = max_workers
         self.cache = cache if cache is not None else SolverCallCache()
-        self.registry = registry or SolverRegistry.default()
         self._root_rng = ensure_rng(seed)
         self._lock = threading.Lock()
         # Striped locks for seeded-request dedup: a fixed array keyed by hash
@@ -194,7 +190,7 @@ class SolveService:
 
     def resolve_solver(self, solver: SolverLike) -> QUBOSolver:
         """Spec string -> solver instance (instances pass through)."""
-        return self.registry.from_spec(solver)
+        return make_solver(solver)
 
     def _spawn_seed(self) -> int:
         """Thread-safe child seed for an unseeded request.
@@ -374,7 +370,7 @@ class SolveService:
                 problem = problem_or_model
         if (model is None) == (problem is None):
             raise ValueError("provide exactly one of model= or problem=")
-        resolved = self.registry.from_spec(solver, **solver_options)
+        resolved = make_solver(solver, **solver_options)
         if model is not None:
             if relaxation_parameter is not None:
                 raise ValueError(

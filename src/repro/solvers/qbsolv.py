@@ -13,6 +13,13 @@ until a full pass over all windows yields no improvement.  The paper used
 qbsolv's classical simulator backend; this module implements the same
 decomposition loop on top of :class:`~repro.solvers.tabu.TabuSearchSolver`.
 
+The loop reads each model through its coefficient operator
+(:meth:`~repro.qubo.model.QUBOModel.operator`), whatever the model's storage:
+the local fields and diagonal that rank the variables and the rows clamped
+into each window come from it (float32-rounded coefficients on a CSR model,
+where they only steer the search), while the clamped part's energy and every
+candidate's acceptance are evaluated against the exact model.
+
 Reads are independent runs of the whole decomposition, and a call runs all
 of them in lock step: every read visits the same window positions, so the
 windows of the reads still improving stack into one ``(R, w, w)`` array that
@@ -29,7 +36,7 @@ models in the call.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -38,14 +45,6 @@ from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import validate_engine_dtype
 from repro.solvers.tabu import TabuSearchConfig, TabuSearchSolver
 from repro.utils.rng import spawn_rngs
-
-
-class _WindowView(NamedTuple):
-    """One model's diagonal, local-field and window-clamping functions."""
-
-    diag: np.ndarray
-    full_field: Callable[[np.ndarray], np.ndarray]
-    clamp: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, float]]
 
 
 @dataclass(frozen=True)
@@ -139,11 +138,7 @@ class QbsolvSolver(QUBOSolver):
         """
         n = models[0].num_variables
         window = min(self.config.subproblem_size, n)
-        by_model = {}
-        for model in models:
-            if id(model) not in by_model:
-                by_model[id(model)] = self._window_view(model)
-        view = [by_model[id(model)] for model in models]
+        ops = [model.operator() for model in models]
 
         X = [rng.integers(0, 2, size=n).astype(np.float64) for rng in streams]
         energies = [model.energy(x) for model, x in zip(models, X)]
@@ -151,7 +146,9 @@ class QbsolvSolver(QUBOSolver):
 
         for _ in range(self.config.max_rounds):
             orders = [
-                self._impact_order(view[r].full_field(X[r]), view[r].diag, X[r], streams[r])
+                self._impact_order(
+                    ops[r].right_multiply(X[r][None, :])[0], ops[r].diag, X[r], streams[r]
+                )
                 for r in active
             ]
             improved = set()
@@ -159,7 +156,10 @@ class QbsolvSolver(QUBOSolver):
                 blocks = [order[start : start + window] for order in orders]
                 if blocks[0].size < 2:
                     continue
-                windows = [view[r].clamp(X[r], block) for r, block in zip(active, blocks)]
+                windows = [
+                    self._clamp(models[r], ops[r].rows(block), X[r], block)
+                    for r, block in zip(active, blocks)
+                ]
                 refined = self._subsolver.refine_many(
                     np.stack([sub_Q for sub_Q, _ in windows]),
                     [offset for _, offset in windows],
@@ -180,40 +180,6 @@ class QbsolvSolver(QUBOSolver):
 
         return [x.astype(np.int8) for x in X]
 
-    def _window_view(self, model: QUBOModel) -> "_WindowView":
-        """What the decomposition loop needs of one model."""
-        # The model's storage is a function of its coefficients, so the seeded
-        # trajectory is one per fingerprint (the key of cache lookups),
-        # whatever form the model was built from.
-        if model.is_sparse:
-            op = model.operator()
-            # CSR path: steer window selection and clamping through the sparse
-            # operator (float32 coefficients, like the annealing engine) — the
-            # model is never densified.  Candidate acceptance and the clamped
-            # part's energy are always evaluated against the exact model.
-            diag = np.asarray(op.diag, dtype=np.float64)
-
-            def full_field(x: np.ndarray) -> np.ndarray:
-                return op.right_multiply(x[None, :])[0]
-
-            def clamp(x: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
-                clamped = x.copy()
-                clamped[block] = 0.0
-                clamped_energy = model.energy(clamped) - model.offset
-                return self._clamp_rows(model, op.rows(block), x, block, clamped_energy)
-
-        else:
-            Q = np.asarray(model.Q)
-            diag = np.diag(Q).copy()
-
-            def full_field(x: np.ndarray) -> np.ndarray:
-                return Q @ x
-
-            def clamp(x: np.ndarray, block: np.ndarray) -> tuple[np.ndarray, float]:
-                return self._clamp_dense(model, Q, x, block)
-
-        return _WindowView(diag, full_field, clamp)
-
     @staticmethod
     def _impact_order(
         h: np.ndarray, diag: np.ndarray, x: np.ndarray, rng: np.random.Generator
@@ -230,48 +196,22 @@ class QbsolvSolver(QUBOSolver):
         return np.argsort(-(np.abs(delta) + noise), kind="stable")
 
     @staticmethod
-    def _clamp_dense(
-        model: QUBOModel,
-        Q: np.ndarray,
-        x: np.ndarray,
-        block: np.ndarray,
+    def _clamp(
+        model: QUBOModel, rows: np.ndarray, x: np.ndarray, block: np.ndarray
     ) -> tuple[np.ndarray, float]:
         """Sub-QUBO ``(Q, offset)`` over ``block``, other variables clamped at ``x``.
 
-        Operates on the full dense ``Q`` with the exact historical submatrix
-        gathers — seeded dense-model results are bit-for-bit stable (the
-        row-based variant below computes the same values through differently
-        laid-out arrays, which perturbs BLAS results in the last ulp).
+        ``rows`` is ``Q[block]`` as the model's operator gathers it; on a CSR
+        model its coefficients are rounded to float32, which only steers the
+        search.  The offset is the exact energy of ``x`` with the block
+        zeroed, so for binary ``y``, ``y @ sub_Q @ y + offset`` is the
+        model's energy of ``x`` with ``x[block] = y``, up to that rounding.
         """
         outside = np.ones(x.shape[0], dtype=bool)
         outside[block] = False
-        sub_Q = Q[np.ix_(block, block)].copy()
+        sub_Q = rows[:, block]
         # Interaction with clamped variables becomes a linear (diagonal) term.
-        cross = 2.0 * Q[np.ix_(block, np.where(outside)[0])] @ x[outside]
-        sub_Q[np.diag_indices_from(sub_Q)] += cross
-        clamped_energy = float(
-            x[outside] @ Q[np.ix_(np.where(outside)[0], np.where(outside)[0])] @ x[outside]
-        )
-        return sub_Q, model.offset + clamped_energy
-
-    @staticmethod
-    def _clamp_rows(
-        model: QUBOModel,
-        rows: np.ndarray,
-        x: np.ndarray,
-        block: np.ndarray,
-        clamped_energy: float,
-    ) -> tuple[np.ndarray, float]:
-        """Sub-QUBO ``(Q, offset)`` over ``block`` from a dense row gather (sparse path).
-
-        ``rows`` is ``Q[block]`` gathered from the CSR operator and
-        ``clamped_energy`` the quadratic energy of the clamped (outside) part,
-        evaluated against the exact model by the caller.
-        """
-        outside = np.ones(x.shape[0], dtype=bool)
-        outside[block] = False
-        sub_Q = rows[:, block].copy()
-        # Interaction with clamped variables becomes a linear (diagonal) term.
-        cross = 2.0 * rows[:, outside] @ x[outside]
-        sub_Q[np.diag_indices_from(sub_Q)] += cross
-        return sub_Q, model.offset + float(clamped_energy)
+        sub_Q[np.diag_indices_from(sub_Q)] += 2.0 * rows[:, outside] @ x[outside]
+        clamped = x.copy()
+        clamped[block] = 0.0
+        return sub_Q, model.energy(clamped)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from repro.problems.mvc.generator import RandomMVCConfig, generate_mvc_dataset, generate_mvc_instance
 from repro.problems.mvc.heuristics import (
@@ -81,10 +82,19 @@ class TestSparseMVCInstance:
     def test_from_edges_matches_dense(self):
         sparse = MVCInstance.from_edges(3, self.edge_list(), name="triangle")
         dense = triangle_instance()
-        assert sparse.is_sparse and not dense.is_sparse
+        assert sparse.adjacency.format == dense.adjacency.format == "csr"
         assert sparse.num_edges == dense.num_edges
         np.testing.assert_array_equal(sparse.edges(), dense.edges())
         assert sparse.fingerprint() == dense.fingerprint()
+
+    def test_stored_zeros_are_not_edges(self):
+        # Path 0-1-2 given as CSR that also stores zeros at (0, 2) and (2, 0).
+        rows, cols = [0, 1, 1, 2, 0, 2], [1, 0, 2, 1, 2, 0]
+        adjacency = sparse.csr_array(([1, 1, 1, 1, 0, 0], (rows, cols)), shape=(3, 3))
+        instance = MVCInstance(adjacency=adjacency)
+        assert instance.num_edges == 2
+        np.testing.assert_array_equal(instance.edges(), [[0, 1], [1, 2]])
+        assert instance.is_vertex_cover(np.array([0, 1, 0]))
 
     def test_from_edges_accepts_duplicates_and_either_order(self):
         instance = MVCInstance.from_edges(3, [[1, 0], [0, 1], [2, 0]])
@@ -138,7 +148,7 @@ class TestSparseMVCInstance:
 
         instance = generate_sparse_mvc_instance(20, edge_density=0.1, rng=0)
         assert instance.num_edges == round(0.1 * 20 * 19 / 2)
-        assert instance.is_sparse
+        assert instance.adjacency.format == "csr"
 
 
 class TestMVCProblem:

@@ -126,7 +126,7 @@ class TestSparseConstraints:
         d = np.array([1.0, 2.0])
         dense = LinearConstraints(C=C, d=d)
         csr = LinearConstraints(C=sparse.csr_array(C), d=d)
-        assert csr.is_sparse and not dense.is_sparse
+        assert csr.C.format == dense.C.format == "csr"
         assert dense.penalty_qubo().to_dict() == csr.penalty_qubo().to_dict()
         for bits in range(16):
             x = np.array([(bits >> i) & 1 for i in range(4)], dtype=float)

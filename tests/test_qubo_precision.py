@@ -25,6 +25,18 @@ class TestAnalogNoiseModel:
         perturbed = AnalogNoiseModel(relative_error=0.1, absolute_error=0.05).perturb(model, rng=2)
         np.testing.assert_allclose(perturbed.Q, perturbed.Q.T)
 
+    def test_zero_couplers_of_a_dense_model_stay_zero(self):
+        # Noise lands only on the couplers present in the program, whatever
+        # the model's storage.
+        model = random_qubo(40, density=0.2, rng=4)
+        assert model.storage == "dense"
+        Q = model.dense_Q()
+        perturbed = AnalogNoiseModel(relative_error=0.1, absolute_error=0.1).perturb(model, rng=3)
+        zero = Q == 0.0
+        assert zero.any() and (~zero).any()
+        assert np.all(perturbed.Q[zero] == 0.0)
+        assert np.all(perturbed.Q[~zero] != Q[~zero])
+
     def test_offset_preserved(self):
         model = QUBOModel(np.eye(3), offset=7.0)
         perturbed = AnalogNoiseModel(relative_error=0.1).perturb(model, rng=0)

@@ -9,14 +9,17 @@ coefficients, where float rounding would expose any storage-dependent
 arithmetic; the encoder tests use dyadic-rational ones so every encoding
 operation is exact.
 
-The acceptance tests at the bottom pin the headline property of the sparse
-encoding path: a large sparse MVC instance encodes and solves end to end
-without ever allocating a dense ``n x n`` array.
+Only ``qubo/model.py`` may branch on the storage; a scan of the package
+source guards that.  The acceptance tests at the bottom pin the headline
+property of the sparse encoding path: a large sparse MVC instance encodes and
+solves end to end without ever allocating a dense ``n x n`` array.
 """
 
 from __future__ import annotations
 
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +168,18 @@ class TestOneFingerprintOneStorage:
         assert not first.from_cache and served.from_cache
         direct = make_solver(solver).sample(from_csr, num_reads=3, rng=np.random.default_rng(5))
         assert_same_bytes(served.samples, direct)
+
+    def test_only_the_model_module_branches_on_storage(self):
+        # Every other module keeps the one path that works on both storages:
+        # it reads a model through its operator or its CSR coefficients.
+        package = Path(repro.__file__).resolve().parent
+        branching = [
+            str(path.relative_to(package))
+            for path in sorted(package.rglob("*.py"))
+            if path != package / "qubo" / "model.py"
+            and re.search(r"is_sparse|issparse", path.read_text(encoding="utf-8"))
+        ]
+        assert branching == []
 
 
 class TestEncodingParity:
@@ -430,7 +445,7 @@ class TestSparseEndToEndAcceptance:
 
     def test_sparse_instance_generator_stays_sparse(self):
         instance = generate_sparse_mvc_instance(self.N, num_edges=self.NUM_EDGES, rng=1)
-        assert instance.is_sparse
+        assert instance.adjacency.format == "csr"
         assert instance.num_vertices == self.N
         assert instance.num_edges == self.NUM_EDGES
         edges = instance.edges()
