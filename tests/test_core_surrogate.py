@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from repro.core.dataset import SurrogateDataset
+from repro.core.dataset import SurrogateDataset, SurrogateRecord, energy_scale, parameter_scale
 from repro.core.features import TSPStatisticsExtractor
 from repro.core.surrogate import SolverSurrogate, SurrogateConfig
+from repro.nn.serialization import state_dict
+from repro.problems.tsp.generator import generate_instance
+from repro.problems.tsp.qubo import TSPProblem
 
 
 class TestSurrogateConfig:
@@ -120,3 +125,75 @@ class TestSurrogatePersistence:
             restored.probability_of_feasibility, original.probability_of_feasibility, atol=1e-9
         )
         np.testing.assert_allclose(restored.energy_mean, original.energy_mean, atol=1e-6)
+
+
+def _synthetic_dataset(problems, rng) -> SurrogateDataset:
+    """Sigmoid-shaped records built without any solver call.
+
+    Pf follows a logistic in the normalised parameter around a per-instance
+    centre, and the energy statistics are smooth functions of it, so the
+    training stream depends only on numpy and the feature extractor: no
+    engine dtype or execution backend can move its bytes.
+    """
+    extractor = TSPStatisticsExtractor()
+    multipliers = np.array([0.1, 0.25, 0.4, 0.55, 0.7, 0.85, 1.0, 1.3, 1.8, 2.5])
+    records = []
+    for problem in problems:
+        features = extractor.extract(problem)
+        centre = rng.uniform(0.4, 0.9)
+        a_scale, e_scale = parameter_scale(problem), energy_scale(problem)
+        for multiplier in multipliers:
+            pf = float(np.round(1.0 / (1.0 + np.exp(-8.0 * (multiplier - centre))), 2))
+            mean = e_scale * (0.5 + multiplier + rng.normal(0.0, 0.05))
+            std = e_scale * (0.1 + 0.2 * multiplier)
+            records.append(
+                SurrogateRecord(
+                    instance_name=problem.name,
+                    features=features,
+                    parameter=multiplier * a_scale,
+                    normalized_parameter=float(multiplier),
+                    probability_of_feasibility=pf,
+                    energy_mean=mean,
+                    energy_std=std,
+                    normalized_energy_mean=mean / e_scale,
+                    normalized_energy_std=std / e_scale,
+                )
+            )
+    return SurrogateDataset(records)
+
+
+#: sha256 of both heads' ``state_dict`` and a fixed-grid ``predict`` after a
+#: seeded ``fit`` on synthetic records; any change to the training arithmetic
+#: (initialisation, minibatch order, losses, Adam, early stopping) moves it.
+_TRAINING_DIGEST = "39588ddbe40ca2f30edd80965391db0e2bc5287dfee2927dffa79c807c430d7a"
+
+
+class TestSeededTrainingDigest:
+    def test_seeded_fit_matches_recorded_digest(self):
+        problems = [
+            TSPProblem(generate_instance(n, rng=40 + i, name=f"digest-train{i}"))
+            for i, n in enumerate((5, 6, 6, 7, 7, 8))
+        ]
+        dataset = _synthetic_dataset(problems, np.random.default_rng(17))
+        surrogate = SolverSurrogate(
+            TSPStatisticsExtractor(),
+            config=SurrogateConfig(hidden_sizes=(16, 16), num_epochs=60, batch_size=16, patience=8),
+            rng=0,
+        )
+        histories = surrogate.fit(dataset, rng=1)
+        hasher = hashlib.sha256()
+        for network in (surrogate._pf_network, surrogate._energy_network):
+            for key, value in state_dict(network).items():
+                hasher.update(key.encode())
+                hasher.update(value.tobytes())
+        unseen = TSPProblem(generate_instance(7, rng=99, name="digest-unseen"))
+        for problem in (problems[0], unseen):
+            prediction = surrogate.predict(problem, np.linspace(0.1, 3.0, 9) * problem.relaxation_scale())
+            for values in (
+                prediction.probability_of_feasibility,
+                prediction.energy_mean,
+                prediction.energy_std,
+            ):
+                hasher.update(values.tobytes())
+        assert histories["pf"].num_epochs > 0 and histories["energy"].num_epochs > 0
+        assert hasher.hexdigest() == _TRAINING_DIGEST
