@@ -6,7 +6,8 @@ The package is organised bottom-up:
 * :mod:`repro.solvers` — simulated annealing, a Digital-Annealer-style solver,
   tabu search, a qbsolv-style decomposer and a noisy "quantum" annealer;
 * :mod:`repro.problems` — TSP and MVC substrates with their QUBO relaxations;
-* :mod:`repro.nn` — a small numpy neural-network library;
+* :mod:`repro.nn` — the surrogate's numpy ReLU MLP and its training loop
+  (only what the surrogate trains, not a general library);
 * :mod:`repro.core` — the QROSS contribution: solver surrogate, MFS/PBS/OFS
   strategies and the composed tuner;
 * :mod:`repro.tuning` — the generic baselines (Random Search, TPE, Bayesian

@@ -11,9 +11,7 @@ from repro.core.dataset import (
     parameter_scale,
 )
 from repro.core.features import (
-    CompositeExtractor,
     FeatureExtractor,
-    GraphEncoderExtractor,
     QuboStatisticsExtractor,
     TSPStatisticsExtractor,
     default_extractor_for,
@@ -36,9 +34,7 @@ from repro.core.tuner import QROSSTuner
 __all__ = [
     "FeatureExtractor",
     "TSPStatisticsExtractor",
-    "GraphEncoderExtractor",
     "QuboStatisticsExtractor",
-    "CompositeExtractor",
     "default_extractor_for",
     "SurrogateRecord",
     "SurrogateDataset",

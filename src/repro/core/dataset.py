@@ -101,7 +101,11 @@ class SurrogateDataset:
         return sorted({r.instance_name for r in self.records})
 
     def split(self, validation_fraction: float = 0.2, rng: RngLike = None) -> tuple["SurrogateDataset", "SurrogateDataset"]:
-        """Split into train / validation sets *by instance* (no leakage across the split)."""
+        """Split into train / validation sets *by instance* (no leakage across the split).
+
+        The validation set takes ``validation_fraction`` of the instances,
+        rounded, but at least one and never all of them.
+        """
         if not 0.0 < validation_fraction < 1.0:
             raise ValueError("validation_fraction must lie in (0, 1)")
         rng = ensure_rng(rng)
@@ -111,6 +115,7 @@ class SurrogateDataset:
         shuffled = list(names)
         rng.shuffle(shuffled)
         num_validation = max(1, int(round(validation_fraction * len(shuffled))))
+        num_validation = min(num_validation, len(shuffled) - 1)
         validation_names = set(shuffled[:num_validation])
         train = SurrogateDataset([r for r in self.records if r.instance_name not in validation_names])
         validation = SurrogateDataset([r for r in self.records if r.instance_name in validation_names])

@@ -48,7 +48,8 @@ class SurrogateConfig:
     hidden_sizes:
         Widths of the shared fully-connected trunk of each head.
     learning_rate, num_epochs, batch_size, patience:
-        Training-loop settings (both heads use the same ones).
+        Training-loop settings (both heads use the same ones); all positive,
+        and ``patience=None`` disables early stopping.
     huber_delta:
         Huber-loss transition point for the energy head (in normalised units).
     weight_decay:
@@ -71,6 +72,10 @@ class SurrogateConfig:
             raise ValueError("hidden_sizes must be positive")
         if self.learning_rate <= 0 or self.num_epochs <= 0 or self.batch_size <= 0:
             raise ValueError("training hyper-parameters must be positive")
+        if self.patience is not None and self.patience <= 0:
+            raise ValueError("patience must be positive (or None to disable early stopping)")
+        if self.huber_delta <= 0:
+            raise ValueError("huber_delta must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
         if not (0.0 < self.validation_fraction < 1.0):
@@ -135,7 +140,7 @@ class SolverSurrogate:
         features = self._normalizer.fit_transform(train_set.features)
         inputs = np.column_stack([features, train_set.normalized_parameters])
         validation_inputs = None
-        if validation_set is not None and len(validation_set) > 0:
+        if validation_set is not None:
             validation_inputs = np.column_stack(
                 [
                     self._normalizer.transform(validation_set.features),
@@ -214,11 +219,9 @@ class SolverSurrogate:
         if not self._trained:
             raise RuntimeError("the surrogate must be trained (or loaded) before prediction")
         parameters = np.atleast_1d(np.asarray(parameters, dtype=np.float64))
-        if np.any(parameters <= 0):
-            raise ValueError("relaxation parameters must be positive")
+        if not np.all(np.isfinite(parameters) & (parameters > 0)):
+            raise ValueError("relaxation parameters must be positive and finite")
         inputs = self._inputs_for(problem, parameters)
-        self._pf_network.eval()
-        self._energy_network.eval()
         pf = sigmoid(self._pf_network.forward(inputs)[:, 0])
         energies = self._energy_network.forward(inputs)
         scale = energy_scale(problem)

@@ -1,53 +1,30 @@
-"""Minimal numpy neural-network substrate used by the solver surrogate."""
+"""The solver surrogate's network: a numpy ReLU MLP trained with BCE or Huber loss and Adam."""
 
-from repro.nn.graph import GraphConvEncoder
-from repro.nn.initializers import glorot_uniform, he_normal, zeros
-from repro.nn.layers import (
-    Dense,
-    Dropout,
-    LayerNorm,
-    Module,
-    ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
-    sigmoid,
-)
-from repro.nn.losses import BCEWithLogitsLoss, HuberLoss, Loss, MSELoss
+from repro.nn.initializers import glorot_uniform, he_normal
+from repro.nn.layers import Dense, Module, ReLU, sigmoid
+from repro.nn.losses import BCEWithLogitsLoss, HuberLoss, Loss
 from repro.nn.network import Sequential, TrainingHistory, fit, iterate_minibatches, mlp
-from repro.nn.optimizers import SGD, Adam, Optimizer
+from repro.nn.optimizers import Adam
 from repro.nn.parameter import Parameter
-from repro.nn.serialization import load_parameters, load_state_dict, save_parameters, state_dict
+from repro.nn.serialization import load_state_dict, state_dict
 
 __all__ = [
     "Parameter",
     "Module",
     "Dense",
     "ReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
-    "Dropout",
-    "LayerNorm",
     "sigmoid",
     "Loss",
-    "MSELoss",
     "HuberLoss",
     "BCEWithLogitsLoss",
-    "Optimizer",
-    "SGD",
     "Adam",
     "Sequential",
     "mlp",
     "fit",
     "iterate_minibatches",
     "TrainingHistory",
-    "GraphConvEncoder",
     "glorot_uniform",
     "he_normal",
-    "zeros",
     "state_dict",
     "load_state_dict",
-    "load_parameters",
-    "save_parameters",
 ]

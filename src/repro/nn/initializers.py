@@ -18,8 +18,3 @@ def he_normal(fan_in: int, fan_out: int, rng: RngLike = None) -> np.ndarray:
     """He normal initialisation, appropriate for ReLU units."""
     rng = ensure_rng(rng)
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-
-
-def zeros(*shape: int) -> np.ndarray:
-    """All-zero initialisation (biases)."""
-    return np.zeros(shape, dtype=np.float64)

@@ -1,4 +1,4 @@
-"""Neural-network modules: base class, dense layers, activations and regularisers.
+"""The surrogate's layers: the module base class, a dense layer and ReLU.
 
 A module maps a batch ``(batch, features)`` to another batch and supports
 reverse-mode differentiation via :meth:`Module.backward`.  Everything is plain
@@ -13,15 +13,13 @@ from typing import List
 
 import numpy as np
 
-from repro.nn.initializers import glorot_uniform, he_normal, zeros
+from repro.nn.initializers import glorot_uniform, he_normal
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, ensure_rng
 
 
 class Module(abc.ABC):
     """Base class of every differentiable building block."""
-
-    training: bool = True
 
     @abc.abstractmethod
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -35,20 +33,9 @@ class Module(abc.ABC):
         """Trainable parameters of this module (empty by default)."""
         return []
 
-    def train(self) -> None:
-        """Switch to training mode (enables dropout etc.)."""
-        self.training = True
-
-    def eval(self) -> None:
-        """Switch to inference mode."""
-        self.training = False
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
-
-    def __call__(self, inputs: np.ndarray) -> np.ndarray:
-        return self.forward(inputs)
 
 
 class Dense(Module):
@@ -72,7 +59,7 @@ class Dense(Module):
         else:
             raise ValueError(f"unknown initializer: {initializer!r}")
         self.weight = Parameter(weights, name=f"{name}.weight")
-        self.bias = Parameter(zeros(out_features), name=f"{name}.bias")
+        self.bias = Parameter(np.zeros(out_features), name=f"{name}.bias")
         self._inputs: np.ndarray | None = None
 
     def forward(self, inputs: np.ndarray) -> np.ndarray:
@@ -105,116 +92,6 @@ class ReLU(Module):
         if self._mask is None:
             raise RuntimeError("backward called before forward")
         return grad_output * self._mask
-
-
-class Tanh(Module):
-    """Hyperbolic tangent activation."""
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = np.tanh(inputs)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * (1.0 - self._output**2)
-
-
-class Sigmoid(Module):
-    """Logistic sigmoid activation."""
-
-    def __init__(self) -> None:
-        self._output: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._output = sigmoid(inputs)
-        return self._output
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._output is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * self._output * (1.0 - self._output)
-
-
-class Softplus(Module):
-    """Softplus activation ``log(1 + exp(x))`` — used for strictly-positive outputs."""
-
-    def __init__(self) -> None:
-        self._inputs: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        self._inputs = inputs
-        return np.logaddexp(0.0, inputs)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._inputs is None:
-            raise RuntimeError("backward called before forward")
-        return grad_output * sigmoid(self._inputs)
-
-
-class Dropout(Module):
-    """Inverted dropout; active only in training mode."""
-
-    def __init__(self, rate: float = 0.1, rng: RngLike = None) -> None:
-        if not (0.0 <= rate < 1.0):
-            raise ValueError("dropout rate must lie in [0, 1)")
-        self.rate = rate
-        self._rng = ensure_rng(rng)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        if not self.training or self.rate == 0.0:
-            self._mask = None
-            return inputs
-        keep = 1.0 - self.rate
-        self._mask = (self._rng.random(inputs.shape) < keep) / keep
-        return inputs * self._mask
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            return grad_output
-        return grad_output * self._mask
-
-
-class LayerNorm(Module):
-    """Layer normalisation over the feature dimension."""
-
-    def __init__(self, num_features: int, eps: float = 1e-5, name: str = "layernorm") -> None:
-        if num_features <= 0:
-            raise ValueError("num_features must be positive")
-        self.eps = eps
-        self.gamma = Parameter(np.ones(num_features), name=f"{name}.gamma")
-        self.beta = Parameter(np.zeros(num_features), name=f"{name}.beta")
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def forward(self, inputs: np.ndarray) -> np.ndarray:
-        mean = inputs.mean(axis=1, keepdims=True)
-        var = inputs.var(axis=1, keepdims=True)
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        normalised = (inputs - mean) * inv_std
-        self._cache = (normalised, inv_std, inputs)
-        return normalised * self.gamma.value + self.beta.value
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        normalised, inv_std, inputs = self._cache
-        num_features = inputs.shape[1]
-        self.gamma.grad += (grad_output * normalised).sum(axis=0)
-        self.beta.grad += grad_output.sum(axis=0)
-        grad_norm = grad_output * self.gamma.value
-        grad_input = (
-            grad_norm
-            - grad_norm.mean(axis=1, keepdims=True)
-            - normalised * (grad_norm * normalised).mean(axis=1, keepdims=True)
-        ) * inv_std
-        return grad_input
-
-    def parameters(self) -> List[Parameter]:
-        return [self.gamma, self.beta]
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

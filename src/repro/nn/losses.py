@@ -1,4 +1,4 @@
-"""Loss functions: mean squared error, Huber and binary cross-entropy.
+"""Loss functions of the surrogate's two heads: binary cross-entropy and Huber.
 
 The paper trains the feasibility head with binary cross-entropy and the energy
 heads with Huber loss ("as we are expecting many outliers in the dataset, due
@@ -32,18 +32,6 @@ class Loss(abc.ABC):
         if predictions.shape != targets.shape:
             raise ValueError(f"shape mismatch: {predictions.shape} vs {targets.shape}")
         return predictions, targets
-
-
-class MSELoss(Loss):
-    """Mean squared error."""
-
-    def value(self, predictions: np.ndarray, targets: np.ndarray) -> float:
-        predictions, targets = self._validate(predictions, targets)
-        return float(np.mean((predictions - targets) ** 2))
-
-    def gradient(self, predictions: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        predictions, targets = self._validate(predictions, targets)
-        return 2.0 * (predictions - targets) / predictions.size
 
 
 class HuberLoss(Loss):

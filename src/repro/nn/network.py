@@ -1,15 +1,15 @@
-"""Sequential network container and a generic minibatch training loop."""
+"""The surrogate's ReLU MLP and its minibatch training loop."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.nn.layers import Dense, Module, ReLU
-from repro.nn.losses import Loss, MSELoss
-from repro.nn.optimizers import Adam, Optimizer
+from repro.nn.losses import Loss
+from repro.nn.optimizers import Adam
 from repro.nn.parameter import Parameter
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -40,27 +40,13 @@ class Sequential(Module):
             params.extend(module.parameters())
         return params
 
-    def train(self) -> None:
-        self.training = True
-        for module in self.modules:
-            module.train()
 
-    def eval(self) -> None:
-        self.training = False
-        for module in self.modules:
-            module.eval()
-
-
-def mlp(
-    layer_sizes: Sequence[int],
-    activation: Callable[[], Module] = ReLU,
-    output_activation: Optional[Callable[[], Module]] = None,
-    rng: RngLike = None,
-) -> Sequential:
-    """Build a multi-layer perceptron with the given layer sizes.
+def mlp(layer_sizes: Sequence[int], rng: RngLike = None) -> Sequential:
+    """Build a ReLU multi-layer perceptron with a linear output layer.
 
     ``layer_sizes`` includes the input and output dimensions, e.g.
-    ``mlp([16, 64, 64, 1])``.
+    ``mlp([16, 64, 64, 1])``.  Hidden layers use He initialisation, the output
+    layer Glorot.
     """
     if len(layer_sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output size")
@@ -71,9 +57,7 @@ def mlp(
         initializer = "glorot" if last else "he"
         modules.append(Dense(fan_in, fan_out, rng=rng, initializer=initializer, name=f"dense{index}"))
         if not last:
-            modules.append(activation())
-        elif output_activation is not None:
-            modules.append(output_activation())
+            modules.append(ReLU())
     return Sequential(*modules)
 
 
@@ -88,23 +72,16 @@ class TrainingHistory:
     def num_epochs(self) -> int:
         return len(self.train_losses)
 
-    @property
-    def final_train_loss(self) -> float:
-        if not self.train_losses:
-            raise ValueError("no epochs recorded")
-        return self.train_losses[-1]
-
 
 def iterate_minibatches(
     inputs: np.ndarray,
     targets: np.ndarray,
     batch_size: int,
     rng: np.random.Generator,
-    shuffle: bool = True,
 ):
-    """Yield ``(inputs, targets)`` minibatches covering the whole dataset once."""
+    """Yield shuffled ``(inputs, targets)`` minibatches covering the whole dataset once."""
     num_samples = inputs.shape[0]
-    order = rng.permutation(num_samples) if shuffle else np.arange(num_samples)
+    order = rng.permutation(num_samples)
     for start in range(0, num_samples, batch_size):
         batch = order[start : start + batch_size]
         yield inputs[batch], targets[batch]
@@ -114,15 +91,15 @@ def fit(
     network: Sequential,
     inputs: np.ndarray,
     targets: np.ndarray,
-    loss: Loss | None = None,
-    optimizer: Optimizer | None = None,
+    loss: Loss,
+    optimizer: Adam,
     num_epochs: int = 100,
     batch_size: int = 32,
     validation_data: Optional[tuple[np.ndarray, np.ndarray]] = None,
     rng: RngLike = None,
     patience: Optional[int] = None,
 ) -> TrainingHistory:
-    """Generic minibatch training loop used by the surrogate trainer and tests.
+    """Minibatch training loop of the surrogate's heads.
 
     Parameters
     ----------
@@ -137,8 +114,6 @@ def fit(
         raise ValueError("inputs and targets must have the same number of rows")
     if num_epochs <= 0 or batch_size <= 0:
         raise ValueError("num_epochs and batch_size must be positive")
-    loss = loss or MSELoss()
-    optimizer = optimizer or Adam(network.parameters(), learning_rate=1e-3)
     rng = ensure_rng(rng)
 
     history = TrainingHistory()
@@ -146,7 +121,6 @@ def fit(
     epochs_since_improvement = 0
 
     for _ in range(num_epochs):
-        network.train()
         epoch_losses = []
         for batch_inputs, batch_targets in iterate_minibatches(inputs, targets, batch_size, rng):
             optimizer.zero_grad()
@@ -159,7 +133,6 @@ def fit(
 
         monitor = train_loss
         if validation_data is not None:
-            network.eval()
             val_inputs, val_targets = validation_data
             val_loss = loss.value(network.forward(np.asarray(val_inputs, dtype=np.float64)), val_targets)
             history.validation_losses.append(float(val_loss))
@@ -174,5 +147,4 @@ def fit(
                 if epochs_since_improvement >= patience:
                     break
 
-    network.eval()
     return history

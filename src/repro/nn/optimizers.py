@@ -1,8 +1,7 @@
-"""Gradient-descent optimisers for the numpy neural-network substrate."""
+"""The Adam optimiser that trains the surrogate's heads."""
 
 from __future__ import annotations
 
-import abc
 from typing import Sequence
 
 import numpy as np
@@ -10,48 +9,8 @@ import numpy as np
 from repro.nn.parameter import Parameter
 
 
-class Optimizer(abc.ABC):
-    """Updates a fixed set of parameters from their accumulated gradients."""
-
-    def __init__(self, parameters: Sequence[Parameter], learning_rate: float) -> None:
-        if learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        self.parameters = list(parameters)
-        self.learning_rate = learning_rate
-
-    @abc.abstractmethod
-    def step(self) -> None:
-        """Apply one update using the gradients currently stored on the parameters."""
-
-    def zero_grad(self) -> None:
-        for param in self.parameters:
-            param.zero_grad()
-
-
-class SGD(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    def __init__(
-        self,
-        parameters: Sequence[Parameter],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        super().__init__(parameters, learning_rate)
-        if not (0.0 <= momentum < 1.0):
-            raise ValueError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.parameters]
-
-    def step(self) -> None:
-        for param, velocity in zip(self.parameters, self._velocity):
-            velocity *= self.momentum
-            velocity -= self.learning_rate * param.grad
-            param.value += velocity
-
-
-class Adam(Optimizer):
-    """Adam optimiser (Kingma & Ba, 2015)."""
+class Adam:
+    """Adam optimiser (Kingma & Ba, 2015) over a fixed set of parameters."""
 
     def __init__(
         self,
@@ -62,11 +21,14 @@ class Adam(Optimizer):
         eps: float = 1e-8,
         weight_decay: float = 0.0,
     ) -> None:
-        super().__init__(parameters, learning_rate)
+        if learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
         if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
             raise ValueError("betas must lie in [0, 1)")
         if weight_decay < 0:
             raise ValueError("weight_decay must be non-negative")
+        self.parameters = list(parameters)
+        self.learning_rate = learning_rate
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
@@ -75,7 +37,12 @@ class Adam(Optimizer):
         self._v = [np.zeros_like(p.value) for p in self.parameters]
         self._t = 0
 
+    def zero_grad(self) -> None:
+        for param in self.parameters:
+            param.zero_grad()
+
     def step(self) -> None:
+        """Apply one update using the gradients currently stored on the parameters."""
         self._t += 1
         for param, m, v in zip(self.parameters, self._m, self._v):
             grad = param.grad

@@ -8,7 +8,7 @@ import numpy as np
 class Parameter:
     """A trainable array plus its accumulated gradient.
 
-    The optimisers update ``value`` in place from ``grad``; modules are
+    :class:`~repro.nn.optimizers.Adam` updates ``value`` in place from ``grad``; modules are
     responsible for zeroing and accumulating gradients during backpropagation.
     """
 

@@ -1,6 +1,7 @@
-"""Saving and restoring network parameters.
+"""Copying network parameters out of and back into a network.
 
-Parameters are stored as a flat ``name -> array`` mapping in ``.npz`` format.
+Parameters travel as a flat ``name -> array`` mapping, which
+:meth:`~repro.core.surrogate.SolverSurrogate.save` writes to an ``.npz`` file.
 Loading requires a network with an identical architecture (same parameter
 names and shapes), which is checked explicitly so silent shape mismatches
 cannot corrupt a trained surrogate.
@@ -8,7 +9,6 @@ cannot corrupt a trained surrogate.
 
 from __future__ import annotations
 
-from pathlib import Path
 from typing import Dict
 
 import numpy as np
@@ -41,13 +41,3 @@ def load_state_dict(module: Module, state: Dict[str, np.ndarray]) -> None:
             )
         param.value[...] = value
 
-
-def save_parameters(module: Module, path: str | Path) -> None:
-    """Write a module's parameters to an ``.npz`` file."""
-    np.savez(Path(path), **state_dict(module))
-
-
-def load_parameters(module: Module, path: str | Path) -> None:
-    """Restore a module's parameters from an ``.npz`` file written by :func:`save_parameters`."""
-    with np.load(Path(path)) as data:
-        load_state_dict(module, {key: data[key] for key in data.files})

@@ -66,6 +66,12 @@ class TestSurrogateDataset:
         assert not train_names & validation_names
         assert len(train) + len(validation) == len(dataset)
 
+    def test_split_always_leaves_a_training_instance(self):
+        records = [make_record(name, float(j), 0.5) for name in ("a", "b") for j in range(8)]
+        train, validation = SurrogateDataset(records).split(0.9, rng=0)
+        assert len(train.instance_names()) == 1
+        assert len(validation.instance_names()) == 1
+
     def test_split_requires_multiple_instances(self):
         dataset = SurrogateDataset([make_record("only", 1.0, 0.5)] * 5)
         with pytest.raises(ValueError):

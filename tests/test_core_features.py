@@ -7,11 +7,9 @@ import pytest
 
 from repro.core.features import (
     MODEL_FEATURE_DIM,
-    CompositeExtractor,
-    GraphEncoderExtractor,
-    MemoisedExtractor,
     QuboStatisticsExtractor,
     TSPStatisticsExtractor,
+    _FingerprintLRU,
     default_extractor_for,
     model_feature_cache_clear,
     model_feature_cache_info,
@@ -66,18 +64,8 @@ class TestTSPStatisticsExtractor:
         with pytest.raises(TypeError):
             TSPStatisticsExtractor().extract(mvc)
 
-    def test_extract_batch_stacks(self, tsp_problems):
-        extractor = TSPStatisticsExtractor()
-        matrix = extractor.extract_batch(tsp_problems)
-        assert matrix.shape == (3, extractor.dim)
-
 
 class TestOtherExtractors:
-    def test_graph_encoder_extractor(self, tsp_problems):
-        extractor = GraphEncoderExtractor(hidden_dim=8, rng=0)
-        features = extractor.extract(tsp_problems[0])
-        assert features.shape == (extractor.dim,)
-
     def test_qubo_statistics_extractor_works_for_mvc(self):
         mvc = MVCProblem(generate_mvc_instance(RandomMVCConfig(num_vertices=8), rng=0))
         extractor = QuboStatisticsExtractor()
@@ -89,75 +77,60 @@ class TestOtherExtractors:
         extractor = QuboStatisticsExtractor()
         assert extractor.extract(tsp_problems[0]).shape == (extractor.dim,)
 
-    def test_composite_concatenates(self, tsp_problems):
-        stats = TSPStatisticsExtractor()
-        gcn = GraphEncoderExtractor(hidden_dim=4, rng=0)
-        composite = CompositeExtractor(stats, gcn)
-        assert composite.dim == stats.dim + gcn.dim
-        features = composite.extract(tsp_problems[0])
-        assert features.shape == (composite.dim,)
-
-    def test_composite_requires_extractors(self):
-        with pytest.raises(ValueError):
-            CompositeExtractor()
-
     def test_default_extractor_dispatch(self, tsp_problems):
         assert isinstance(default_extractor_for(tsp_problems[0]), TSPStatisticsExtractor)
         mvc = MVCProblem(generate_mvc_instance(RandomMVCConfig(num_vertices=6), rng=0))
         assert isinstance(default_extractor_for(mvc), QuboStatisticsExtractor)
 
 
-class CountingExtractor(QuboStatisticsExtractor):
-    def __init__(self):
-        super().__init__()
-        self.calls = 0
+class TestFingerprintLRU:
+    """The LRU behind :func:`model_feature_vector`."""
 
-    def extract(self, problem):
-        self.calls += 1
-        return super().extract(problem)
-
-
-class TestMemoisedExtractor:
-    def test_repeat_extraction_hits_the_cache(self, tsp_problems):
-        inner = CountingExtractor()
-        memo = MemoisedExtractor(inner)
-        first = memo.extract(tsp_problems[0])
-        second = memo.extract(tsp_problems[0])
-        np.testing.assert_array_equal(first, second)
-        assert inner.calls == 1
-        info = memo.cache_info()
-        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-
-    def test_distinct_instances_miss_independently(self, tsp_problems):
-        inner = CountingExtractor()
-        memo = MemoisedExtractor(inner)
-        for problem in tsp_problems:
-            memo.extract(problem)
-        assert inner.calls == len(tsp_problems)
-        assert memo.cache_info().currsize == len(tsp_problems)
-
-    def test_cached_result_is_a_private_copy(self, tsp_problems):
-        memo = MemoisedExtractor(CountingExtractor())
-        first = memo.extract(tsp_problems[0])
+    def test_cached_result_is_a_private_copy(self):
+        cache = _FingerprintLRU()
+        stored = np.arange(3.0)
+        cache.store("a", stored)
+        stored[:] = -1.0
+        first = cache.lookup("a")
         first[:] = -1.0
-        assert not np.array_equal(memo.extract(tsp_problems[0]), first)
+        np.testing.assert_array_equal(cache.lookup("a"), np.arange(3.0))
 
-    def test_eviction_honours_maxsize(self, tsp_problems):
-        memo = MemoisedExtractor(CountingExtractor(), maxsize=2)
-        for problem in tsp_problems:  # three distinct instances, capacity two
-            memo.extract(problem)
-        assert memo.cache_info().currsize == 2
+    def test_eviction_honours_maxsize(self):
+        cache = _FingerprintLRU(maxsize=2)
+        for key in ("a", "b", "c"):  # three distinct keys, capacity two
+            cache.store(key, np.zeros(2))
+        assert cache.cache_info().currsize == 2
+        assert cache.lookup("a") is None  # the least recently used went first
 
-    def test_dim_passthrough(self, tsp_problems):
-        inner = CountingExtractor()
-        assert MemoisedExtractor(inner).dim == inner.dim
-
-    def test_cache_clear_resets_counters(self, tsp_problems):
-        memo = MemoisedExtractor(CountingExtractor())
-        memo.extract(tsp_problems[0])
-        memo.cache_clear()
-        info = memo.cache_info()
+    def test_clear_resets_counters(self):
+        cache = _FingerprintLRU()
+        cache.store("a", np.zeros(2))
+        cache.lookup("a")
+        cache.lookup("b")
+        cache.clear()
+        info = cache.cache_info()
         assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+
+    def test_counts_hits_and_misses(self):
+        cache = _FingerprintLRU(maxsize=4)
+        assert cache.lookup("a") is None
+        cache.store("a", np.ones(2))
+        np.testing.assert_array_equal(cache.lookup("a"), np.ones(2))
+        cache.lookup("a")
+        assert tuple(cache.cache_info()) == (2, 1, 4, 1)
+
+    def test_lookup_refreshes_recency(self):
+        cache = _FingerprintLRU(maxsize=2)
+        cache.store("a", np.zeros(1))
+        cache.store("b", np.zeros(1))
+        cache.lookup("a")  # "b" is now the least recently used
+        cache.store("c", np.zeros(1))
+        assert cache.lookup("b") is None
+        assert cache.lookup("a") is not None
+
+    def test_rejects_non_positive_maxsize(self):
+        with pytest.raises(ValueError):
+            _FingerprintLRU(maxsize=0)
 
 
 class TestModelFeatureVector:
@@ -180,3 +153,22 @@ class TestModelFeatureVector:
         np.testing.assert_array_equal(first, second)
         assert after.hits == before.hits + 1
         assert after.misses == before.misses
+
+    def test_distinct_models_miss_independently(self):
+        from repro.qubo.model import random_qubo
+
+        model_feature_cache_clear()
+        models = [random_qubo(8, rng=seed) for seed in range(3)]
+        features = [model_feature_vector(model) for model in models]
+        info = model_feature_cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 3)
+        assert not np.allclose(features[0], features[1])
+
+    def test_result_is_a_private_copy(self):
+        from repro.qubo.model import random_qubo
+
+        model = random_qubo(9, rng=11)
+        first = model_feature_vector(model)
+        expected = first.copy()
+        first[:] = -1.0
+        np.testing.assert_array_equal(model_feature_vector(model), expected)

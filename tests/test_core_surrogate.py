@@ -25,6 +25,10 @@ class TestSurrogateConfig:
             SurrogateConfig(learning_rate=0.0)
         with pytest.raises(ValueError):
             SurrogateConfig(validation_fraction=1.5)
+        with pytest.raises(ValueError):
+            SurrogateConfig(huber_delta=0.0)
+        with pytest.raises(ValueError):
+            SurrogateConfig(patience=0)
 
 
 class TestSurrogateLifecycle:
@@ -68,6 +72,12 @@ class TestSurrogatePredictions:
     def test_rejects_non_positive_parameters(self, trained_surrogate, training_problems):
         with pytest.raises(ValueError):
             trained_surrogate.predict(training_problems[0], [0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, trained_surrogate, training_problems, bad):
+        scale = training_problems[0].relaxation_scale()
+        with pytest.raises(ValueError):
+            trained_surrogate.predict(training_problems[0], [scale, bad])
 
     def test_pf_increases_with_parameter(self, trained_surrogate, training_problems):
         """The learned Pf(A) must reproduce the sigmoid trend: higher A, higher Pf."""
