@@ -419,6 +419,75 @@ def test_seeded_csr_engine_calls_match_recorded_digest(case, csr_digest_model):
     assert _sample_digest(samples) == digest
 
 
+def _mvc_model():
+    """A relaxed CSR MVC QUBO of the shape ``perfbench``'s ``mvc-sweep`` collects on."""
+    from repro.problems.mvc.generator import generate_sparse_mvc_instance
+    from repro.problems.mvc.qubo import MVCProblem
+
+    problem = MVCProblem(generate_sparse_mvc_instance(1000, edge_density=0.01, rng=21))
+    model = problem.build_qubo(0.7 * problem.relaxation_scale())
+    assert model.is_sparse
+    return model
+
+
+#: Engine specs pinned on a dense TSP model (n = 49, 4 reads), each run in
+#: both dtypes.  The determinism matrix compares backends with each other;
+#: these compare every kernel that steps a dense state with a recorded value.
+_DENSE_SPECS = {
+    "sa": "sa?num_sweeps=20",
+    "sa-sequential": "sa?num_sweeps=6&block_size=1",
+    "da": "da?num_steps=200",
+    "da-multi-flip": "da?num_steps=100&max_parallel_flips=8",
+    "pt": "pt?num_sweeps=8&num_replicas=4&swap_interval=2",
+    "tabu-batched": "tabu?num_steps=150&restart_after=20",
+}
+
+#: SA and batched tabu as the smoke profile runs them (16 reads) on the
+#: MVC-shaped CSR model (n = 1000, density about 0.01), in both dtypes.
+_MVC_SPECS = {
+    "sa": "sa?num_sweeps=40",
+    "tabu-batched": "tabu?num_steps=80&restart_after=26",
+}
+
+#: sha256 of ``assignments`` + ``energies`` (:func:`_sample_digest`) of the
+#: seeded calls above, seed 17.  Keys: ``"<model>/<case>/<dtype>"``.
+_STREAM_DIGESTS = {
+    "mvc1000/sa/float32": "76a35f7e11199786e4765cf5f823879083fcd411bf3432fb09bdedbd1d547210",
+    "mvc1000/sa/float64": "76a35f7e11199786e4765cf5f823879083fcd411bf3432fb09bdedbd1d547210",
+    "mvc1000/tabu-batched/float32": "3774709e46d2f5b0905a4f46803c7d152298af736badc774fc2658ac1ee93f6d",
+    "mvc1000/tabu-batched/float64": "3774709e46d2f5b0905a4f46803c7d152298af736badc774fc2658ac1ee93f6d",
+    "tsp49/da-multi-flip/float32": "e455a814fadb4490e957fff248869fd2c1f0e3dce266038d0dba6e092f24ac90",
+    "tsp49/da-multi-flip/float64": "e455a814fadb4490e957fff248869fd2c1f0e3dce266038d0dba6e092f24ac90",
+    "tsp49/da/float32": "f0b591ca2cc09e92d68c3cc59d5d4b92db1597e60987f80e546853488e55cbb4",
+    "tsp49/da/float64": "f0b591ca2cc09e92d68c3cc59d5d4b92db1597e60987f80e546853488e55cbb4",
+    "tsp49/pt/float32": "a0a2702fb615b6bcae2d55d6d8c056079a7a01ff66d6eb95e45405c6e7b53cbe",
+    "tsp49/pt/float64": "a0a2702fb615b6bcae2d55d6d8c056079a7a01ff66d6eb95e45405c6e7b53cbe",
+    "tsp49/sa-sequential/float32": "848276ffef98cb58401297584a088e6e935371bf8e9347bb8ddb7efccae5c696",
+    "tsp49/sa-sequential/float64": "848276ffef98cb58401297584a088e6e935371bf8e9347bb8ddb7efccae5c696",
+    "tsp49/sa/float32": "0730bab4aaf950c60ed85b03ca5d68463400ef9ff2c9b1ad78def690fd65212a",
+    "tsp49/sa/float64": "0730bab4aaf950c60ed85b03ca5d68463400ef9ff2c9b1ad78def690fd65212a",
+    "tsp49/tabu-batched/float32": "839de8b1647c06fabb676d832c4a54b1cea65d8702d3f4f6223d95a9c6da4995",
+    "tsp49/tabu-batched/float64": "9456171cc7ce7a901e00ac21f695c0b51eada7f80e809d2fa2a62a7e7e7afcac",
+}
+
+
+@pytest.fixture(scope="module")
+def stream_digest_models():
+    return {"tsp49": _tsp_model(7, 1.0), "mvc1000": _mvc_model()}
+
+
+@pytest.mark.parametrize("key", sorted(_STREAM_DIGESTS))
+def test_seeded_engine_streams_match_recorded_digest(key, stream_digest_models):
+    from repro.service import make_solver
+
+    model_name, case, dtype = key.split("/")
+    specs, num_reads = (_DENSE_SPECS, 4) if model_name == "tsp49" else (_MVC_SPECS, 16)
+    samples = make_solver(f"{specs[case]}&dtype={dtype}").sample(
+        stream_digest_models[model_name], num_reads=num_reads, rng=17
+    )
+    assert _sample_digest(samples) == _STREAM_DIGESTS[key]
+
+
 class TestQuantumAnnealer:
     def test_energies_scored_against_exact_model(self):
         model = random_qubo(8, rng=0)
