@@ -3,8 +3,9 @@
 One *record* corresponds to one solver call: a problem instance ``g``, a
 relaxation parameter ``A`` and the resulting batch statistics ``Pf``, ``Eavg``
 and ``Estd`` (paper Section 3.3).  An instance's records come from two
-:meth:`~repro.service.service.SolveService.evaluate_many` calls on the default
-service, one for the coarse grid and one for the refinement points: two
+:meth:`~repro.service.service.SolveService.evaluate_many` calls on a service
+(the default one unless the caller passes its own), one for the coarse grid
+and one for the refinement points: two
 engine calls per instance for a solver that batches models (DA, qbsolv), and
 records byte-identical to one :meth:`~repro.service.service.SolveService.evaluate`
 per ``A``, the path every tuning trial takes.  This module handles
@@ -25,7 +26,7 @@ import numpy as np
 from repro.core.features import FeatureExtractor, default_extractor_for
 from repro.problems.base import ConstrainedProblem
 from repro.service.cache import CachedEvaluation
-from repro.service.service import default_service
+from repro.service.service import SolveService, default_service
 from repro.solvers.base import QUBOSolver
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -207,17 +208,18 @@ def collect_instance_records(
     extractor: FeatureExtractor,
     plan: SamplingPlan,
     rng: RngLike = None,
+    service: Optional[SolveService] = None,
 ) -> List[SurrogateRecord]:
     """Collect training records for a single instance following ``plan``.
 
     The coarse grid and then the refinement points each run as one
-    :meth:`~repro.service.service.SolveService.evaluate_many` call over the
-    parameters not evaluated yet.  Every evaluation draws one child seed from
-    ``rng``, so the records are byte-identical on every execution backend of
-    the default service.
+    :meth:`~repro.service.service.SolveService.evaluate_many` call on
+    ``service`` (the default service when ``None``) over the parameters not
+    evaluated yet.  Every evaluation draws one child seed from ``rng``, so
+    the records are byte-identical on every execution backend.
     """
     rng = ensure_rng(rng)
-    service = default_service()
+    service = default_service() if service is None else service
     features = extractor.extract(problem)
     a_scale = parameter_scale(problem)
     e_scale = energy_scale(problem)
@@ -277,11 +279,13 @@ def collect_training_data(
     extractor: Optional[FeatureExtractor] = None,
     plan: SamplingPlan | None = None,
     rng: RngLike = None,
+    service: Optional[SolveService] = None,
 ) -> SurrogateDataset:
     """Collect a full surrogate training dataset over many instances.
 
     This is the expensive, offline part of QROSS: it is the "history of solved
-    instances" the surrogate learns from.
+    instances" the surrogate learns from.  Every solver call goes through
+    ``service`` (the default service when ``None``).
     """
     if not problems:
         raise ValueError("at least one problem instance is required")
@@ -290,5 +294,7 @@ def collect_training_data(
     rng = ensure_rng(rng)
     dataset = SurrogateDataset()
     for problem in problems:
-        dataset.extend(collect_instance_records(problem, solver, extractor, plan, rng=rng))
+        dataset.extend(
+            collect_instance_records(problem, solver, extractor, plan, rng=rng, service=service)
+        )
     return dataset

@@ -17,6 +17,7 @@ statistics.  The two heads are trained separately, as in the paper.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -120,6 +121,10 @@ class SolverSurrogate:
         self._energy_network: Sequential = mlp([*sizes, 2], rng=self._rng)
         self._normalizer = FeatureNormalizer()
         self._trained = False
+        #: ``problem -> features``; an entry goes when its problem does.
+        self._feature_memo: "weakref.WeakKeyDictionary[ConstrainedProblem, np.ndarray]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------ train
     @property
@@ -203,8 +208,25 @@ class SolverSurrogate:
         return histories
 
     # -------------------------------------------------------------- inference
+    def _problem_features(self, problem: ConstrainedProblem) -> np.ndarray:
+        """The extractor's (read-only) feature vector of ``problem``, extracted once.
+
+        Features depend on the problem alone, and MFS's refinement predicts
+        one parameter per objective evaluation, so each problem's vector is
+        kept for as long as the problem lives: the memo holds its keys
+        weakly, so it keeps no problem alive and holds at most one entry per
+        live problem.  Two threads missing together both extract; the
+        vectors are equal.
+        """
+        features = self._feature_memo.get(problem)
+        if features is None:
+            features = np.array(self.extractor.extract(problem), dtype=np.float64)
+            features.flags.writeable = False
+            self._feature_memo[problem] = features
+        return features
+
     def _inputs_for(self, problem: ConstrainedProblem, parameters: np.ndarray) -> np.ndarray:
-        features = self.extractor.extract(problem)
+        features = self._problem_features(problem)
         features = self._normalizer.transform(features[None, :])[0]
         normalized = np.asarray(parameters, dtype=np.float64) / parameter_scale(problem)
         tiled = np.tile(features, (normalized.size, 1))

@@ -86,7 +86,8 @@ class DenseOperator:
 
         The local-field update of single flips (``dx`` in {-1, +1}, an
         array or a numpy scalar).  ``rows`` must not repeat; scalar arguments
-        update one row.
+        update one row.  A dense row reaches every column, so it reports no
+        positions (see :meth:`SparseOperator.add_rows`).
         """
         H[rows] += dx[..., None] * self._Q[indices]
 
@@ -162,16 +163,19 @@ class SparseOperator:
         out[np.arange(counts.size).repeat(counts), self._indices[positions]] = self._data[positions]
         return out
 
-    def add_rows(self, H: np.ndarray, rows, indices, dx) -> None:
+    def add_rows(self, H: np.ndarray, rows, indices, dx):
         """``H[rows[k]] += dx[k] * Q[indices[k]]`` for every ``k``, in place.
 
         Touches only the stored entries of the indexed rows.  Skipping the
         zero terms leaves ``H`` byte-equal to the dense update unless it holds
         ``-0.0``, which local fields summed from zero never do.  ``rows`` must
-        not repeat; scalar arguments update one row.
+        not repeat; scalar arguments update one row.  Returns the
+        ``(rows, columns)`` index arrays of the entries of ``H`` it changed.
         """
         counts, _, positions = self._nonzeros(indices)
-        H[np.repeat(rows, counts), self._indices[positions]] += np.repeat(dx, counts) * self._data[positions]
+        changed = np.repeat(rows, counts), self._indices[positions]
+        H[changed] += np.repeat(dx, counts) * self._data[positions]
+        return changed
 
     def block_product(self, dX_block: np.ndarray, block: np.ndarray) -> np.ndarray:
         """``dX_block @ Q[block, :]`` for ``dX_block`` in {-1, 0, +1}.

@@ -25,7 +25,7 @@ variables:
 * ``best_X`` / ``best_energies`` — the lowest-energy state each replica has
   visited at the instants :meth:`update_best` was called.
 
-State transitions go through exactly two mutators:
+State transitions go through two kinds of mutator:
 
 * :meth:`apply_single_flips` — one flip per listed replica, *exact*: the
   supplied deltas are the true energy changes, so ``current_energies`` stays
@@ -34,7 +34,25 @@ State transitions go through exactly two mutators:
   per-replica accept mask.  Deltas of variables flipped together in one block
   interact, so after a block application ``current_energies`` is recomputed
   from the (always exact) local fields via ``E = sum_i x_i H_i + offset``
-  rather than summed from the proposed deltas.
+  rather than summed from the proposed deltas.  :meth:`metropolis_block` is
+  the blocked Metropolis step of SA and PT: it proposes the block's flips,
+  accepts them with :func:`metropolis_accept` and applies them as
+  :meth:`apply_block_flips` does, writing the block's new states from the
+  states and flip signs ``1 - 2x`` its proposal gathered.
+
+What a step may keep between steps: only values that are a function of the
+state it reads them from.  Batched tabu keeps the ``(R, n)`` single-flip
+delta matrix (:meth:`flip_deltas`) across its steps and passes it to
+:meth:`apply_single_flips` as ``kept``, which recomputes the entries whose
+inputs moved: the flipped variables and the local fields the operator's
+``add_rows`` reports it changed (every field, for a dense row).  Each delta
+is a function of one state bit, one field and one diagonal entry, computed
+by the one formula :func:`_flip_terms` holds, so a refreshed entry has the
+bytes a full recompute gives, and an entry whose inputs did not move keeps
+them.  The kept matrix therefore stays ``np.array_equal`` to a fresh
+:meth:`flip_deltas` after every step, in both dtypes and on both storages.
+A replica reset (:meth:`reset_replicas`) changes whole rows, so a caller
+recomputes the matrix after one.
 
 Coefficient access is routed through the operator returned by
 :meth:`repro.qubo.model.QUBOModel.operator` — CSR for a sparse model, dense
@@ -44,7 +62,8 @@ operator's ``block_product``.  On CSR both touch only the flipped rows'
 stored entries, ``O(R · nnz)`` per block instead of the dense
 ``O(R · b · n)``, and a block product sums each field's terms in block
 order from zero, as the dense GEMM does, so sparse instances (e.g. MVC)
-run faster without any solver-side changes.
+run faster without any solver-side changes.  What a flip changed is
+likewise the operator's answer, so no caller branches on the storage.
 
 Precision
 ---------
@@ -73,6 +92,7 @@ from repro.utils.rng import ensure_rng
 DTYPE_ENV = "QROSS_ENGINE_DTYPE"
 #: The float dtypes the engine computes in.
 SUPPORTED_DTYPES = ("float64", "float32")
+_ENGINE_FLOATS = tuple(np.dtype(name) for name in SUPPORTED_DTYPES)
 
 
 def validate_engine_dtype(dtype: Optional[str]) -> Optional[str]:
@@ -107,16 +127,22 @@ def metropolis_accept(delta, temperature, uniforms) -> np.ndarray:
 
     The comparison runs in the float dtype of ``delta`` (float64 for integer
     input): a float64 caller gets float64 temperatures whatever the engine
-    dtype setting.
+    dtype setting.  A float32 or float64 ``delta`` with a scalar temperature
+    (every block of an annealing sweep) takes the path with no conversion.
     """
     delta = np.asarray(delta)
-    dtype = np.result_type(delta.dtype, np.float32)
+    if delta.dtype not in _ENGINE_FLOATS:
+        delta = delta.astype(np.result_type(delta.dtype, np.float32))
+    dtype = delta.dtype
     accept = delta <= 0.0
-    temps = np.asarray(temperature, dtype=dtype)
-    if temps.ndim == 0:
-        if temps > 0:
-            accept = accept | (uniforms < np.exp(-np.clip(delta, 0.0, None) / temps))
+    # ``max(delta, 0) / -t`` is ``-max(delta, 0) / t`` to the bit (division
+    # rounds symmetrically), one array pass fewer.
+    if isinstance(temperature, (float, int, np.generic)) or np.ndim(temperature) == 0:
+        temperature = dtype.type(temperature)
+        if temperature > 0:
+            accept |= uniforms < np.exp(np.maximum(delta, 0.0) / -temperature)
         return accept
+    temps = np.asarray(temperature, dtype=dtype)
     if temps.shape != (delta.shape[0],):
         raise ValueError(
             f"temperature array must have one entry per replica row "
@@ -125,8 +151,19 @@ def metropolis_accept(delta, temperature, uniforms) -> np.ndarray:
     cols = temps.reshape(-1, *([1] * (delta.ndim - 1)))
     positive = cols > 0
     safe = np.where(positive, cols, dtype.type(1.0))
-    boltzmann = uniforms < np.exp(-np.clip(delta, 0.0, None) / safe)
+    boltzmann = uniforms < np.exp(np.maximum(delta, 0.0) / -safe)
     return accept | (boltzmann & positive)
+
+
+def _flip_terms(x, h, d, out=None):
+    """``(1 - 2x, ΔE)`` of single flips, from gathered states, fields and diagonal.
+
+    The one place the single-flip energy change is written; every engine
+    read of it goes through here, so equal inputs give equal bytes whichever
+    entries a caller gathers.
+    """
+    sign = 1.0 - 2.0 * x
+    return sign, np.multiply(sign, d + 2.0 * h - 2.0 * d * x, out=out)
 
 
 def default_block_size(num_variables: int) -> int:
@@ -357,26 +394,65 @@ class AnnealingState:
 
         Shape ``(R, n)`` without ``cols``, ``(R, len(cols))`` with.
         """
+        return self._proposal(cols)[2]
+
+    def _proposal(self, cols):
+        """``(x, 1 - 2x, ΔE)`` of flipping ``cols`` (every variable for ``None``)."""
         x, h, d = self.X, self.H, self.diag
         if cols is not None:
             x, h = x[:, cols], h[:, cols]
             d = d[cols] if d.ndim == 1 else d[:, cols]
-        return (1.0 - 2.0 * x) * (d + 2.0 * h - 2.0 * d * x)
+        return (x, *_flip_terms(x, h, d))
 
     # --------------------------------------------------------------- mutators
-    def apply_single_flips(self, rows, cols, deltas) -> None:
+    def apply_single_flips(self, rows, cols, deltas, kept=None) -> None:
         """Flip variable ``cols[k]`` of replica ``rows[k]`` for every ``k``.
 
         ``deltas`` must be the matching single-flip energy changes (as returned
         by :meth:`flip_deltas`); ``current_energies`` is advanced exactly.
+
+        ``kept``, when given, is the ``(R, n)`` :meth:`flip_deltas` matrix of
+        the state before the flips; it is brought up to date in place.  Only
+        the entries whose inputs moved are recomputed: the flipped variables
+        and the fields the operator's ``add_rows`` reports it changed.  When
+        the operator reports no positions (a dense row changes every field),
+        every entry is recomputed.
         """
         dx = 1.0 - 2.0 * self.X[rows, cols]
         self.X[rows, cols] += dx
         self.current_energies[rows] += deltas
         stacked = cols if self._row_base is None else self._row_base[rows] + cols
-        self.op.add_rows(self.H, rows, stacked, dx)
+        changed = self.op.add_rows(self.H, rows, stacked, dx)
+        if kept is None:
+            return
+        if changed is None:
+            _flip_terms(self.X, self.H, self.diag, out=kept)
+            return
+        r = np.concatenate([rows, changed[0]])
+        c = np.concatenate([cols, changed[1]])
+        d = self.diag[c] if self.diag.ndim == 1 else self.diag[r, c]
+        kept[r, c] = _flip_terms(self.X[r, c], self.H[r, c], d)[1]
 
-    def apply_block_flips(self, block, accept) -> None:
+    def metropolis_block(self, block, temperature, uniforms) -> int:
+        """One blocked Metropolis step over the variables ``block``.
+
+        Every replica proposes a flip of every variable of ``block`` against
+        its state at the start of the step, accepts each by
+        :func:`metropolis_accept` (``temperature`` and ``uniforms`` as there,
+        ``uniforms`` of shape ``(R, len(block))``) and applies the accepted
+        flips together, as :meth:`apply_block_flips` does.  The states the
+        proposal gathers and their flip signs ``1 - 2x`` give the whole
+        block's new states in one pass (a column no replica accepted gets
+        ``x + 0``, its own bytes); only the field update gathers the active
+        columns.  Returns the number of accepted flips.
+        """
+        x, sign, delta = self._proposal(block)
+        accept = metropolis_accept(delta, temperature, uniforms)
+        dX = np.where(accept, sign, self.dtype.type(0.0))
+        self.X[:, block] = x + dX
+        return self._flip_block(block, accept, dX)
+
+    def apply_block_flips(self, block, accept) -> int:
         """Apply the accepted flips of a variable block simultaneously.
 
         ``block`` holds host variable indices, ``accept`` a boolean mask of
@@ -386,25 +462,34 @@ class AnnealingState:
         is an approximation of sequential Metropolis — callers should refresh
         ``current_energies`` via :meth:`refresh_energies` before reading them.
         Each group with an accepted flip applies its own active columns with
-        its own model's block product.
+        its own model's block product.  Returns the number of accepted flips.
         """
+        return self._flip_block(block, accept)
+
+    def _flip_block(self, block, accept, dX=None) -> int:
+        """:meth:`apply_block_flips`; given the whole block's flips ``dX``
+        (``X`` already updated with them), only the fields are updated."""
+        accepted = int(np.count_nonzero(accept))
         if self.profiler is not None:
             # Count before the no-accepts early return so proposals are never
             # dropped from the acceptance-rate denominator.
-            proposed = int(accept.shape[0]) * int(accept.shape[1])
-            self.profiler.count_flips(proposed, int(np.count_nonzero(accept)))
-        if not accept.any():
-            return
+            self.profiler.count_flips(int(accept.size), accepted)
+        if not accepted:
+            return 0
         for rows, op in self._groups:
             group_accept = accept[rows]
             if self.num_groups > 1 and not group_accept.any():
                 continue
             active = group_accept.any(axis=0)
             cols = block[active]
-            X = self.X[rows]
-            dX = np.where(group_accept[:, active], 1.0 - 2.0 * X[:, cols], self.dtype.type(0.0))
-            X[:, cols] += dX
-            self.H[rows] += op.block_product(dX, cols)
+            if dX is None:
+                x = self.X[rows, cols]
+                group_dX = np.where(group_accept[:, active], 1.0 - 2.0 * x, self.dtype.type(0.0))
+                self.X[rows, cols] = x + group_dX
+            else:
+                group_dX = dX[rows, active]
+            self.H[rows] += op.block_product(group_dX, cols)
+        return accepted
 
     def refresh_energies(self) -> None:
         """Recompute ``current_energies`` from the local fields."""

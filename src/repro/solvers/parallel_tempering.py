@@ -18,8 +18,9 @@ Every requested read owns an independent ladder of ``num_replicas`` rungs and
 *all* rungs of *all* reads live in one :class:`~repro.solvers.engine.
 AnnealingState` batch of ``num_reads * num_replicas`` rows (read-major, rung
 ``j`` of read ``k`` at row ``k * num_replicas + j``).  Sweeps reuse the same
-blocked single-flip kernel as simulated annealing, with the per-row
-temperature form of :func:`~repro.solvers.engine.metropolis_accept`; swap
+blocked single-flip kernel as simulated annealing
+(:meth:`~repro.solvers.engine.AnnealingState.metropolis_block`), with the
+per-row temperature form of :func:`~repro.solvers.engine.metropolis_accept`; swap
 rounds exchange full state rows (``X``/``H``/energies) so the row ->
 temperature mapping stays static.  Exchanging rows rather than temperatures
 costs ``O(n)`` per accepted swap but keeps every kernel oblivious to the
@@ -39,7 +40,6 @@ from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import (
     AnnealingState,
     default_block_size,
-    metropolis_accept,
     propose_ladder_swaps,
     validate_engine_dtype,
 )
@@ -156,12 +156,9 @@ class ParallelTemperingSolver(QUBOSolver):
             order = rng.permutation(n)
             uniforms = state.uniforms(rng, (num_reads * m, n))
             for start in range(0, n, block):
-                cols = order[start : start + block]
-                delta = state.flip_deltas(cols)
-                accept = metropolis_accept(
-                    delta, row_temps, uniforms[:, start : start + cols.size]
+                state.metropolis_block(
+                    order[start : start + block], row_temps, uniforms[:, start : start + block]
                 )
-                state.apply_block_flips(cols, accept)
             state.refresh_energies()
             state.update_best()
             if state.profiler is not None:

@@ -7,15 +7,18 @@ Metropolis single-flip updates at the sweep's temperature.
 
 The sweep is *blocked*: the shuffled variable order is chunked into blocks and
 each block's flips are proposed against the state at the start of the block,
-then applied together through the shared
-:class:`~repro.solvers.engine.AnnealingState`.  This cuts the pure-Python work
-per sweep from ``O(n)`` iterations to ``O(n / block)`` while the heavy
-local-field updates run as batched BLAS/CSR products.  Within-block flips are
-an approximation of sequential Metropolis (interacting variables flipped in
-the same block do not see each other's move), which blocked Gibbs/Metropolis
-samplers routinely accept; the solver additionally tracks the best state seen
-at every sweep boundary, so the returned assignment is never worse than the
-final state of the walk.
+then applied together by one
+:meth:`~repro.solvers.engine.AnnealingState.metropolis_block` call on the
+shared :class:`~repro.solvers.engine.AnnealingState`.  That step gathers the
+block's states once and reuses them and their flip signs for the update, and
+returns the accepted count the block-size controller and the profiler both
+read.  This cuts the pure-Python work per sweep from ``O(n)`` iterations to
+``O(n / block)`` while the heavy local-field updates run as batched BLAS/CSR
+products.  Within-block flips are an approximation of sequential Metropolis
+(interacting variables flipped in the same block do not see each other's
+move), which blocked Gibbs/Metropolis samplers routinely accept; the solver
+additionally tracks the best state seen at every sweep boundary, so the
+returned assignment is never worse than the final state of the walk.
 
 The block size is *adaptive* by default: an
 :class:`~repro.solvers.engine.AdaptiveBlockSizer` grows the block while the
@@ -36,12 +39,7 @@ import numpy as np
 from repro import obs
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
-from repro.solvers.engine import (
-    AdaptiveBlockSizer,
-    AnnealingState,
-    metropolis_accept,
-    validate_engine_dtype,
-)
+from repro.solvers.engine import AdaptiveBlockSizer, AnnealingState, validate_engine_dtype
 from repro.solvers.schedules import TemperatureSchedule, resolve_schedule
 
 
@@ -117,13 +115,9 @@ class SimulatedAnnealingSolver(QUBOSolver):
             uniforms = state.uniforms(rng, (num_reads, n))
             accepted = 0
             for start in range(0, n, block):
-                cols = order[start : start + block]
-                delta = state.flip_deltas(cols)
-                accept = metropolis_accept(
-                    delta, temperature, uniforms[:, start : start + cols.size]
+                accepted += state.metropolis_block(
+                    order[start : start + block], temperature, uniforms[:, start : start + block]
                 )
-                accepted += int(np.count_nonzero(accept))
-                state.apply_block_flips(cols, accept)
             state.refresh_energies()
             state.update_best()
             if state.profiler is not None:

@@ -8,13 +8,21 @@ non-tabu move per replica (with aspiration: a tabu move is allowed when it
 improves the incumbent), and restarts a replica from its perturbed incumbent
 when that replica stalls.
 
-All ``num_reads`` searches propagate together: each step computes the full
-``(num_reads, n)`` delta matrix, one argmin per replica, and one batched
+All ``num_reads`` searches propagate together: each step takes one argmin
+per replica over the ``(num_reads, n)`` delta matrix and makes one batched
 local-field update — so the wall time of a batch grows far slower than
-``num_reads`` serial searches.  :meth:`TabuSearchSolver.refine_many` batches
-the other way round for qbsolv: many small sub-problems, each with its own
-coefficients and RNG stream, step together while each one keeps the exact
-trajectory of a single-replica search.
+``num_reads`` serial searches.  The delta matrix is kept across steps: a
+flip refreshes only the entries whose inputs it changed (its own column and,
+on a CSR model, the stored entries of its coefficient row; a dense row
+changes them all), and the refreshed entries are exactly what a full
+recompute gives (see the engine's kernel contract).  Each replica's tabu set
+is a ring of the columns it flipped at its last ``tenure`` steps, so a step
+checks aspiration on those entries only.
+
+:meth:`TabuSearchSolver.refine_many` batches the other way round for qbsolv:
+many small sub-problems, each with its own coefficients and RNG stream, step
+together while each one keeps the exact trajectory of a single-replica
+search.
 """
 
 from __future__ import annotations
@@ -135,22 +143,36 @@ class TabuSearchSolver(QUBOSolver):
         tenure = self.config.tenure if self.config.tenure is not None else min(20, n // 4 + 1)
         inf = state.dtype.type(np.inf)
 
-        tabu_until = np.full((num_reads, n), -1, dtype=np.int64)
+        # A column is tabu while it is in its replica's ring of the columns
+        # flipped at the last ``tenure`` steps (-1 marks an empty slot).
+        ring = np.full((num_reads, tenure), -1, dtype=np.intp)
         stall = np.zeros(num_reads, dtype=np.int64)
         replica_rows = np.arange(num_reads)
+        ring_rows = np.repeat(replica_rows[:, None], tenure, axis=1)
+        # Kept across steps: each flip refreshes only the entries it changed.
+        delta = state.flip_deltas()
 
         for step in range(self.config.num_steps):
-            delta = state.flip_deltas()
-            allowed = tabu_until < step
-            # Aspiration: a tabu move that beats the incumbent is always allowed.
-            allowed |= (state.current_energies[:, None] + delta) < state.best_energies[:, None]
-            blocked = ~allowed.any(axis=1)
-            if blocked.any():
-                allowed[blocked] = True
-            cols = np.where(allowed, delta, inf).argmin(axis=1)
+            candidate = delta
+            if tenure:
+                # Aspiration: a tabu move that beats the incumbent is always allowed.
+                aspirated = (
+                    state.current_energies[:, None] + delta[ring_rows, ring]
+                ) < state.best_energies[:, None]
+                barred = (ring >= 0) & ~aspirated
+                candidate = delta.copy()
+                candidate[ring_rows[barred], ring[barred]] = inf
+            cols = candidate.argmin(axis=1)
+            if tenure >= n:
+                # Every column can be tabu: a replica with none allowed (its
+                # finite deltas all barred) may take any move.
+                blocked = candidate[replica_rows, cols] == inf
+                if blocked.any():
+                    cols[blocked] = delta[blocked].argmin(axis=1)
 
-            state.apply_single_flips(replica_rows, cols, delta[replica_rows, cols])
-            tabu_until[replica_rows, cols] = step + tenure
+            state.apply_single_flips(replica_rows, cols, delta[replica_rows, cols], kept=delta)
+            if tenure:
+                ring[:, step % tenure] = cols
 
             improved = state.current_energies < state.best_energies - 1e-12
             state.update_best()
@@ -165,8 +187,9 @@ class TabuSearchSolver(QUBOSolver):
                 flip_rows = np.arange(num_restarts)[:, None]
                 perturbed[flip_rows, flip_cols] = 1.0 - perturbed[flip_rows, flip_cols]
                 state.reset_replicas(restart, perturbed)
-                tabu_until[restart] = -1
+                ring[restart] = -1
                 stall[restart] = 0
+                delta = state.flip_deltas()
 
     def refine_many(
         self,

@@ -208,6 +208,28 @@ class TestComposedStrategyAndTuner:
         online = tuner.suggest(history)
         assert bounds.low <= online <= bounds.high
 
+    def test_offline_candidates_extract_features_once(self, trained_surrogate, monkeypatch):
+        # MFS's refinement predicts one parameter per objective evaluation;
+        # the instance's features are extracted for the first of them only.
+        from repro.core.features import TSPStatisticsExtractor
+        from repro.problems.tsp.generator import generate_instance
+        from repro.problems.tsp.qubo import TSPProblem
+
+        calls = []
+        extract = TSPStatisticsExtractor.extract
+
+        def counted(self, problem):
+            calls.append(problem.name)
+            return extract(self, problem)
+
+        monkeypatch.setattr(TSPStatisticsExtractor, "extract", counted)
+        problem = TSPProblem(generate_instance(7, rng=77, name="offline-memo-tsp"))
+        scale = problem.relaxation_scale()
+        bounds = ParameterBounds(low=0.05 * scale, high=4.0 * scale)
+        offline = QROSSTuner(trained_surrogate, problem, bounds, rng=0).offline_candidates()
+        assert len(offline) == 3
+        assert calls == ["offline-memo-tsp"]
+
     def test_tuner_reset_clears_state(self, trained_surrogate, problem_and_bounds):
         problem, bounds = problem_and_bounds
         tuner = QROSSTuner(trained_surrogate, problem, bounds, rng=0)

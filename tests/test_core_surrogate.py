@@ -117,6 +117,72 @@ class TestSurrogatePredictions:
         assert np.median(correlations) > 0.5
 
 
+class _CountingExtractor(TSPStatisticsExtractor):
+    def __init__(self):
+        self.calls = []
+
+    def extract(self, problem):
+        self.calls.append(problem.name)
+        return super().extract(problem)
+
+
+def _memo_surrogate(surrogate_dataset, extractor):
+    surrogate = SolverSurrogate(
+        extractor, config=SurrogateConfig(hidden_sizes=(8,), num_epochs=2), rng=0
+    )
+    surrogate.fit(surrogate_dataset, rng=0)
+    return surrogate
+
+
+class TestFeatureMemo:
+    def test_predict_extracts_each_problem_once(self, surrogate_dataset, training_problems):
+        extractor = _CountingExtractor()
+        surrogate = _memo_surrogate(surrogate_dataset, extractor)
+        first, second = training_problems[:2]
+        scale = first.relaxation_scale()
+        fresh = surrogate.predict(first, [0.5 * scale, 1.5 * scale])
+        for _ in range(3):
+            again = surrogate.predict(first, [0.5 * scale, 1.5 * scale])
+            surrogate.predict(second, [scale])
+        assert extractor.calls == [first.name, second.name]
+        assert again.probability_of_feasibility.tobytes() == fresh.probability_of_feasibility.tobytes()
+        assert again.energy_mean.tobytes() == fresh.energy_mean.tobytes()
+
+    def test_memo_keeps_no_problem_alive(self, surrogate_dataset):
+        import gc
+        import weakref
+
+        surrogate = _memo_surrogate(surrogate_dataset, TSPStatisticsExtractor())
+        problem = TSPProblem(generate_instance(6, rng=41, name="memo-transient"))
+        surrogate.predict(problem, [problem.relaxation_scale()])
+        assert len(surrogate._feature_memo) == 1
+        alive = weakref.ref(problem)
+        del problem
+        gc.collect()
+        assert alive() is None
+        assert len(surrogate._feature_memo) == 0
+
+    def test_a_new_problem_is_extracted_afresh(self, surrogate_dataset):
+        import gc
+
+        extractor = _CountingExtractor()
+        surrogate = _memo_surrogate(surrogate_dataset, extractor)
+        for k in range(3):
+            # Each problem dies before the next is built, so CPython may hand
+            # the next one the same ``id``; it must still be extracted.
+            problem = TSPProblem(generate_instance(6, rng=50 + k, name=f"memo-{k}"))
+            surrogate.predict(problem, [problem.relaxation_scale()])
+            surrogate.predict(problem, [problem.relaxation_scale()])
+            del problem
+            gc.collect()
+        assert extractor.calls == ["memo-0", "memo-1", "memo-2"]
+
+    def test_cached_features_are_read_only(self, trained_surrogate, training_problems):
+        features = trained_surrogate._problem_features(training_problems[0])
+        with pytest.raises(ValueError):
+            features[0] = 0.0
+
+
 class TestSurrogatePersistence:
     def test_save_load_roundtrip(self, trained_surrogate, training_problems, tmp_path):
         path = tmp_path / "surrogate.npz"

@@ -171,13 +171,14 @@ class TestOneFingerprintOneStorage:
 
     def test_only_the_model_module_branches_on_storage(self):
         # Every other module keeps the one path that works on both storages:
-        # it reads a model through its operator or its CSR coefficients.
+        # it reads a model through its operator or its CSR coefficients, and
+        # asks the operator what a flip touched rather than which kind it is.
         package = Path(repro.__file__).resolve().parent
         branching = [
             str(path.relative_to(package))
             for path in sorted(package.rglob("*.py"))
             if path != package / "qubo" / "model.py"
-            and re.search(r"is_sparse|issparse", path.read_text(encoding="utf-8"))
+            and re.search(r"is_sparse|issparse|\.kind\s*[!=]=", path.read_text(encoding="utf-8"))
         ]
         assert branching == []
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core import dataset
 from repro.core.dataset import SamplingPlan, collect_instance_records
 from repro.core.features import TSPStatisticsExtractor
 from repro.problems.tsp.generator import generate_instance
@@ -232,9 +231,9 @@ class TestCollectionSpans:
         )
         try:
             with SolveService(max_workers=2, backend=execution) as service:
-                monkeypatch.setattr(dataset, "default_service", lambda: service)
                 records = collect_instance_records(
-                    problem, make_solver("da?num_steps=60"), TSPStatisticsExtractor(), plan, rng=0
+                    problem, make_solver("da?num_steps=60"), TSPStatisticsExtractor(), plan,
+                    rng=0, service=service,
                 )
         finally:
             execution.close()
