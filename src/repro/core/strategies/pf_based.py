@@ -10,7 +10,7 @@ without any solver calls.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -53,19 +53,6 @@ class PfBasedStrategy(OfflineStrategy):
         grid = dense_parameter_grid(bounds, self.num_grid_points)
         pf = surrogate.predict_pf(problem, grid)
         return [float(grid[int(np.argmin(np.abs(pf - target)))]) for target in self.targets]
-
-    def propose_for_target(
-        self,
-        surrogate: SolverSurrogate,
-        problem: ConstrainedProblem,
-        bounds: ParameterBounds,
-        target: float,
-    ) -> float:
-        """Parameter matching a single feasibility target."""
-        check_probability(target, "target")
-        grid = dense_parameter_grid(bounds, self.num_grid_points)
-        pf = surrogate.predict_pf(problem, grid)
-        return float(grid[int(np.argmin(np.abs(pf - target)))])
 
 
 def propose_probability_ladder(

@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 from repro.core.dataset import SamplingPlan, SurrogateDataset, collect_training_data
 from repro.core.features import TSPStatisticsExtractor
 from repro.core.surrogate import SolverSurrogate, SurrogateConfig
 from repro.experiments.profiles import ExperimentProfile
-from repro.problems.mvc.generator import (
-    RandomMVCConfig,
-    generate_mvc_dataset,
-    generate_sparse_mvc_instance,
-)
-from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.generator import SyntheticTSPConfig, generate_dataset
 from repro.problems.tsp.qubo import TSPProblem
 from repro.problems.tsp.tsplib import bundled_tsplib_suite
@@ -72,40 +66,6 @@ def build_problems(profile: ExperimentProfile) -> ExperimentDatasets:
         test_problems=tuple(TSPProblem(instance) for instance in test),
         tsplib_problems=tuple(TSPProblem(instance) for instance in tsplib),
     )
-
-
-def build_mvc_problems(
-    profile: ExperimentProfile,
-    num_instances: int = 4,
-    rng: RngLike = None,
-) -> tuple[MVCProblem, ...]:
-    """Generate MVC problems sized by the profile (Appendix B workload).
-
-    Instances use the profile's ``mvc_num_vertices`` / ``mvc_edge_probability``
-    and encode through the sparse-first accumulator path (each model picks its
-    storage from its size and density).
-    """
-    instances = generate_mvc_dataset(
-        num_instances,
-        config=RandomMVCConfig(
-            num_vertices=profile.mvc_num_vertices,
-            edge_probability=profile.mvc_edge_probability,
-        ),
-        rng=rng if rng is not None else profile.seed,
-    )
-    return tuple(MVCProblem(instance) for instance in instances)
-
-
-def build_sparse_mvc_problem(
-    num_vertices: int,
-    edge_density: float,
-    rng: RngLike = None,
-) -> MVCProblem:
-    """One large sparse MVC problem, CSR end to end (scaling studies, benchmarks)."""
-    instance = generate_sparse_mvc_instance(
-        num_vertices, edge_density=edge_density, rng=rng
-    )
-    return MVCProblem(instance)
 
 
 def sampling_plan(profile: ExperimentProfile) -> SamplingPlan:

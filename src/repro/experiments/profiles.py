@@ -57,9 +57,6 @@ class ExperimentProfile:
     # (``sa_num_sweeps``) so PT-vs-SA comparisons are same-budget by default.
     pt_num_replicas: int = 8
     pt_swap_interval: int = 5
-    # Digital annealer: accepted flips applied per step (1 = published
-    # single-flip algorithm; >1 = the parallel multi-flip variant).
-    da_max_parallel_flips: int = 1
     # Portfolio solving: member specs, scheduling strategy and total sweep
     # budget of the ``portfolio`` registry backend this profile builds.  The
     # members deliberately reuse the profile's own solver configs (same
@@ -74,10 +71,7 @@ class ExperimentProfile:
     seed: int = 2021
 
     def digital_annealer_config(self) -> DigitalAnnealerConfig:
-        return DigitalAnnealerConfig(
-            steps_per_variable=self.da_steps_per_variable,
-            max_parallel_flips=self.da_max_parallel_flips,
-        )
+        return DigitalAnnealerConfig(steps_per_variable=self.da_steps_per_variable)
 
     def parallel_tempering_config(self) -> ParallelTemperingConfig:
         return ParallelTemperingConfig(

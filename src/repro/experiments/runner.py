@@ -16,12 +16,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.features import model_feature_vector
 from repro.core.strategies.composed import ComposedStrategyConfig
 from repro.core.surrogate import SolverSurrogate
 from repro.core.tuner import QROSSTuner
 from repro.experiments.metrics import GapSummary, gap_curve, summarise_gap_curves
-from repro.portfolio.outcomes import OutcomeLog, OutcomeRecord, solver_spec_or_label
 from repro.problems.base import ConstrainedProblem
 from repro.service.cache import SolverCallCache
 from repro.service.distributed.backends import BackendLike
@@ -72,16 +70,6 @@ def default_comparison_solver() -> str:
     Digital Annealer baseline.
     """
     return os.environ.get(COMPARISON_SOLVER_ENV, "").strip() or "da"
-
-
-def _solver_budget(solver: QUBOSolver) -> Optional[float]:
-    """The solver's budget-knob value, if it has one (for outcome records)."""
-    config = getattr(solver, "config", None)
-    for name in ("num_sweeps", "num_steps", "sweep_budget"):
-        value = getattr(config, name, None)
-        if value is not None:
-            return float(value)
-    return None
 
 
 def default_bounds(problem: ConstrainedProblem, low_multiplier: float = 0.05, high_multiplier: float = 4.0) -> ParameterBounds:
@@ -164,7 +152,6 @@ def tune_instance(
     cache: Optional[SolverCallCache] = None,
     service: Optional[SolveService] = None,
     backend: BackendLike = None,
-    outcome_log: Optional[OutcomeLog] = None,
 ) -> TrialHistory:
     """Run one tuner on one instance for ``num_trials`` solver calls.
 
@@ -178,10 +165,7 @@ def tune_instance(
 
     ``solver`` accepts a registry spec string (including ``portfolio?...``
     composites) or a live solver; ``None`` resolves the
-    ``QROSS_COMPARISON_SOLVER`` default.  With an ``outcome_log``, every trial
-    appends a ``tuning_trial`` :class:`~repro.portfolio.outcomes.OutcomeRecord`
-    (instance features, solver spec, budget, per-trial statistics) — the raw
-    material portfolio models are fit from.
+    ``QROSS_COMPARISON_SOLVER`` default.
     """
     if num_trials <= 0:
         raise ValueError("num_trials must be positive")
@@ -194,9 +178,6 @@ def tune_instance(
     solver = service.resolve_solver(
         default_comparison_solver() if solver is None else solver
     )
-    if outcome_log is not None:
-        solver_spec = solver_spec_or_label(solver)
-        solver_budget = _solver_budget(solver)
     try:
         history = TrialHistory()
         for _ in range(num_trials):
@@ -211,28 +192,6 @@ def tune_instance(
             )
             history.append(trial)
             tuner.observe(trial, history)
-            if outcome_log is not None:
-                features = model_feature_vector(problem.build_qubo(parameter))
-                outcome_log.append(
-                    OutcomeRecord(
-                        instance=problem.name,
-                        features=tuple(float(v) for v in features),
-                        solver_spec=solver_spec,
-                        budget=solver_budget,
-                        best_energy=None,
-                        num_reads=num_reads,
-                        relaxation_parameter=float(parameter),
-                        probability_of_feasibility=float(
-                            trial.probability_of_feasibility
-                        ),
-                        best_fitness=(
-                            None
-                            if trial.best_fitness is None
-                            else float(trial.best_fitness)
-                        ),
-                        kind="tuning_trial",
-                    )
-                )
         return history
     finally:
         if owns_service:
@@ -251,7 +210,6 @@ def run_comparison(
     service: Optional[SolveService] = None,
     backend: BackendLike = None,
     max_parallel: Optional[int] = None,
-    outcome_log: Optional[OutcomeLog] = None,
 ) -> ComparisonResult:
     """Run every method on every instance and collect gap curves.
 
@@ -272,10 +230,7 @@ def run_comparison(
     ones.
 
     ``solver`` may be a spec string (``"da"``, ``"portfolio?members=sa,tabu"``)
-    or ``None`` for the ``QROSS_COMPARISON_SOLVER`` default; ``outcome_log``
-    threads through to :func:`tune_instance`, collecting one ``tuning_trial``
-    record per trial across every (instance, method) pair (the log's appends
-    are lock-protected, so parallel pairs interleave safely).
+    or ``None`` for the ``QROSS_COMPARISON_SOLVER`` default.
     """
     if not problems:
         raise ValueError("at least one problem is required")
@@ -299,7 +254,6 @@ def run_comparison(
             rng=stream,
             cache=cache,
             service=service,
-            outcome_log=outcome_log,
         )
         return InstanceRunResult(
             instance_name=problem.name,

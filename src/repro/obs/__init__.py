@@ -1,22 +1,18 @@
 """``repro.obs`` — zero-dependency telemetry for the solve service.
 
-Three independent pieces, all stdlib-only and all guaranteed never to touch a
+Two independent pieces, both stdlib-only and both guaranteed never to touch a
 seeded random stream (observing a solve cannot change its bytes):
 
 * :mod:`repro.obs.trace` — structured spans written as line-atomic JSONL,
   with trace-context propagation across threads and across the engine-call
   wire (``QROSS_TRACE``; render sinks with ``python -m repro.obs.report``).
 * :mod:`repro.obs.metrics` — the process-wide counter/gauge/histogram
-  registry underneath every ``stats()`` dict, with Prometheus-text exposition
-  (``QROSS_METRICS=<path>`` dumps a snapshot at exit).
-* :mod:`repro.obs.profile` — opt-in per-sweep engine profiling
-  (``QROSS_ENGINE_PROFILE``).
+  registry underneath every ``stats()`` dict, read out as one flat snapshot
+  (:func:`metrics_snapshot`).
 """
 
 from repro.obs.metrics import (
     LATENCY_BUCKETS,
-    METRICS_ENV,
-    RATE_BUCKETS,
     STATS_SCHEMA,
     MetricsRegistry,
     counter,
@@ -24,10 +20,7 @@ from repro.obs.metrics import (
     histogram,
     metrics_snapshot,
     registry,
-    render_prometheus,
-    write_prometheus,
 )
-from repro.obs.profile import PROFILE_ENV, SweepProfiler, engine_profiler, profiling_enabled
 from repro.obs.trace import (
     TRACE_ENV,
     TraceContext,
@@ -45,31 +38,23 @@ from repro.obs.trace import (
 
 __all__ = [
     "LATENCY_BUCKETS",
-    "METRICS_ENV",
-    "PROFILE_ENV",
-    "RATE_BUCKETS",
     "STATS_SCHEMA",
     "TRACE_ENV",
     "MetricsRegistry",
-    "SweepProfiler",
     "TraceContext",
     "adopt_wire_context",
     "configure_tracing",
     "context_from_wire",
     "counter",
     "current_context",
-    "engine_profiler",
     "gauge",
     "histogram",
     "metrics_snapshot",
-    "profiling_enabled",
     "registry",
-    "render_prometheus",
     "reset_tracing",
     "span",
     "trace_path",
     "tracing_enabled",
     "use_context",
     "wire_context",
-    "write_prometheus",
 ]

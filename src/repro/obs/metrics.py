@@ -7,8 +7,8 @@ children (:meth:`Counter.child`, :meth:`Gauge.child`) of the families below.
 One update moves the child and its family together, so an object's
 ``stats()`` is a read of its children and a registry snapshot is their sum
 over every instance in the process.  The registry is always live (an update
-is one short lock-guarded add); the ``QROSS_METRICS`` environment variable
-additionally dumps a Prometheus-text snapshot to a file at interpreter exit.
+is one short lock-guarded add) and is read out as one flat snapshot
+(:func:`metrics_snapshot`).
 
 Metric names
 ------------
@@ -42,9 +42,6 @@ low-cardinality dimensions are labels:
 ``qross_worker_solve_seconds``            worker-side solve latency
 ``qross_engine_sample_seconds``           one ``sample`` / ``sample_many`` call
 (labels)                                  ``solver=<registry name>``
-``qross_engine_sweeps_per_second``        profiled sweep throughput (opt-in)
-``qross_engine_sweep_acceptance``         per-sweep flip acceptance (opt-in)
-``qross_engine_swap_acceptance``          PT ladder swap acceptance (opt-in)
 ``qross_portfolio_rounds_total``          portfolio scheduling rounds
 ``qross_portfolio_slices_total``          member budget slices dispatched
 ``qross_portfolio_cancellations_total``   members cancelled by the strategy
@@ -60,17 +57,10 @@ perturb a seeded solve.
 
 from __future__ import annotations
 
-import atexit
 import bisect
 import math
-import os
 import threading
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
-
-#: Environment variable naming a file that receives a Prometheus-text snapshot
-#: of the registry at interpreter exit (unset = no dump; the registry itself
-#: is always live).
-METRICS_ENV = "QROSS_METRICS"
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 #: Version tag of the key schema carried by every ``stats()`` dict.
 STATS_SCHEMA = "qross.stats/2"
@@ -82,9 +72,6 @@ LATENCY_BUCKETS = (
     0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
-#: Buckets for rates in [0, 1] (acceptance / swap rates).
-RATE_BUCKETS = (0.01, 0.02, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.0)
-
 LabelsLike = Optional[Mapping[str, str]]
 
 
@@ -94,10 +81,8 @@ def _label_key(labels: LabelsLike) -> Tuple[Tuple[str, str], ...]:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-def _render_labels(items: Sequence[Tuple[str, str]], extra: str = "") -> str:
+def _render_labels(items: Sequence[Tuple[str, str]]) -> str:
     parts = [f'{k}="{v}"' for k, v in items]
-    if extra:
-        parts.append(extra)
     return "{" + ",".join(parts) + "}" if parts else ""
 
 
@@ -161,7 +146,7 @@ class Gauge(_Value):
 
 
 class Histogram:
-    """Explicit-bucket histogram (cumulative, Prometheus-style exposition).
+    """Explicit-bucket histogram.
 
     ``observe`` is a binary search plus three lock-guarded adds — cheap enough
     for per-request latency recording on the hot path.
@@ -200,11 +185,6 @@ class Histogram:
         with self._lock:
             return self._sum
 
-    def bucket_counts(self) -> Tuple[int, ...]:
-        """Per-bucket (non-cumulative) counts, overflow slot last."""
-        with self._lock:
-            return tuple(self._counts)
-
 
 class MetricsRegistry:
     """Named metric families, each fanning out over label sets.
@@ -212,7 +192,7 @@ class MetricsRegistry:
     ``counter``/``gauge``/``histogram`` are get-or-create: the first call
     registers the family (name, kind, help), later calls return the existing
     instance for the given label set.  Re-registering a name under a different
-    kind is an error — it would render an unreadable exposition.
+    kind is an error — its snapshot keys would mix two kinds of value.
     """
 
     def __init__(self) -> None:
@@ -262,8 +242,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """Flat ``{name{labels}: value}`` view (histograms expand to _count/_sum).
 
-        Values are plain floats/ints, so a snapshot is JSON-serialisable —
-        this is what remote workers ship in their ``stats_ack`` frames.
+        Values are plain floats/ints, so a snapshot is JSON-serialisable.
         """
         out: Dict[str, float] = {}
         with self._lock:
@@ -281,53 +260,13 @@ class MetricsRegistry:
                     out[f"{name}{suffix}"] = metric.value
         return out
 
-    def render_prometheus(self) -> str:
-        """The registry in the Prometheus text exposition format."""
-        lines = []
-        with self._lock:
-            families = [
-                (name, kind, help, dict(children))
-                for name, (kind, help, children) in sorted(self._families.items())
-            ]
-        for name, kind, help, children in families:
-            if help:
-                lines.append(f"# HELP {name} {help}")
-            lines.append(f"# TYPE {name} {kind}")
-            for key in sorted(children):
-                metric = children[key]
-                if kind == "histogram":
-                    cumulative = 0
-                    counts = metric.bucket_counts()
-                    for bound, count in zip(metric.bounds, counts):
-                        cumulative += count
-                        labels = _render_labels(key, f'le="{bound:g}"')
-                        lines.append(f"{name}_bucket{labels} {cumulative}")
-                    cumulative += counts[-1]
-                    labels = _render_labels(key, 'le="+Inf"')
-                    lines.append(f"{name}_bucket{labels} {cumulative}")
-                    lines.append(f"{name}_sum{_render_labels(key)} {metric.sum:g}")
-                    lines.append(f"{name}_count{_render_labels(key)} {metric.count}")
-                else:
-                    lines.append(f"{name}{_render_labels(key)} {metric.value:g}")
-        return "\n".join(lines) + "\n"
-
-    def reset(self) -> None:
-        """Drop every family.  For *private* registries in tests only — never
-        call this on the global registry: modules hold direct references to
-        its metric objects, which a reset would silently orphan."""
-        with self._lock:
-            self._families.clear()
-
 
 # ------------------------------------------------------------- global registry
 _REGISTRY = MetricsRegistry()
-_exporter_installed = False
-_exporter_lock = threading.Lock()
 
 
 def registry() -> MetricsRegistry:
     """The process-wide registry every library component counts into."""
-    _maybe_install_exporter()
     return _REGISTRY
 
 
@@ -351,34 +290,3 @@ def histogram(
 def metrics_snapshot() -> Dict[str, float]:
     """Flat snapshot of the global registry (JSON-safe)."""
     return registry().snapshot()
-
-
-def render_prometheus() -> str:
-    """Prometheus-text exposition of the global registry."""
-    return registry().render_prometheus()
-
-
-def write_prometheus(path: "str | os.PathLike") -> None:
-    """Write the exposition snapshot atomically (temp file + ``os.replace``)."""
-    from repro.utils.io import atomic_write_bytes
-
-    atomic_write_bytes(path, render_prometheus().encode("utf-8"))
-
-
-def _maybe_install_exporter() -> None:
-    """Install the at-exit ``QROSS_METRICS`` file dump once, lazily."""
-    global _exporter_installed
-    if _exporter_installed:
-        return
-    with _exporter_lock:
-        if _exporter_installed:
-            return
-        _exporter_installed = True
-        target = os.environ.get(METRICS_ENV, "").strip()
-        if target and target.lower() not in ("0", "false", "off"):
-            @atexit.register
-            def _dump() -> None:  # pragma: no cover - interpreter teardown
-                try:
-                    write_prometheus(target)
-                except Exception:
-                    pass

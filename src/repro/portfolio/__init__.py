@@ -31,7 +31,6 @@ from repro.portfolio.outcomes import (
     OutcomeLog,
     OutcomeRecord,
     harvest_outcomes,
-    solver_spec_or_label,
     time_to_target,
 )
 from repro.portfolio.solver import PortfolioConfig, PortfolioSolver
@@ -53,7 +52,6 @@ __all__ = [
     "OutcomeLog",
     "OutcomeRecord",
     "harvest_outcomes",
-    "solver_spec_or_label",
     "time_to_target",
     "PortfolioConfig",
     "PortfolioSolver",

@@ -36,10 +36,8 @@ RECORD_VERSION = 1
 class OutcomeRecord:
     """One (instance, solver) outcome.
 
-    ``kind`` distinguishes the two producer paths: ``"harvest"`` records come
-    from :func:`harvest_outcomes` (full-budget runs with trajectories — the
-    portfolio model's training data), ``"tuning_trial"`` records are emitted
-    by the experiment runner's tuning loops (aggregate statistics per trial).
+    :func:`harvest_outcomes` produces them from full-budget runs with
+    trajectories: the portfolio model's training data.
     """
 
     instance: str
@@ -53,9 +51,6 @@ class OutcomeRecord:
     seed: Optional[int] = None
     relaxation_parameter: Optional[float] = None
     wall_time_s: Optional[float] = None
-    probability_of_feasibility: Optional[float] = None
-    best_fitness: Optional[float] = None
-    kind: str = "harvest"
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -204,22 +199,6 @@ def time_to_target(
     return float(budget)
 
 
-def solver_spec_or_label(solver) -> str:
-    """A stable identity string for a solver: its registry spec if expressible.
-
-    Falls back to ``name:fingerprint`` for solvers the spec grammar cannot
-    carry, so logging never fails on an exotic configuration.
-    """
-    from repro.service.registry import SolverRegistry, SpecSerializationError
-
-    if isinstance(solver, str):
-        return solver
-    try:
-        return SolverRegistry.default().spec_for(solver)
-    except SpecSerializationError:
-        return f"{solver.name}:{solver.config_fingerprint()}"
-
-
 def harvest_outcomes(
     problems: Sequence,
     members,
@@ -301,7 +280,6 @@ def harvest_outcomes(
                 seed=child_seed,
                 relaxation_parameter=parameter,
                 wall_time_s=samples.info.get("wall_time_s"),
-                kind="harvest",
             )
         )
     return log

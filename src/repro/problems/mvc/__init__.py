@@ -2,7 +2,6 @@
 
 from repro.problems.mvc.generator import (
     RandomMVCConfig,
-    generate_mvc_dataset,
     generate_mvc_instance,
     generate_sparse_mvc_instance,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "MVCProblem",
     "RandomMVCConfig",
     "generate_mvc_instance",
-    "generate_mvc_dataset",
     "generate_sparse_mvc_instance",
     "greedy_weighted_cover",
     "prune_cover",

@@ -9,7 +9,6 @@ topology).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -114,18 +113,3 @@ def generate_sparse_mvc_instance(
     )
     instance.metadata["num_edges"] = num_edges
     return instance
-
-
-def generate_mvc_dataset(
-    num_instances: int,
-    config: RandomMVCConfig | None = None,
-    rng: RngLike = None,
-) -> List[MVCInstance]:
-    """Generate several independent random MVC instances."""
-    if num_instances <= 0:
-        raise ValueError("num_instances must be positive")
-    rng = ensure_rng(rng)
-    return [
-        generate_mvc_instance(config=config, rng=rng, name=f"mvc-{index:03d}")
-        for index in range(num_instances)
-    ]

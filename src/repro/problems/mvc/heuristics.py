@@ -1,7 +1,8 @@
 """Reference algorithms for weighted Minimum Vertex Cover.
 
-Used to normalise the Fig. 6 energies ("normalised to the minimum energy state
-discovered in a run") and to provide ground truth in tests.  Not used by QROSS.
+They provide ground truth in tests and :meth:`MVCProblem.reference_fitness`
+(through :func:`best_known_cover_weight`).  Fig. 6 does not use them: it
+normalises each run by the best fitness that run found.  Not used by QROSS.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ QUBO encoder and the cover checks read the instance's sorted edge list.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -148,16 +147,3 @@ class MVCInstance:
         """Total weight of the selected vertices."""
         selection = np.asarray(selection).astype(bool)
         return float(self.weights[selection].sum())
-
-    def fingerprint(self) -> str:
-        """Stable content hash usable as a cache key.
-
-        The hash covers the vertex count, the sorted edge list and the
-        weights, so an instance built from a dense adjacency and one built
-        from the same edge list key the same cache entries.
-        """
-        digest = hashlib.sha256()
-        digest.update(np.int64(self.num_vertices).tobytes())
-        digest.update(np.ascontiguousarray(self.edges(), dtype=np.int64).tobytes())
-        digest.update(np.ascontiguousarray(self.weights).tobytes())
-        return digest.hexdigest()[:16]

@@ -8,7 +8,6 @@ ones.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,12 +66,6 @@ class TSPInstance:
         if sorted(tour.tolist()) != list(range(self.num_cities)):
             raise ValueError("tour must be a permutation of all cities")
         return float(self.distances[tour, np.roll(tour, -1)].sum())
-
-    def fingerprint(self) -> str:
-        """Stable content hash usable as a cache key."""
-        digest = hashlib.sha256()
-        digest.update(np.ascontiguousarray(self.distances).tobytes())
-        return digest.hexdigest()[:16]
 
     # -------------------------------------------------------------- factories
     @classmethod

@@ -28,10 +28,7 @@ from repro.service.distributed.backends import (
 )
 from repro.service.distributed.wire import (
     WireFormatError,
-    decode_model,
-    decode_sample_set,
     encode_engine_call,
-    encode_model,
     encode_sample_set,
 )
 from repro.service.remote.backend import ProcessPoolBackend
@@ -44,9 +41,6 @@ __all__ = [
     "resolve_backend",
     "shared_backend",
     "WireFormatError",
-    "encode_model",
-    "decode_model",
     "encode_sample_set",
-    "decode_sample_set",
     "encode_engine_call",
 ]

@@ -42,8 +42,9 @@ FORMAT_VERSION = 1
 #: Version history:
 #:   1 — initial remote-farm protocol; no longer spoken.
 #:   2 — engine-call frames may carry an optional ``trace`` header field
-#:       (propagated telemetry context) and stats-acks carry a ``metrics``
-#:       snapshot.
+#:       (propagated telemetry context).  Stats-acks no longer carry the
+#:       optional ``metrics`` snapshot they once did; the version stayed 2
+#:       because no peer required the field.
 PROTOCOL_VERSION = 2
 #: Protocol versions this build can speak (negotiation picks the highest
 #: version both peers support).
@@ -156,26 +157,10 @@ def decode_frame(
 
 
 # ----------------------------------------------------------- concrete payloads
-def encode_model(model: QUBOModel) -> bytes:
-    """One QUBO model as a frame (dense array or CSR triplet + metadata)."""
-    header, buffers = model.to_wire()
-    return encode_frame("qubo_model", header, buffers)
-
-
-def decode_model(data: bytes) -> QUBOModel:
-    _, header, buffers = decode_frame(data, expected_kind="qubo_model")
-    return QUBOModel.from_wire(header, buffers)
-
-
 def encode_sample_set(samples: SampleSet) -> bytes:
     """One sample set as a frame (assignments/energies/occurrences + info)."""
     header, buffers = samples.to_wire()
     return encode_frame("sample_set", header, buffers)
-
-
-def decode_sample_set(data: bytes) -> SampleSet:
-    _, header, buffers = decode_frame(data, expected_kind="sample_set")
-    return SampleSet.from_wire(header, buffers)
 
 
 def encode_engine_call(

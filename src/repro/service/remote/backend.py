@@ -630,22 +630,6 @@ class RemoteBackend(ExecutionBackend):
         data["schema"] = obs.STATS_SCHEMA
         return data
 
-    def fleet_metrics(self, timeout: Optional[float] = None) -> Dict[str, float]:
-        """Fleet-wide metric totals, summed over every answering worker.
-
-        Probes the fleet via :meth:`check_workers` and folds the ``metrics``
-        registry snapshot each worker ships in its ``stats_ack`` into one
-        ``{metric_name: total}`` dict.
-        """
-        totals: Dict[str, float] = {}
-        for stats in self.check_workers(timeout=timeout).values():
-            if not stats:
-                continue
-            for key, value in (stats.get("metrics") or {}).items():
-                if isinstance(value, (int, float)) and not isinstance(value, bool):
-                    totals[key] = totals.get(key, 0) + value
-        return totals
-
 
 #: Seconds a local worker gets to finish exiting: after its pipe closes, and
 #: after it drops a connection (a SIGKILLed worker's threads still unwind).

@@ -399,7 +399,7 @@ class WorkerServer:
         if kind == "stats":
             # The stats probe also carries the process-wide metrics registry
             # snapshot, which clients aggregate into fleet-wide metrics.
-            return wire.encode_stats_ack(self.stats(include_metrics=True))
+            return wire.encode_stats_ack(self.stats())
         if kind == "engine_call":
             return self._respond_engine_call(payload, header)
         return wire.encode_error(
@@ -448,17 +448,15 @@ class WorkerServer:
             self._gate.release()
 
     # ------------------------------------------------------------------ readouts
-    def stats(self, include_metrics: bool = False) -> dict:
+    def stats(self) -> dict:
         """Live load/health counters (also shipped in hello and stats acks).
 
         Keys follow :data:`repro.obs.STATS_SCHEMA`: ``served_total``,
         ``errors_total``, ``shed_total``, ``pending`` and ``peak_pending``,
-        beside the worker's identity and bounds.  ``include_metrics=True``
-        attaches the process-wide metrics registry snapshot (used by
-        ``stats_ack``).
+        beside the worker's identity and bounds.
         """
         gate = self._gate.stats()
-        data = {
+        return {
             "schema": obs.STATS_SCHEMA,
             "pid": os.getpid(),
             "address": f"{self.address[0]}:{self.address[1]}",
@@ -470,9 +468,6 @@ class WorkerServer:
             "pending": gate["pending"],
             "peak_pending": gate["peak_pending"],
         }
-        if include_metrics:
-            data["metrics"] = obs.metrics_snapshot()
-        return data
 
 
 # ------------------------------------------------------------ local fleets

@@ -17,16 +17,9 @@ All replicas (reads) are propagated together with numpy, and
 :meth:`DigitalAnnealerSolver.sample_many` anneals several same-size models
 (one problem's relaxations) in the same kernel call, one row group of
 replicas per model, each group byte-identical to its model's lone call.
-
-``max_parallel_flips`` enables the *multi-flip* DA variant: instead of one
-accepted flip per step, up to that many accepted flips (chosen by the same
-uniform scoring that picks the single flip) are applied simultaneously through
-:meth:`~repro.solvers.engine.AnnealingState.apply_block_flips`.  Flips applied
-together do not see each other's move — the standard blocked-update
-approximation — which trades a little acceptance fidelity for covering the
-hardware's parallel-update behaviour and much faster descent on large
-instances.  ``max_parallel_flips=1`` (the default) is exactly the published
-single-flip algorithm, bit for bit.
+Each step applies its one flip per replica through
+:meth:`~repro.solvers.engine.AnnealingState.apply_single_flips`, so the
+tracked energies stay exact.
 """
 
 from __future__ import annotations
@@ -57,10 +50,6 @@ class DigitalAnnealerConfig:
         dynamic offset each time a step accepts no flip.
     schedule:
         Temperature schedule; ``None`` selects an automatic geometric schedule.
-    max_parallel_flips:
-        Accepted flips applied per step.  ``1`` (default) reproduces the
-        published single-flip algorithm exactly; larger values apply the
-        top-scoring accepted flips as one simultaneous block update.
     dtype:
         Engine float precision (``"float64"`` / ``"float32"``; ``None``
         defers to ``QROSS_ENGINE_DTYPE``, then float64).
@@ -70,7 +59,6 @@ class DigitalAnnealerConfig:
     steps_per_variable: int = 25
     offset_increase_rate: float = 0.3
     schedule: Optional[TemperatureSchedule] = None
-    max_parallel_flips: int = 1
     dtype: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -80,8 +68,6 @@ class DigitalAnnealerConfig:
             raise ValueError("steps_per_variable must be positive")
         if self.offset_increase_rate < 0:
             raise ValueError("offset_increase_rate must be non-negative")
-        if self.max_parallel_flips < 1:
-            raise ValueError("max_parallel_flips must be at least 1")
         validate_engine_dtype(self.dtype)
 
 
@@ -130,8 +116,6 @@ class DigitalAnnealerSolver(QUBOSolver):
         zero = state.dtype.type(0.0)
         unchosen = state.dtype.type(-1.0)
         replica_rows = np.arange(state.num_reads)
-        max_flips = min(self.config.max_parallel_flips, n)
-        all_cols = np.arange(n)
 
         for step in range(num_steps):
             # Energy change of flipping each variable of each replica.
@@ -149,29 +133,13 @@ class DigitalAnnealerSolver(QUBOSolver):
             # A group with no accepted candidate skips the step, as a lone
             # call does: it draws no scores.
             scores = np.where(accept, state.group_uniforms(rngs, any_accepted), unchosen)
-
-            if max_flips == 1:
-                # Pick one accepted flip per replica uniformly at random.
-                rows = replica_rows[any_accepted]
-                cols = scores.argmax(axis=1)[any_accepted]
-                state.apply_single_flips(rows, cols, delta[rows, cols])
-            else:
-                # Multi-flip variant: the same uniform scoring, but the top
-                # ``max_flips`` accepted candidates of each replica are
-                # applied together as one block update.
-                chosen = accept
-                if max_flips < n:
-                    top = np.argpartition(-scores, max_flips - 1, axis=1)[:, :max_flips]
-                    chosen = np.zeros_like(accept)
-                    np.put_along_axis(chosen, top, True, axis=1)
-                    chosen = chosen & accept
-                state.apply_block_flips(all_cols, chosen)
-                state.refresh_energies()
+            # Pick one accepted flip per replica uniformly at random.
+            rows = replica_rows[any_accepted]
+            cols = scores.argmax(axis=1)[any_accepted]
+            state.apply_single_flips(rows, cols, delta[rows, cols])
             state.update_best()
 
         info = {"num_steps": num_steps}
-        if max_flips > 1:
-            info["max_parallel_flips"] = max_flips
         return [
             (state.best_X[k * num_reads : (k + 1) * num_reads], dict(info))
             for k in range(len(models))

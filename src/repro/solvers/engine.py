@@ -30,15 +30,14 @@ State transitions go through two kinds of mutator:
 * :meth:`apply_single_flips` — one flip per listed replica, *exact*: the
   supplied deltas are the true energy changes, so ``current_energies`` stays
   exact up to float accumulation.
-* :meth:`apply_block_flips` — simultaneous flips of a variable block with a
-  per-replica accept mask.  Deltas of variables flipped together in one block
-  interact, so after a block application ``current_energies`` is recomputed
-  from the (always exact) local fields via ``E = sum_i x_i H_i + offset``
-  rather than summed from the proposed deltas.  :meth:`metropolis_block` is
-  the blocked Metropolis step of SA and PT: it proposes the block's flips,
-  accepts them with :func:`metropolis_accept` and applies them as
-  :meth:`apply_block_flips` does, writing the block's new states from the
-  states and flip signs ``1 - 2x`` its proposal gathered.
+* :meth:`metropolis_block` — the blocked Metropolis step of SA and PT: it
+  proposes a flip of every variable of a block, accepts each with
+  :func:`metropolis_accept` and applies the accepted flips simultaneously,
+  writing the block's new states from the states and flip signs ``1 - 2x``
+  its proposal gathered.  Deltas of variables flipped together in one block
+  interact, so after a block step ``current_energies`` is recomputed from
+  the (always exact) local fields via ``E = sum_i x_i H_i + offset`` rather
+  than summed from the proposed deltas.
 
 What a step may keep between steps: only values that are a function of the
 state it reads them from.  Batched tabu keeps the ``(R, n)`` single-flip
@@ -176,6 +175,12 @@ def default_block_size(num_variables: int) -> int:
     return int(np.clip(num_variables // 8, 1, 64))
 
 
+#: Sweep acceptance rates below which :class:`AdaptiveBlockSizer` doubles
+#: the block, and above which it halves it.
+BLOCK_GROW_BELOW = 0.02
+BLOCK_SHRINK_ABOVE = 0.2
+
+
 class AdaptiveBlockSizer:
     """Acceptance-rate feedback controller for the blocked-sweep block size.
 
@@ -184,53 +189,32 @@ class AdaptiveBlockSizer:
     few of its proposals are accepted.  The fixed :func:`default_block_size`
     heuristic ignores that: early hot sweeps (acceptance near one) get the
     same block as late cold sweeps (acceptance near zero).  This controller
-    doubles the block while the sweep acceptance rate stays below ``low``
-    (almost nothing flips together — bigger blocks are free speed) and halves
-    it back toward the baseline when the rate exceeds ``high`` (many
-    simultaneous flips).  The baseline is also the floor: hot sweeps run
+    doubles the block while the sweep acceptance rate stays below
+    :data:`BLOCK_GROW_BELOW` (almost nothing flips together — bigger blocks
+    are free speed) and halves it back toward the baseline when the rate
+    exceeds :data:`BLOCK_SHRINK_ABOVE` (many simultaneous flips).  The
+    baseline, :func:`default_block_size`, is also the floor: hot sweeps run
     exactly the block the fixed heuristic would have used (no fidelity
-    regression), cold sweeps run up to ``max_block`` (pure Python-overhead
-    savings: a sweep's multiply-adds do not depend on the block size, on the
-    dense GEMM and on the CSR block product, which touches only the block's
-    stored entries; on CSR a bigger block also writes fewer ``(n, R)``
-    results).  Pass ``min_block`` explicitly to allow shrinking further,
-    down to the exact sequential sweep at ``1``.
+    regression), cold sweeps run up to ``n // 4`` clipped to ``[1, 256]``
+    (pure Python-overhead savings: a sweep's multiply-adds do not depend on
+    the block size, on the dense GEMM and on the CSR block product, which
+    touches only the block's stored entries; on CSR a bigger block also
+    writes fewer ``(n, R)`` results).
 
     The update consumes only the accepted-flip count of the previous sweep —
     no random draws — so enabling adaptivity never perturbs a solver's RNG
     stream; trajectories change only through the block partition itself.
     """
 
-    def __init__(
-        self,
-        num_variables: int,
-        initial: Optional[int] = None,
-        low: float = 0.02,
-        high: float = 0.2,
-        min_block: Optional[int] = None,
-        max_block: Optional[int] = None,
-    ) -> None:
-        if not 0.0 <= low < high:
-            raise ValueError("thresholds must satisfy 0 <= low < high")
-        self.block = int(initial if initial is not None else default_block_size(num_variables))
-        if self.block < 1:
-            raise ValueError("initial block size must be positive")
-        self.min_block = int(min_block if min_block is not None else self.block)
-        self.max_block = int(
-            max_block
-            if max_block is not None
-            else max(self.block, int(np.clip(num_variables // 4, 1, 256)))
-        )
-        if not 1 <= self.min_block <= self.max_block:
-            raise ValueError("must satisfy 1 <= min_block <= max_block")
-        self.low = float(low)
-        self.high = float(high)
+    def __init__(self, num_variables: int) -> None:
+        self.block = self.min_block = default_block_size(num_variables)
+        self.max_block = max(self.block, int(np.clip(num_variables // 4, 1, 256)))
 
     def update(self, acceptance_rate: float) -> int:
         """Fold one sweep's acceptance rate in; return the next block size."""
-        if acceptance_rate > self.high:
+        if acceptance_rate > BLOCK_SHRINK_ABOVE:
             self.block = max(self.min_block, self.block // 2)
-        elif acceptance_rate < self.low:
+        elif acceptance_rate < BLOCK_GROW_BELOW:
             self.block = min(self.max_block, self.block * 2)
         return self.block
 
@@ -342,10 +326,6 @@ class AnnealingState:
         self.current_energies = self.energies_from_fields()
         self.best_X = self.X.copy()
         self.best_energies = self.current_energies.copy()
-        #: Optional :class:`repro.obs.SweepProfiler`; solvers attach one when
-        #: ``QROSS_ENGINE_PROFILE`` is on.  ``None`` keeps the mutators on a
-        #: single-attribute-test fast path.
-        self.profiler = None
 
     def per_row(self, values) -> np.ndarray:
         """One value per group (last axis) -> one per replica row, in the state dtype.
@@ -436,44 +416,25 @@ class AnnealingState:
     def metropolis_block(self, block, temperature, uniforms) -> int:
         """One blocked Metropolis step over the variables ``block``.
 
-        Every replica proposes a flip of every variable of ``block`` against
-        its state at the start of the step, accepts each by
-        :func:`metropolis_accept` (``temperature`` and ``uniforms`` as there,
-        ``uniforms`` of shape ``(R, len(block))``) and applies the accepted
-        flips together, as :meth:`apply_block_flips` does.  The states the
-        proposal gathers and their flip signs ``1 - 2x`` give the whole
-        block's new states in one pass (a column no replica accepted gets
-        ``x + 0``, its own bytes); only the field update gathers the active
-        columns.  Returns the number of accepted flips.
+        Every replica proposes a flip of every variable of ``block`` (host
+        variable indices) against its state at the start of the step, accepts
+        each by :func:`metropolis_accept` (``temperature`` and ``uniforms`` as
+        there, ``uniforms`` of shape ``(R, len(block))``) and applies the
+        accepted flips together.  The states the proposal gathers and their
+        flip signs ``1 - 2x`` give the whole block's new states in one pass (a
+        column no replica accepted gets ``x + 0``, its own bytes); only the
+        field update gathers the active columns, and each group with an
+        accepted flip applies its own model's block product.  The local fields
+        are exact for the new states, but interactions *within* the block are
+        not re-evaluated between flips, so this approximates sequential
+        Metropolis; call :meth:`refresh_energies` before reading
+        ``current_energies``.  Returns the number of accepted flips.
         """
         x, sign, delta = self._proposal(block)
         accept = metropolis_accept(delta, temperature, uniforms)
         dX = np.where(accept, sign, self.dtype.type(0.0))
         self.X[:, block] = x + dX
-        return self._flip_block(block, accept, dX)
-
-    def apply_block_flips(self, block, accept) -> int:
-        """Apply the accepted flips of a variable block simultaneously.
-
-        ``block`` holds host variable indices, ``accept`` a boolean mask of
-        shape ``(R, len(block))``.  All accepted flips are applied at once; the
-        local fields are updated exactly for the new states, but because
-        interactions *within* the block are not re-evaluated between flips this
-        is an approximation of sequential Metropolis — callers should refresh
-        ``current_energies`` via :meth:`refresh_energies` before reading them.
-        Each group with an accepted flip applies its own active columns with
-        its own model's block product.  Returns the number of accepted flips.
-        """
-        return self._flip_block(block, accept)
-
-    def _flip_block(self, block, accept, dX=None) -> int:
-        """:meth:`apply_block_flips`; given the whole block's flips ``dX``
-        (``X`` already updated with them), only the fields are updated."""
         accepted = int(np.count_nonzero(accept))
-        if self.profiler is not None:
-            # Count before the no-accepts early return so proposals are never
-            # dropped from the acceptance-rate denominator.
-            self.profiler.count_flips(int(accept.size), accepted)
         if not accepted:
             return 0
         for rows, op in self._groups:
@@ -481,14 +442,7 @@ class AnnealingState:
             if self.num_groups > 1 and not group_accept.any():
                 continue
             active = group_accept.any(axis=0)
-            cols = block[active]
-            if dX is None:
-                x = self.X[rows, cols]
-                group_dX = np.where(group_accept[:, active], 1.0 - 2.0 * x, self.dtype.type(0.0))
-                self.X[rows, cols] = x + group_dX
-            else:
-                group_dX = dX[rows, active]
-            self.H[rows] += op.block_product(group_dX, cols)
+            self.H[rows] += op.block_product(dX[rows, active], block[active])
         return accepted
 
     def refresh_energies(self) -> None:

@@ -34,7 +34,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import (
@@ -147,7 +146,6 @@ class ParallelTemperingSolver(QUBOSolver):
         # Row r runs at the fixed temperature of rung r % m.
         row_temps = np.tile(ladder, num_reads).astype(state.dtype)
         betas = (1.0 / ladder).astype(state.dtype)
-        state.profiler = obs.engine_profiler(self.name)
         read_base = np.arange(num_reads)[:, None] * m
 
         swaps_proposed = swaps_accepted = 0
@@ -161,8 +159,6 @@ class ParallelTemperingSolver(QUBOSolver):
                 )
             state.refresh_energies()
             state.update_best()
-            if state.profiler is not None:
-                state.profiler.end_sweep()
 
             if m > 1 and (sweep + 1) % cfg.swap_interval == 0:
                 offset = (sweep // cfg.swap_interval) % 2
@@ -173,8 +169,6 @@ class ParallelTemperingSolver(QUBOSolver):
                 )
                 swaps_proposed += accept.size
                 swaps_accepted += int(accept.sum())
-                if state.profiler is not None:
-                    state.profiler.record_swap_round(int(accept.size), int(accept.sum()))
                 if accept.any():
                     reads, pairs = np.nonzero(accept)
                     rows_i = (read_base[reads, 0] + rungs[pairs]).ravel()
@@ -196,6 +190,4 @@ class ParallelTemperingSolver(QUBOSolver):
         }
         if trajectory is not None:
             info["best_energy_trajectory"] = trajectory
-        if state.profiler is not None:
-            info["engine_profile"] = state.profiler.finish()
         return assignments, info

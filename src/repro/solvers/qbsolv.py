@@ -57,8 +57,6 @@ class QbsolvConfig:
         Number of variables clamped into each sub-problem window.
     max_rounds:
         Maximum number of full decomposition passes per read.
-    num_restarts:
-        Independent random restarts per read; the best result is returned.
     subsolver_config:
         Tabu-search configuration used for each sub-problem.
     dtype:
@@ -69,7 +67,6 @@ class QbsolvConfig:
 
     subproblem_size: int = 48
     max_rounds: int = 8
-    num_restarts: int = 1
     subsolver_config: TabuSearchConfig = field(
         default_factory=lambda: TabuSearchConfig(num_steps=200, restart_after=60)
     )
@@ -80,8 +77,6 @@ class QbsolvConfig:
             raise ValueError("subproblem_size must be at least 2")
         if self.max_rounds <= 0:
             raise ValueError("max_rounds must be positive")
-        if self.num_restarts <= 0:
-            raise ValueError("num_restarts must be positive")
         validate_engine_dtype(self.dtype)
 
 
@@ -111,16 +106,9 @@ class QbsolvSolver(QUBOSolver):
         # a batch.
         streams = [stream for rng in rngs for stream in spawn_rngs(rng, num_reads)]
         read_models = [model for model in models for _ in range(num_reads)]
-        best_x = [None] * len(streams)
-        best_energy = [np.inf] * len(streams)
-        for _ in range(self.config.num_restarts):
-            for r, x in enumerate(self._decompose(read_models, streams)):
-                energy = read_models[r].energy(x)
-                if energy < best_energy[r]:
-                    best_energy[r] = energy
-                    best_x[r] = x
+        X = self._decompose(read_models, streams)
         return [
-            (np.array(best_x[k * num_reads : (k + 1) * num_reads]), None)
+            (np.array(X[k * num_reads : (k + 1) * num_reads]), None)
             for k in range(len(models))
         ]
 

@@ -11,10 +11,10 @@ then applied together by one
 :meth:`~repro.solvers.engine.AnnealingState.metropolis_block` call on the
 shared :class:`~repro.solvers.engine.AnnealingState`.  That step gathers the
 block's states once and reuses them and their flip signs for the update, and
-returns the accepted count the block-size controller and the profiler both
-read.  This cuts the pure-Python work per sweep from ``O(n)`` iterations to
-``O(n / block)`` while the heavy local-field updates run as batched BLAS/CSR
-products.  Within-block flips are an approximation of sequential Metropolis
+returns the accepted count the block-size controller reads.  This cuts the
+pure-Python work per sweep from ``O(n)`` iterations to ``O(n / block)``
+while the heavy local-field updates run as batched BLAS/CSR products.
+Within-block flips are an approximation of sequential Metropolis
 (interacting variables flipped in the same block do not see each other's
 move), which blocked Gibbs/Metropolis samplers routinely accept; the solver
 additionally tracks the best state seen at every sweep boundary, so the
@@ -36,7 +36,6 @@ from typing import Optional
 
 import numpy as np
 
-from repro import obs
 from repro.qubo.model import QUBOModel
 from repro.solvers.base import QUBOSolver
 from repro.solvers.engine import AdaptiveBlockSizer, AnnealingState, validate_engine_dtype
@@ -106,7 +105,6 @@ class SimulatedAnnealingSolver(QUBOSolver):
             block = sizer.block
 
         state = AnnealingState(model, num_reads, rng=rng, dtype=self.config.dtype)
-        state.profiler = obs.engine_profiler(self.name)
         trajectory = [] if self.config.track_trajectory else None
         ran_block = block
         for temperature in temperatures:
@@ -120,8 +118,6 @@ class SimulatedAnnealingSolver(QUBOSolver):
                 )
             state.refresh_energies()
             state.update_best()
-            if state.profiler is not None:
-                state.profiler.end_sweep()
             if trajectory is not None:
                 trajectory.append(float(state.best_energies.min()))
             if sizer is not None:
@@ -136,6 +132,4 @@ class SimulatedAnnealingSolver(QUBOSolver):
         }
         if trajectory is not None:
             info["best_energy_trajectory"] = trajectory
-        if state.profiler is not None:
-            info["engine_profile"] = state.profiler.finish()
         return state.best_X, info

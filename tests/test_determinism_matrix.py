@@ -5,7 +5,7 @@ the thread, process and remote (localhost two-worker TCP fleet) execution
 backends with two seeds each, asserting the resulting :class:`SampleSet`s are
 byte-identical per ``(spec, seed)``.  The spec list is built from
 ``SolverRegistry.names()`` at collection time, so a newly registered solver
-(parallel tempering and multi-flip DA landed this way) is covered the moment
+(parallel tempering landed this way) is covered the moment
 it registers — a backend that cannot keep the seeded thread/process
 byte-parity contract fails here before anything else.  The service's
 live-``rng`` entry points, ``SolveService.sample``, ``SolveService.evaluate``
@@ -66,8 +66,10 @@ LIGHT_OPTIONS = {
 #: Extra non-default configurations whose determinism matters enough to pin
 #: alongside the plain per-backend specs.
 EXTRA_SPECS = [
-    "da?num_steps=60&max_parallel_flips=4",  # multi-flip DA variant
     "sa?num_sweeps=8&block_size=1",  # exact sequential sweep
+    "sa?num_sweeps=8&block_size=5",  # fixed blocks, neither adaptive nor sequential
+    "pt?num_sweeps=8&num_replicas=4&swap_interval=2&block_size=1",  # PT's sequential sweep
+    "da?num_steps=60&offset_increase_rate=0",  # DA without the dynamic offset
 ]
 
 

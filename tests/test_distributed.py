@@ -26,6 +26,7 @@ from scipy import sparse
 from repro.problems.tsp.generator import generate_instance
 from repro.problems.tsp.qubo import TSPProblem
 from repro.qubo.model import QUBOModel, random_qubo
+from repro.qubo.sampleset import SampleSet
 from repro.service import (
     ProcessPoolBackend,
     SolveRequest,
@@ -102,29 +103,39 @@ class CountingSolver(QUBOSolver):
 
 
 # ------------------------------------------------------------------ wire format
+def _engine_call(model) -> bytes:
+    return wire.encode_engine_call(model, "sa", 1, 0)
+
+
+def _ship_model(model) -> QUBOModel:
+    """``model`` as a worker decodes it from an engine call."""
+    _, header, buffers = wire.decode_frame(_engine_call(model), expected_kind="engine_call")
+    return QUBOModel.from_wire(header["model"], buffers)
+
+
 class TestWireFraming:
     def test_rejects_bad_magic(self):
         with pytest.raises(wire.WireFormatError, match="magic"):
             wire.decode_frame(b"NOPE" + b"\x00" * 16)
 
     def test_rejects_unknown_version(self, model):
-        blob = bytearray(wire.encode_model(model))
+        blob = bytearray(_engine_call(model))
         blob[4] = 99
         with pytest.raises(wire.WireFormatError, match="version"):
             wire.decode_frame(bytes(blob))
 
     def test_rejects_truncation(self, model):
-        blob = wire.encode_model(model)
+        blob = _engine_call(model)
         with pytest.raises(wire.WireFormatError, match="truncated"):
             wire.decode_frame(blob[: len(blob) - 8])
 
     def test_rejects_trailing_garbage(self, model):
         with pytest.raises(wire.WireFormatError, match="trailing"):
-            wire.decode_frame(wire.encode_model(model) + b"xx")
+            wire.decode_frame(_engine_call(model) + b"xx")
 
     def test_rejects_kind_mismatch(self, model):
         with pytest.raises(wire.WireFormatError, match="expected"):
-            wire.decode_sample_set(wire.encode_model(model))
+            wire.decode_frame(_engine_call(model), expected_kind="sample_set")
 
     def test_rejects_negative_shape_axes(self):
         # A negative axis would rewind the buffer offset and alias buffers
@@ -152,7 +163,7 @@ class TestWireFraming:
 
 class TestModelRoundTrip:
     def test_dense_round_trip_is_exact(self, model):
-        decoded = wire.decode_model(wire.encode_model(model))
+        decoded = _ship_model(model)
         assert decoded.storage == "dense"
         assert decoded.fingerprint() == model.fingerprint()
         assert decoded.offset == model.offset
@@ -169,27 +180,31 @@ class TestModelRoundTrip:
             "_dense",
             lambda self: (_ for _ in ()).throw(AssertionError("densified!")),
         )
-        decoded = wire.decode_model(wire.encode_model(sparse_model))
+        decoded = _ship_model(sparse_model)
         assert decoded.storage == "sparse"
         assert decoded.fingerprint() == sparse_model.fingerprint()
         assert decoded.offset == sparse_model.offset
 
     def test_csr_payload_is_compact(self, sparse_model):
         n = sparse_model.num_variables
-        assert len(wire.encode_model(sparse_model)) < (n * n * 8) / 10
+        assert len(_engine_call(sparse_model)) < (n * n * 8) / 10
 
     def test_corrupted_buffer_fails_fingerprint_check(self, model):
-        blob = bytearray(wire.encode_model(model))
+        blob = bytearray(_engine_call(model))
         blob[-4] ^= 0xFF  # flip bits inside the coefficient buffer
+        _, header, buffers = wire.decode_frame(bytes(blob), expected_kind="engine_call")
         with pytest.raises(ValueError, match="fingerprint"):
-            wire.decode_model(bytes(blob))
+            QUBOModel.from_wire(header["model"], buffers)
 
 
 class TestSampleSetAndResultRoundTrip:
     def test_sample_set_round_trip_is_byte_identical(self, model):
         solver = make_solver("sa?num_sweeps=15")
         samples = solver.sample(model, num_reads=6, rng=np.random.default_rng(3))
-        decoded = wire.decode_sample_set(wire.encode_sample_set(samples))
+        _, header, buffers = wire.decode_frame(
+            wire.encode_sample_set(samples), expected_kind="sample_set"
+        )
+        decoded = SampleSet.from_wire(header, buffers)
         assert np.array_equal(decoded.assignments, samples.assignments)
         assert np.array_equal(decoded.energies, samples.energies)
         assert np.array_equal(decoded.num_occurrences, samples.num_occurrences)

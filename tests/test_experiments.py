@@ -297,12 +297,7 @@ class TestSolverCallCache:
         )
         assert cache.hits + cache.misses == 3 and len(cache) == cache.misses > 0
 
-    def test_outcome_log_records_trials_without_feasible_reads(self, tsp_problem):
-        # Regression: a trial with Pf = 0 has no best fitness, and logging it
-        # used to raise on ``float(None)``.
-        from repro.portfolio.outcomes import OutcomeLog
-
-        log = OutcomeLog()
+    def test_trials_without_feasible_reads_have_no_best_fitness(self, tsp_problem):
         tuner = RandomSearchTuner(default_bounds(tsp_problem), rng=0)
         history = tune_instance(
             tsp_problem,
@@ -312,10 +307,8 @@ class TestSolverCallCache:
             num_reads=2,
             rng=0,
             backend="thread",
-            outcome_log=log,
         )
         assert [t.best_fitness for t in history] == [None, None]
-        assert [record.best_fitness for record in log] == [None, None]
 
 
 class TestDefaultBounds:

@@ -10,8 +10,8 @@ The reference implementations below are the plain versions: every tabu step
 recomputes the whole delta matrix and scans a ``tabu_until`` matrix, and an
 SA block gathers its deltas, runs the general Metropolis test and then
 gathers the block again to apply it.  Both sides must leave byte-identical
-states, sample sets, generator states and profiler counts, on dense and CSR
-models in both dtypes.
+states, sample sets, generator states and per-block accept counts (which
+drive SA's block-size controller), on dense and CSR models in both dtypes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.problems.mvc.generator import generate_sparse_mvc_instance
 from repro.problems.mvc.qubo import MVCProblem
 from repro.problems.tsp.generator import generate_instance
@@ -54,9 +53,6 @@ def reference_metropolis_accept(delta, temperature, uniforms):
 
 def reference_apply_block_flips(state, block, accept) -> None:
     """Block flips that gather the block's states again to apply them."""
-    if state.profiler is not None:
-        proposed = int(accept.shape[0]) * int(accept.shape[1])
-        state.profiler.count_flips(proposed, int(np.count_nonzero(accept)))
     if not accept.any():
         return
     for rows, op in state._groups:
@@ -82,7 +78,8 @@ def reference_block_step(state, block, temperature, uniforms) -> int:
 def reference_sa(config, model, num_reads, rng):
     """Simulated annealing's sweep loop with the reference block step.
 
-    Returns ``(best_X, info, state)``.
+    Returns ``(best_X, info, state, counts)``, ``counts`` the accepted flips
+    of every block in order.
     """
     n = model.num_variables
     temperatures = resolve_schedule(model, config.schedule)(config.num_sweeps)
@@ -93,7 +90,7 @@ def reference_sa(config, model, num_reads, rng):
         sizer = AdaptiveBlockSizer(n)
         block = sizer.block
     state = AnnealingState(model, num_reads, rng=rng, dtype=config.dtype)
-    state.profiler = obs.engine_profiler("simulated-annealing")
+    counts = []
     ran_block = block
     for temperature in temperatures:
         ran_block = block
@@ -102,13 +99,12 @@ def reference_sa(config, model, num_reads, rng):
         accepted = 0
         for start in range(0, n, block):
             cols = order[start : start + block]
-            accepted += reference_block_step(
-                state, cols, temperature, uniforms[:, start : start + cols.size]
+            counts.append(
+                reference_block_step(state, cols, temperature, uniforms[:, start : start + cols.size])
             )
+            accepted += counts[-1]
         state.refresh_energies()
         state.update_best()
-        if state.profiler is not None:
-            state.profiler.end_sweep()
         if sizer is not None:
             block = sizer.update(accepted / (num_reads * n))
     info = {
@@ -116,9 +112,7 @@ def reference_sa(config, model, num_reads, rng):
         "block_size": config.block_size if sizer is None else "adaptive",
         "final_block_size": ran_block,
     }
-    if state.profiler is not None:
-        info["engine_profile"] = state.profiler.finish()
-    return state.best_X, info, state
+    return state.best_X, info, state, counts
 
 
 def reference_tabu_search(config, state, rng) -> int:
@@ -239,13 +233,16 @@ class TestSimulatedAnnealingBlockStep:
     @pytest.mark.parametrize("storage", sorted(MODELS))
     @pytest.mark.parametrize("block_size", [None, 1, 7])
     def test_solver_matches_reference_loop(self, models, storage, dtype, block_size, monkeypatch):
-        monkeypatch.setenv(obs.PROFILE_ENV, "1")
-        states = []
+        states, counts = [], []
 
         class Recorded(AnnealingState):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 states.append(self)
+
+            def metropolis_block(self, *args):
+                counts.append(super().metropolis_block(*args))
+                return counts[-1]
 
         monkeypatch.setattr(simulated_annealing, "AnnealingState", Recorded)
         model = models[storage]
@@ -253,16 +250,13 @@ class TestSimulatedAnnealingBlockStep:
         solver = SimulatedAnnealingSolver(config)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         samples = solver.sample(model, num_reads=5, rng=rng)
-        ref_best_X, ref_info, ref_state = reference_sa(config, model, 5, ref_rng)
+        ref_best_X, ref_info, ref_state, ref_counts = reference_sa(config, model, 5, ref_rng)
 
         assert_same_sample_set(solver, model, samples, ref_best_X)
         assert_same_state(states[0], ref_state)
         assert same_generator_state(rng, ref_rng)
-        info = {key: samples.info[key] for key in ref_info}
-        profile, ref_profile = info.pop("engine_profile"), ref_info.pop("engine_profile")
-        assert info == ref_info
-        for key in ("sweeps", "flips_proposed", "flips_accepted"):
-            assert profile[key] == ref_profile[key]
+        assert {key: samples.info[key] for key in ref_info} == ref_info
+        assert counts == ref_counts
 
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("storage", sorted(MODELS))
@@ -296,25 +290,28 @@ class TestSimulatedAnnealingBlockStep:
     @pytest.mark.parametrize("dtype", DTYPES)
     @pytest.mark.parametrize("storage", sorted(MODELS))
     @pytest.mark.parametrize("grouped", [False, True], ids=["one-model", "grouped"])
-    def test_multi_flips_match_the_reference(self, models, storage, dtype, grouped):
-        # DA's multi-flip step: a few accepted columns per replica over every
-        # variable; on the grouped state the first group accepts nothing.
+    def test_whole_row_blocks_match_the_reference_step(self, models, storage, dtype, grouped):
+        # One block of every variable, in a fresh order each step, hot and
+        # then at temperature zero: every field takes a whole row's update
+        # at once, the widest block product either storage runs.
         model = models[storage]
         n = model.num_variables
         grouping = [model, model.scaled(1.7)] if grouped else model
         state, ref = (
             AnnealingState(grouping, 4, rng=_group_rngs(grouped), dtype=dtype) for _ in range(2)
         )
-        every = np.arange(n)
+        hot = resolve_schedule(model, None).t_initial
         rng = np.random.default_rng(12)
-        for _ in range(20):
-            accept = rng.random((state.num_reads, n)) < 4.0 / n
-            if grouped:
-                accept[:4] = False
-            assert state.apply_block_flips(every, accept) == np.count_nonzero(accept)
-            reference_apply_block_flips(ref, every, accept)
+        counts = []
+        for temperature in [hot] * 10 + [0.0] * 10:
+            block = rng.permutation(n)
+            u = state.uniforms(rng, (state.num_reads, n))
+            accepted = state.metropolis_block(block, temperature, u)
+            assert accepted == reference_block_step(ref, block, temperature, u)
+            counts.append(accepted)
             assert state.X.tobytes() == ref.X.tobytes()
             assert state.H.tobytes() == ref.H.tobytes()
+        assert max(counts) > n // 10
 
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_block_that_accepts_nothing_changes_nothing(self, dtype):
@@ -322,15 +319,10 @@ class TestSimulatedAnnealingBlockStep:
         # at temperature zero none is accepted.
         model = QUBOModel(np.diag(np.arange(1.0, 9.0)))
         state = AnnealingState(model, 3, initial_states=np.zeros((3, 8)), dtype=dtype)
-        state.profiler = obs.SweepProfiler("simulated-annealing")
         before = state.X.tobytes(), state.H.tobytes()
         block = np.array([5, 0, 3])
         assert state.metropolis_block(block, 0.0, np.zeros((3, 3), dtype=state.dtype)) == 0
-        assert state.apply_block_flips(block, np.zeros((3, 3), dtype=bool)) == 0
         assert (state.X.tobytes(), state.H.tobytes()) == before
-        state.profiler.end_sweep()
-        profile = state.profiler.finish()
-        assert (profile["flips_proposed"], profile["flips_accepted"]) == (18, 0)
 
 
 # ------------------------------------------------------------ kept deltas

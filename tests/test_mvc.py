@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from repro.problems.mvc.generator import RandomMVCConfig, generate_mvc_dataset, generate_mvc_instance
+from repro.problems.mvc.generator import RandomMVCConfig, generate_mvc_instance
 from repro.problems.mvc.heuristics import (
     best_known_cover_weight,
     exact_minimum_cover,
@@ -50,10 +50,12 @@ class TestMVCInstance:
         with pytest.raises(ValueError):
             MVCInstance(adjacency=np.zeros((3, 3), dtype=bool), weights=np.array([-1.0, 1.0, 1.0]))
 
-    def test_fingerprint_depends_on_weights(self):
-        a = triangle_instance(weights=np.array([1.0, 1.0, 1.0]))
-        b = triangle_instance(weights=np.array([1.0, 1.0, 2.0]))
-        assert a.fingerprint() != b.fingerprint()
+    def test_encoding_fingerprint_depends_on_weights(self):
+        # The evaluation cache keys on the encoding's fingerprint: graphs
+        # that differ only in their weights are different problems.
+        a = MVCProblem(triangle_instance(weights=np.array([1.0, 1.0, 1.0])))
+        b = MVCProblem(triangle_instance(weights=np.array([1.0, 1.0, 2.0])))
+        assert a.encode().fingerprint() != b.encode().fingerprint()
 
     def test_is_vertex_cover_rejects_wrong_length(self):
         instance = triangle_instance()
@@ -85,7 +87,7 @@ class TestSparseMVCInstance:
         assert sparse.adjacency.format == dense.adjacency.format == "csr"
         assert sparse.num_edges == dense.num_edges
         np.testing.assert_array_equal(sparse.edges(), dense.edges())
-        assert sparse.fingerprint() == dense.fingerprint()
+        np.testing.assert_array_equal(sparse.weights, dense.weights)
 
     def test_stored_zeros_are_not_edges(self):
         # Path 0-1-2 given as CSR that also stores zeros at (0, 2) and (2, 0).
@@ -221,13 +223,6 @@ class TestMVCGenerator:
             RandomMVCConfig(num_vertices=1)
         with pytest.raises(ValueError):
             RandomMVCConfig(edge_probability=0.0)
-
-    def test_dataset(self):
-        dataset = generate_mvc_dataset(3, rng=0)
-        assert len(dataset) == 3
-        assert len({instance.name for instance in dataset}) == 3
-        with pytest.raises(ValueError):
-            generate_mvc_dataset(0)
 
 
 class TestMVCHeuristics:

@@ -1,4 +1,4 @@
-"""Unit tests for ``repro.obs``: tracer, metrics registry, profiler, report."""
+"""Unit tests for ``repro.obs``: tracer, metrics registry, report."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 
-import numpy as np
 import pytest
 
 from repro import obs
@@ -205,7 +204,6 @@ class TestMetrics:
         h.observe(0.5)
         h.observe(10.0)
         assert h.count == 3
-        assert h.bucket_counts() == (1, 1, 1)
         assert h.sum == pytest.approx(10.55)
 
     def test_child_moves_parent_not_vice_versa(self):
@@ -285,84 +283,10 @@ class TestMetrics:
         assert snap["h_seconds_count"] == 1
         assert snap["h_seconds_sum"] == 0.5
 
-    def test_prometheus_rendering(self):
-        reg = MetricsRegistry()
-        reg.counter("req_total", labels={"path": "a"}, help="requests").inc(3)
-        h = reg.histogram("lat_seconds", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        text = reg.render_prometheus()
-        assert "# HELP req_total requests" in text
-        assert "# TYPE req_total counter" in text
-        assert 'req_total{path="a"} 3' in text
-        # Cumulative buckets with the implicit +Inf bound.
-        assert 'lat_seconds_bucket{le="0.1"} 1' in text
-        assert 'lat_seconds_bucket{le="1"} 2' in text
-        assert 'lat_seconds_bucket{le="+Inf"} 2' in text
-        assert "lat_seconds_count 2" in text
-
     def test_global_helpers_share_one_registry(self):
         c = obs.counter("qross_test_obs_global_total")
         c.inc()
         assert obs.metrics_snapshot()["qross_test_obs_global_total"] >= 1.0
-        assert "qross_test_obs_global_total" in obs.render_prometheus()
-
-    def test_write_prometheus(self, tmp_path):
-        obs.counter("qross_test_obs_written_total").inc()
-        target = tmp_path / "metrics.prom"
-        obs.write_prometheus(target)
-        assert "qross_test_obs_written_total" in target.read_text()
-        # The atomic write leaves no temp file beside the target.
-        assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
-
-
-# -------------------------------------------------------------------- profiler
-class TestProfiler:
-    def test_disabled_without_env(self, monkeypatch):
-        monkeypatch.delenv(obs.PROFILE_ENV, raising=False)
-        assert obs.engine_profiler("sa") is None
-        monkeypatch.setenv(obs.PROFILE_ENV, "1")
-        assert obs.engine_profiler("sa") is not None
-
-    def test_sweep_accounting(self):
-        profiler = obs.SweepProfiler("test-solver")
-        profiler.count_flips(100, 25)
-        profiler.count_flips(100, 15)
-        profiler.end_sweep()
-        profiler.count_flips(100, 10)
-        profiler.end_sweep()
-        profiler.record_swap_round(8, 2)
-        summary = profiler.finish()
-        assert summary["sweeps"] == 2
-        assert summary["flips_proposed"] == 300
-        assert summary["flips_accepted"] == 50
-        assert summary["flip_acceptance"] == pytest.approx(50 / 300)
-        assert summary["swaps_proposed"] == 8
-        assert summary["swap_acceptance"] == pytest.approx(0.25)
-        assert summary["sweeps_per_second"] > 0
-
-    def test_solver_integration_is_byte_neutral(self, monkeypatch):
-        from repro.qubo.model import random_qubo
-        from repro.solvers.parallel_tempering import (
-            ParallelTemperingConfig,
-            ParallelTemperingSolver,
-        )
-
-        model = random_qubo(14, rng=3)
-        solver = ParallelTemperingSolver(
-            ParallelTemperingConfig(num_sweeps=12, num_replicas=4, swap_interval=3)
-        )
-        monkeypatch.delenv(obs.PROFILE_ENV, raising=False)
-        plain = solver.sample(model, num_reads=3, rng=np.random.default_rng(9))
-        monkeypatch.setenv(obs.PROFILE_ENV, "1")
-        profiled = solver.sample(model, num_reads=3, rng=np.random.default_rng(9))
-        assert (plain.assignments == profiled.assignments).all()
-        assert (plain.energies == profiled.energies).all()
-        assert "engine_profile" not in plain.info
-        summary = profiled.info["engine_profile"]
-        assert summary["sweeps"] == 12
-        assert summary["flips_proposed"] == 12 * 3 * 4 * 14
-        assert summary["swaps_proposed"] == profiled.info["swaps_proposed"]
 
 
 # ---------------------------------------------------------------------- report

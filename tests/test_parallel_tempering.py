@@ -1,7 +1,5 @@
-"""Tests for the parallel-tempering solver, multi-flip DA and the engine
-primitives they ride on (per-replica Metropolis, ladder swaps, adaptive
-blocks) — including the regression pinning that block-size-1 multi-flip
-mechanics are byte-identical to the single-flip path.
+"""Tests for the parallel-tempering solver and the engine primitives it
+rides on (per-replica Metropolis, ladder swaps, adaptive blocks).
 """
 
 from __future__ import annotations
@@ -13,8 +11,9 @@ import pytest
 
 from repro.qubo.model import QUBOModel, random_qubo
 from repro.service.registry import SolverRegistry, make_solver
-from repro.solvers.digital_annealer import DigitalAnnealerConfig, DigitalAnnealerSolver
 from repro.solvers.engine import (
+    BLOCK_GROW_BELOW,
+    BLOCK_SHRINK_ABOVE,
     AdaptiveBlockSizer,
     AnnealingState,
     metropolis_accept,
@@ -130,101 +129,57 @@ class TestAdaptiveBlockSizer:
         # block the non-adaptive solver would have used.
         assert sizer.block == 32
 
-    def test_explicit_min_block_allows_sequential_floor(self):
-        sizer = AdaptiveBlockSizer(256, min_block=1)
-        for _ in range(10):
-            sizer.update(0.9)
-        assert sizer.block == 1
-
     def test_mid_band_rate_keeps_block(self):
         sizer = AdaptiveBlockSizer(256)
         assert sizer.update(0.1) == 32
 
-    def test_explicit_initial_and_cap(self):
-        sizer = AdaptiveBlockSizer(1000, initial=10, max_block=15)
-        assert sizer.update(0.0) == 15
+    def test_small_model_runs_between_one_and_a_quarter(self):
+        # n = 8: the fixed heuristic's block is 1 and n // 4 caps growth at 2.
+        sizer = AdaptiveBlockSizer(8)
+        assert sizer.block == 1
+        assert [sizer.update(0.0) for _ in range(3)] == [2, 2, 2]
+        assert [sizer.update(0.9) for _ in range(2)] == [1, 1]
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            AdaptiveBlockSizer(64, low=0.5, high=0.2)
-        with pytest.raises(ValueError):
-            AdaptiveBlockSizer(64, initial=0)
-        with pytest.raises(ValueError):
-            AdaptiveBlockSizer(64, min_block=8, max_block=4)
+    def test_growth_is_capped_at_256(self):
+        # n = 4096: the block starts at the heuristic's 64 and doubles to the
+        # 256 cap, not to n // 4.
+        sizer = AdaptiveBlockSizer(4096)
+        assert sizer.block == 64
+        assert [sizer.update(BLOCK_GROW_BELOW / 2) for _ in range(4)] == [128, 256, 256, 256]
+        assert sizer.update(BLOCK_SHRINK_ABOVE) == 256  # the bands are strict
+        assert sizer.update(BLOCK_GROW_BELOW) == 256
+        assert sizer.update(1.0) == 128
 
 
-# ----------------------------------------------- block-size-1 regression (DA)
-class TestBlockSizeOneParity:
-    """A multi-flip step restricted to one flip must be byte-identical to the
-    single-flip mutator — the invariant that lets the DA refactor share one
-    engine without perturbing the published single-flip algorithm."""
+# ------------------------------------------ one-column blocks (SA vs DA/tabu)
+class TestOneColumnBlockParity:
+    """A Metropolis block of one column must move a state exactly as the
+    single-flip mutator that DA and tabu step with: SA's ``block_size=1``
+    sweep and the single-flip solvers share one engine."""
 
-    def test_engine_mutators_agree_on_one_flip(self):
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_block_step_agrees_with_single_flips(self, dtype):
         model = random_qubo(24, rng=3)
         x0 = np.random.default_rng(8).integers(0, 2, size=(5, 24)).astype(np.float64)
-        single = AnnealingState(model, 5, initial_states=x0.copy())
-        block = AnnealingState(model, 5, initial_states=x0.copy())
+        single = AnnealingState(model, 5, initial_states=x0.copy(), dtype=dtype)
+        block = AnnealingState(model, 5, initial_states=x0.copy(), dtype=dtype)
 
         rng = np.random.default_rng(11)
-        for _ in range(25):
-            col = int(rng.integers(0, 24))
-            flip_rows = rng.random(5) < 0.7
-            rows = np.nonzero(flip_rows)[0]
-            deltas = single.flip_deltas(np.array([col]))[rows, 0]
-            single.apply_single_flips(rows, np.full(rows.size, col), deltas)
-            block.apply_block_flips(np.array([col]), flip_rows[:, None])
-        single_e = single.energies_from_fields()
+        flips = 0
+        for _ in range(40):
+            col = rng.integers(0, 24, size=1)
+            before = block.X[:, col[0]].copy()
+            accepted = block.metropolis_block(col, 1.0, block.uniforms(rng, (5, 1)))
+            rows = np.nonzero(block.X[:, col[0]] != before)[0]
+            assert accepted == rows.size
+            deltas = single.flip_deltas(col)[rows, 0]
+            single.apply_single_flips(rows, np.repeat(col, rows.size), deltas)
+            assert np.array_equal(single.X, block.X)
+            assert np.array_equal(single.H, block.H)
+            flips += accepted
         block.refresh_energies()
-        assert np.array_equal(single.X, block.X)
-        assert np.array_equal(single.H, block.H)
-        assert np.array_equal(single_e, block.current_energies)
-
-    def test_da_default_config_still_single_flip(self):
-        model = random_qubo(18, rng=9)
-        legacy = DigitalAnnealerSolver(DigitalAnnealerConfig(num_steps=150))
-        explicit = DigitalAnnealerSolver(
-            DigitalAnnealerConfig(num_steps=150, max_parallel_flips=1)
-        )
-        a = legacy.sample(model, num_reads=6, rng=np.random.default_rng(4))
-        b = explicit.sample(model, num_reads=6, rng=np.random.default_rng(4))
-        assert np.array_equal(a.assignments, b.assignments)
-        assert np.array_equal(a.energies, b.energies)
-
-
-# ------------------------------------------------------------- multi-flip DA
-class TestMultiFlipDigitalAnnealer:
-    def test_config_validation(self):
-        with pytest.raises(ValueError, match="max_parallel_flips"):
-            DigitalAnnealerConfig(max_parallel_flips=0)
-
-    def test_deterministic_and_reaches_optimum(self):
-        model = random_qubo(10, rng=2)
-        solver = DigitalAnnealerSolver(
-            DigitalAnnealerConfig(num_steps=250, max_parallel_flips=4)
-        )
-        a = solver.sample(model, num_reads=6, rng=np.random.default_rng(0))
-        b = solver.sample(model, num_reads=6, rng=np.random.default_rng(0))
-        assert np.array_equal(a.assignments, b.assignments)
-        assert a.best.energy == pytest.approx(brute_force_minimum(model))
-        assert a.info["max_parallel_flips"] == 4
-
-    def test_flip_cap_beyond_n_is_clamped(self):
-        model = random_qubo(6, rng=1)
-        solver = DigitalAnnealerSolver(
-            DigitalAnnealerConfig(num_steps=100, max_parallel_flips=1000)
-        )
-        samples = solver.sample(model, num_reads=2, rng=np.random.default_rng(7))
-        assert samples.info["max_parallel_flips"] == 6
-        # An uncapped simultaneous update may oscillate (all accepted flips
-        # land together), so only determinism is asserted, not optimality.
-        again = solver.sample(model, num_reads=2, rng=np.random.default_rng(7))
-        assert np.array_equal(samples.assignments, again.assignments)
-
-    def test_spec_round_trip(self):
-        solver = make_solver("da?max_parallel_flips=8&num_steps=60")
-        spec = SolverRegistry.spec_for(solver)
-        assert "max_parallel_flips=8" in spec
-        assert make_solver(spec).config_fingerprint() == solver.config_fingerprint()
+        assert 0 < flips < 40 * 5
+        assert np.array_equal(single.energies_from_fields(), block.current_energies)
 
 
 # ------------------------------------------------------------------ PT solver

@@ -118,7 +118,7 @@ class TestCompositeSpecGrammar:
         [
             "sa,tabu",
             "sa?num_sweeps=16,pt?num_replicas=4&swap_interval=2",
-            "da?num_steps=60&max_parallel_flips=2,tabu",
+            "da?num_steps=60&offset_increase_rate=0.5,tabu",
             "qbsolv?max_rounds=2&subsolver_config.num_steps=30,sa",
         ],
     )
@@ -162,7 +162,7 @@ def _record(instance="i0", spec="sa", best=-1.0, ttt=None, features=(1.0, 2.0), 
 
 class TestOutcomeLog:
     def test_record_json_roundtrip(self):
-        record = _record(seed=7, relaxation_parameter=2.5, kind="harvest")
+        record = _record(seed=7, relaxation_parameter=2.5)
         again = OutcomeRecord.from_json(record.to_json())
         assert again == record
 
@@ -251,7 +251,6 @@ class TestHarvestOutcomes:
         assert len(log) == 6
         by_instance = {}
         for record in log:
-            assert record.kind == "harvest"
             assert len(record.features) == 8
             assert record.budget == 16.0
             by_instance.setdefault(record.instance, []).append(record)
@@ -545,10 +544,9 @@ class TestRunnerIntegration:
             for seed in (0, 1)
         ]
 
-    def test_run_comparison_accepts_portfolio_spec_and_emits_log(self):
+    def test_run_comparison_accepts_portfolio_spec(self):
         from repro.experiments.runner import baseline_tuner_factories, run_comparison
 
-        log = OutcomeLog()
         result = run_comparison(
             self._problems(),
             LIGHT_SPEC,
@@ -556,15 +554,9 @@ class TestRunnerIntegration:
             num_trials=2,
             num_reads=4,
             rng=7,
-            outcome_log=log,
         )
         assert len(result.runs) == 2
-        assert len(log) == 4  # 2 instances × 1 method × 2 trials
-        for record in log:
-            assert record.kind == "tuning_trial"
-            assert record.solver_spec.startswith("portfolio?")
-            assert record.budget == 24.0
-            assert len(record.features) == 8
+        assert all(len(run.history) == 2 for run in result.runs)
 
     def test_solver_none_resolves_environment_default(self, monkeypatch):
         from repro.experiments.runner import (

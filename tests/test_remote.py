@@ -279,9 +279,9 @@ class TestWorkerServer:
             kind, _, _ = _ask(conn, wire.encode_stats_request())
             assert kind == "stats_ack"
 
-    def test_unsupported_frame_kind(self, worker, model):
+    def test_unsupported_frame_kind(self, worker):
         with _connect(worker) as conn:
-            kind, header, _ = _ask(conn, wire.encode_model(model))
+            kind, header, _ = _ask(conn, wire.encode_frame("no_such_kind", {}))
         assert kind == "error"
         assert wire.decode_error(header)[0] == "unsupported"
 

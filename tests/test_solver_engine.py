@@ -108,8 +108,7 @@ class TestAnnealingState:
         rng = np.random.default_rng(2)
         state = AnnealingState(model, 4, rng=rng)
         block = np.array([2, 5, 11, 16])
-        accept = rng.random((4, 4)) < 0.5
-        state.apply_block_flips(block, accept)
+        assert state.metropolis_block(block, 1.0, rng.random((4, 4))) > 0
         state.refresh_energies()
         np.testing.assert_allclose(state.H, state.X @ np.asarray(model.Q), **_state_tols())
         np.testing.assert_allclose(

@@ -26,7 +26,7 @@ import pytest
 from scipy import sparse
 
 from repro.qubo.model import QUBOModel, random_qubo, stack_rows
-from repro.solvers.engine import AnnealingState
+from repro.solvers.engine import AnnealingState, metropolis_accept
 
 N = 600
 #: A row (and column) of :func:`csr_model` with no stored entries.
@@ -134,12 +134,14 @@ def test_block_flip_update_adds_the_block_product_to_h(models, dtype):
     # The block's terms are summed first and added to H once: adding them
     # to H one at a time rounds differently.
     state = AnnealingState(models[0], 16, rng=np.random.default_rng(2), dtype=dtype)
+    temperature = float(np.median(np.abs(state.flip_deltas())))
     rng = np.random.default_rng(8)
     for _ in range(10):
         block = rng.permutation(N)[:64]
-        accept = rng.random((16, 64)) < 0.3
+        uniforms = state.uniforms(rng, (16, 64))
+        accept = metropolis_accept(state.flip_deltas(block), temperature, uniforms)
         X0, H0 = state.X.copy(), state.H.copy()
-        state.apply_block_flips(block, accept)
+        state.metropolis_block(block, temperature, uniforms)
         active = accept.any(axis=0)
         cols = block[active]
         dX = np.where(accept[:, active], 1.0 - 2.0 * X0[:, cols], 0.0).astype(dtype)
@@ -154,6 +156,7 @@ def test_local_fields_track_states_through_random_flips(models, dtype, num_model
         group if num_models > 1 else group[0], 8,
         rng=[np.random.default_rng(k) for k in range(num_models)], dtype=dtype,
     )
+    temperature = float(np.median(np.abs(state.flip_deltas())))
     rng = np.random.default_rng(11)
     for step in range(40):
         if step % 2:
@@ -162,7 +165,7 @@ def test_local_fields_track_states_through_random_flips(models, dtype, num_model
             state.apply_single_flips(rows, cols, state.flip_deltas()[rows, cols])
         else:
             block = rng.permutation(N)[:48]
-            state.apply_block_flips(block, rng.random((state.num_reads, 48)) < 0.2)
+            state.metropolis_block(block, temperature, state.uniforms(rng, (state.num_reads, 48)))
             state.refresh_energies()
     tols = {"rtol": 1e-9, "atol": 1e-9} if dtype == "float64" else {"rtol": 1e-4, "atol": 1e-3}
     for g, model in enumerate(group):

@@ -13,6 +13,7 @@ from repro.problems.tsp.generator import (
     train_test_split,
 )
 from repro.problems.tsp.instance import TSPInstance
+from repro.problems.tsp.qubo import TSPProblem
 
 
 class TestTSPInstance:
@@ -58,11 +59,14 @@ class TestTSPInstance:
         rotated = np.roll(tour, 2)
         assert instance.tour_length(tour) == pytest.approx(instance.tour_length(rotated))
 
-    def test_fingerprint_distinguishes_instances(self):
-        a = generate_instance(6, rng=0)
-        b = generate_instance(6, rng=1)
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() == generate_instance(6, rng=0).fingerprint()
+    def test_encoding_fingerprint_distinguishes_instances(self):
+        # The evaluation cache keys on the encoding's fingerprint, so two
+        # instances must never share one, and a regenerated one must match.
+        def fingerprint(seed):
+            return TSPProblem(generate_instance(6, rng=seed)).encode().fingerprint()
+
+        assert fingerprint(0) != fingerprint(1)
+        assert fingerprint(0) == fingerprint(0)
 
     def test_distance_statistics_keys(self):
         stats = generate_instance(8, rng=0).distance_statistics()

@@ -1,14 +1,12 @@
-"""Unit tests for repro.utils (rng, validation, timing, atomic writes)."""
+"""Unit tests for repro.utils (rng, validation, timing)."""
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
 import pytest
 
-from repro.utils.io import atomic_write_bytes
 from repro.utils.rng import ensure_rng, spawn_rngs
 from repro.utils.timing import Timer
 from repro.utils.validation import (
@@ -125,32 +123,3 @@ class TestTimer:
             pass
         timer.reset()
         assert timer.elapsed == 0.0
-
-
-class TestAtomicWriteBytes:
-    def test_creates_parent_directories(self, tmp_path):
-        target = tmp_path / "a" / "b" / "out.bin"
-        atomic_write_bytes(str(target), b"payload")
-        assert target.read_bytes() == b"payload"
-
-    def test_replace_leaves_no_temp_file(self, tmp_path):
-        target = tmp_path / "out.bin"
-        atomic_write_bytes(target, b"first")
-        atomic_write_bytes(target, b"second")
-        assert target.read_bytes() == b"second"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
-
-    def test_failed_replace_keeps_the_old_file_and_removes_the_temp(
-        self, tmp_path, monkeypatch
-    ):
-        target = tmp_path / "out.bin"
-        atomic_write_bytes(target, b"old")
-
-        def fail(src, dst):
-            raise OSError("replace failed")
-
-        monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError, match="replace failed"):
-            atomic_write_bytes(target, b"new")
-        assert target.read_bytes() == b"old"
-        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]

@@ -21,6 +21,19 @@ from repro.service.distributed import wire
 
 NUM_TRIALS = 25
 
+
+def ship_model(model: QUBOModel) -> QUBOModel:
+    """``model`` as a worker decodes it from an engine call."""
+    blob = wire.encode_engine_call(model, "sa", 1, 0)
+    _, header, buffers = wire.decode_frame(blob, expected_kind="engine_call")
+    return QUBOModel.from_wire(header["model"], buffers)
+
+
+def ship_samples(samples: SampleSet) -> SampleSet:
+    """``samples`` as a client decodes them from a worker's reply."""
+    _, header, buffers = wire.decode_frame(wire.encode_sample_set(samples), expected_kind="sample_set")
+    return SampleSet.from_wire(header, buffers)
+
 UNICODE_NAMES = ["", "plain", "ünïcode-Ω", "注釈付き", "emoji-☃-model", "tab\tname"]
 
 
@@ -99,7 +112,7 @@ class TestModelFrames:
         rng = np.random.default_rng(7)
         for _ in range(NUM_TRIALS):
             model = random_dense_model(rng)
-            decoded = wire.decode_model(wire.encode_model(model))
+            decoded = ship_model(model)
             assert decoded.fingerprint() == model.fingerprint()
             assert decoded.name == model.name
             assert decoded.offset == model.offset
@@ -108,7 +121,7 @@ class TestModelFrames:
 
     def test_one_variable_model(self):
         model = QUBOModel(np.array([[2.5]]), offset=-1.0, name="n=1")
-        decoded = wire.decode_model(wire.encode_model(model))
+        decoded = ship_model(model)
         assert decoded.fingerprint() == model.fingerprint()
         assert decoded.num_variables == 1
 
@@ -116,14 +129,14 @@ class TestModelFrames:
         rng = np.random.default_rng(8)
         for _ in range(10):
             model = random_sparse_model(rng)
-            decoded = wire.decode_model(wire.encode_model(model))
+            decoded = ship_model(model)
             assert decoded.fingerprint() == model.fingerprint()
             assert decoded.is_sparse, "decode must not densify a CSR model"
 
     def test_zero_nnz_csr_round_trips(self):
         n = 640
         model = QUBOModel(sparse.csr_array((n, n)), offset=4.5, name="empty-graph")
-        decoded = wire.decode_model(wire.encode_model(model))
+        decoded = ship_model(model)
         assert decoded.fingerprint() == model.fingerprint()
         assert decoded.offset == 4.5
         zeros = np.zeros((2, n), dtype=np.int8)
@@ -135,19 +148,19 @@ class TestSampleSetFrames:
         rng = np.random.default_rng(9)
         for _ in range(NUM_TRIALS):
             samples = random_sample_set(rng)
-            decoded = wire.decode_sample_set(wire.encode_sample_set(samples))
+            decoded = ship_samples(samples)
             assert_sample_sets_identical(samples, decoded)
 
     def test_empty_sample_set(self):
         samples = SampleSet(np.zeros((0, 4), dtype=np.int8), np.zeros(0), solver_name="∅")
-        decoded = wire.decode_sample_set(wire.encode_sample_set(samples))
+        decoded = ship_samples(samples)
         assert decoded.num_samples == 0
         assert decoded.num_variables == 4
         assert decoded.solver_name == "∅"
 
     def test_single_row_sample_set(self):
         samples = SampleSet(np.array([[1]], dtype=np.int8), np.array([-2.0]))
-        decoded = wire.decode_sample_set(wire.encode_sample_set(samples))
+        decoded = ship_samples(samples)
         assert_sample_sets_identical(samples, decoded)
 
     def test_numpy_scalars_in_info_coerce_to_json_types(self):
@@ -156,7 +169,7 @@ class TestSampleSetFrames:
             np.array([0.5]),
             info={"steps": np.int64(7), "rate": np.float32(0.25), "flag": np.bool_(True)},
         )
-        decoded = wire.decode_sample_set(wire.encode_sample_set(samples))
+        decoded = ship_samples(samples)
         assert decoded.info["steps"] == 7
         assert decoded.info["rate"] == pytest.approx(0.25)
         assert decoded.info["flag"] is True
@@ -165,7 +178,7 @@ class TestSampleSetFrames:
 class TestEngineCallFrames:
     def test_random_engine_calls_round_trip(self):
         rng = np.random.default_rng(10)
-        specs = ["sa", "pt?num_replicas=4", "tabu?tenure=16", "da?max_parallel_flips=4"]
+        specs = ["sa", "pt?num_replicas=4", "tabu?tenure=16", "da?num_steps=40"]
         for _ in range(NUM_TRIALS):
             model = random_dense_model(rng)
             spec = str(rng.choice(specs))
