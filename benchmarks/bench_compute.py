@@ -6,8 +6,12 @@ throughput parity with float64 — float32 halves the kernel memory traffic,
 so it must never be a regression.  This benchmark measures SA, DA and PT
 sweeps/s on an ``n = 1000`` random QUBO in both dtypes and asserts the
 float32/float64 ratio per solver.  The two dtypes are timed in alternating
-pairs and the gate reads the median per-pair ratio, so host-speed drift
-during the run lands on both dtypes alike.
+pairs, so host-speed drift during the run lands on both dtypes alike, and
+the gate reads the ratio of the per-dtype minimum times.  Another process
+only ever adds time to a call, so each dtype's fastest call is its
+least-disturbed one: beside a busy loop on a 2-core host the median of five
+per-pair ratios read as low as 0.85x for SA, where the minima of nine read
+1.10x or more for every solver.
 
 Collected by the benchmark harness (auto-marked ``slow`` by
 ``benchmarks/conftest.py``); run with ``pytest benchmarks/bench_compute.py``.
@@ -25,8 +29,9 @@ from repro.service import make_solver
 N = 1000
 NUM_READS = 8
 SEED = 2021
-PAIRS = 5
-#: float32 must not regress throughput; 0.9 absorbs per-pair timer noise.
+PAIRS = 9
+#: float32 must not regress throughput; 0.9 absorbs the timer noise left in
+#: the per-dtype minima.
 MIN_FLOAT32_RATIO = 0.9
 
 #: (label, spec template, sweeps performed per read) — one entry per batched
@@ -70,19 +75,19 @@ def _paired_seconds(base_spec: str, model) -> np.ndarray:
 def test_float32_throughput_holds_parity(record_timing):
     model = random_qubo(N, density=0.5, rng=SEED)
     lines = [
-        f"engine sweep throughput at n={N}, {NUM_READS} reads (median of {PAIRS} "
+        f"engine sweep throughput at n={N}, {NUM_READS} reads (fastest of {PAIRS} "
         f"alternating float64/float32 pairs, total batched sweeps/s)",
     ]
     ratios = {}
     for label, template, sweeps, total in WORKLOADS:
         base_spec = template.format(sweeps=sweeps)
         lines.append(f"  {label:<5} ({base_spec!r})")
-        times = _paired_seconds(base_spec, model)
+        fastest = _paired_seconds(base_spec, model).min(axis=0)
         for column, dtype in enumerate(("float64", "float32")):
-            rate = total(sweeps) / float(np.median(times[:, column]))
+            rate = total(sweeps) / float(fastest[column])
             lines.append(f"    {dtype:<8}: {rate:8.1f} sweeps/s")
         # float32/float64 throughput is float64 time over float32 time.
-        ratios[label] = float(np.median(times[:, 0] / times[:, 1]))
+        ratios[label] = float(fastest[0] / fastest[1])
         lines.append(f"    float32/float64 throughput ratio: {ratios[label]:.2f}x")
     record_timing("bench_compute", "\n".join(lines))
 

@@ -15,6 +15,11 @@ The package is organised bottom-up:
 * :mod:`repro.experiments` — profiles, runners and generators for every figure
   and table in the paper.
 
+Every name in ``__all__`` resolves on first access: ``import repro`` loads
+no subpackage, and ``repro.solve`` loads the service layer without the
+tuners, so a spawned worker never imports ``repro.core`` or its scipy
+modules.
+
 Solving a QUBO is one call through the solve service::
 
     import repro
@@ -47,72 +52,55 @@ Reproducing the paper end to end::
     print({m: s.at_trial(3) for m, s in result.summaries().items()})
 """
 
-from repro.core.surrogate import SolverSurrogate, SurrogateConfig
-from repro.core.tuner import QROSSTuner
-from repro.portfolio import (
-    OutcomeLog,
-    PortfolioConfig,
-    PortfolioSolver,
-    harvest_outcomes,
-)
-from repro.problems.mvc import MVCInstance, MVCProblem
-from repro.problems.tsp import TSPInstance, TSPProblem
-from repro.qubo import QUBOAccumulator, QUBOModel, RelaxedEncoding
-from repro.service import (
-    SolveRequest,
-    SolveResult,
-    SolverRegistry,
-    SolveService,
-    make_solver,
-    solve,
-)
-from repro.solvers import (
-    DigitalAnnealerSolver,
-    ParallelTemperingSolver,
-    QbsolvSolver,
-    QuantumAnnealerSolver,
-    SimulatedAnnealingSolver,
-    TabuSearchSolver,
-)
-from repro.tuning import (
-    BayesianOptimisationTuner,
-    ParameterBounds,
-    RandomSearchTuner,
-    TPETuner,
-)
+import importlib
+
+# Public name -> the module to import it from, on first access (PEP 562).
+_EXPORTS = {
+    "QUBOModel": "repro.qubo",
+    "QUBOAccumulator": "repro.qubo",
+    "RelaxedEncoding": "repro.qubo",
+    "solve": "repro.service",
+    "make_solver": "repro.service",
+    "SolverRegistry": "repro.service",
+    "SolveRequest": "repro.service",
+    "SolveResult": "repro.service",
+    "SolveService": "repro.service",
+    "SimulatedAnnealingSolver": "repro.solvers",
+    "DigitalAnnealerSolver": "repro.solvers",
+    "ParallelTemperingSolver": "repro.solvers",
+    "TabuSearchSolver": "repro.solvers",
+    "QbsolvSolver": "repro.solvers",
+    "QuantumAnnealerSolver": "repro.solvers",
+    "PortfolioSolver": "repro.portfolio",
+    "PortfolioConfig": "repro.portfolio",
+    "OutcomeLog": "repro.portfolio",
+    "harvest_outcomes": "repro.portfolio",
+    "TSPInstance": "repro.problems.tsp",
+    "TSPProblem": "repro.problems.tsp",
+    "MVCInstance": "repro.problems.mvc",
+    "MVCProblem": "repro.problems.mvc",
+    "SolverSurrogate": "repro.core.surrogate",
+    "SurrogateConfig": "repro.core.surrogate",
+    "QROSSTuner": "repro.core.tuner",
+    "ParameterBounds": "repro.tuning",
+    "RandomSearchTuner": "repro.tuning",
+    "TPETuner": "repro.tuning",
+    "BayesianOptimisationTuner": "repro.tuning",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "QUBOModel",
-    "QUBOAccumulator",
-    "RelaxedEncoding",
-    "solve",
-    "make_solver",
-    "SolverRegistry",
-    "SolveRequest",
-    "SolveResult",
-    "SolveService",
-    "SimulatedAnnealingSolver",
-    "DigitalAnnealerSolver",
-    "ParallelTemperingSolver",
-    "TabuSearchSolver",
-    "QbsolvSolver",
-    "QuantumAnnealerSolver",
-    "PortfolioSolver",
-    "PortfolioConfig",
-    "OutcomeLog",
-    "harvest_outcomes",
-    "TSPInstance",
-    "TSPProblem",
-    "MVCInstance",
-    "MVCProblem",
-    "SolverSurrogate",
-    "SurrogateConfig",
-    "QROSSTuner",
-    "ParameterBounds",
-    "RandomSearchTuner",
-    "TPETuner",
-    "BayesianOptimisationTuner",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

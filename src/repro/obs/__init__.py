@@ -8,11 +8,10 @@ seeded random stream (observing a solve cannot change its bytes):
   wire (``QROSS_TRACE``; render sinks with ``python -m repro.obs.report``).
 * :mod:`repro.obs.metrics` — the process-wide counter/gauge/histogram
   registry underneath every ``stats()`` dict, read out as one flat snapshot
-  (:func:`metrics_snapshot`).
+  (:func:`metrics_snapshot`); a histogram is an observation count and sum.
 """
 
 from repro.obs.metrics import (
-    LATENCY_BUCKETS,
     STATS_SCHEMA,
     MetricsRegistry,
     counter,
@@ -37,7 +36,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "LATENCY_BUCKETS",
     "STATS_SCHEMA",
     "TRACE_ENV",
     "MetricsRegistry",

@@ -8,7 +8,9 @@ One update moves the child and its family together, so an object's
 ``stats()`` is a read of its children and a registry snapshot is their sum
 over every instance in the process.  The registry is always live (an update
 is one short lock-guarded add) and is read out as one flat snapshot
-(:func:`metrics_snapshot`).
+(:func:`metrics_snapshot`).  A histogram keeps an observation count and
+sum (the snapshot's ``_count`` and ``_sum``), not buckets: nothing reads a
+latency distribution, only its totals and mean.
 
 Metric names
 ------------
@@ -57,20 +59,11 @@ perturb a seeded solve.
 
 from __future__ import annotations
 
-import bisect
-import math
 import threading
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 #: Version tag of the key schema carried by every ``stats()`` dict.
 STATS_SCHEMA = "qross.stats/2"
-
-#: Latency histogram buckets (seconds): microbenchmark floor to minutes-long
-#: solves.  Explicit buckets keep ``observe`` allocation-free and O(log n).
-LATENCY_BUCKETS = (
-    0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
-    0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
-)
 
 LabelsLike = Optional[Mapping[str, str]]
 
@@ -146,32 +139,22 @@ class Gauge(_Value):
 
 
 class Histogram:
-    """Explicit-bucket histogram.
+    """Count and sum of observed values (a latency's total and mean).
 
-    ``observe`` is a binary search plus three lock-guarded adds — cheap enough
-    for per-request latency recording on the hot path.
+    ``observe`` is two lock-guarded adds — cheap enough for per-request
+    latency recording on the hot path.
     """
 
     kind = "histogram"
 
-    def __init__(self, buckets: Sequence[float] = LATENCY_BUCKETS) -> None:
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError("a histogram needs at least one bucket bound")
-        if any(not math.isfinite(b) for b in bounds):
-            raise ValueError("bucket bounds must be finite (+Inf is implicit)")
-        self.bounds = bounds
+    def __init__(self) -> None:
         self._lock = threading.Lock()
-        # One slot per finite bound plus the implicit +Inf overflow slot.
-        self._counts = [0] * (len(bounds) + 1)
         self._sum = 0.0
         self._count = 0
 
     def observe(self, value: float) -> None:
         value = float(value)
-        index = bisect.bisect_left(self.bounds, value)
         with self._lock:
-            self._counts[index] += 1
             self._sum += value
             self._count += 1
 
@@ -224,19 +207,8 @@ class MetricsRegistry:
     def gauge(self, name: str, labels: LabelsLike = None, help: str = "") -> Gauge:
         return self._get(name, "gauge", help, labels, Gauge)
 
-    def histogram(
-        self,
-        name: str,
-        labels: LabelsLike = None,
-        buckets: Sequence[float] = LATENCY_BUCKETS,
-        help: str = "",
-    ) -> Histogram:
-        metric = self._get(name, "histogram", help, labels, lambda: Histogram(buckets))
-        if metric.bounds != tuple(sorted(float(b) for b in buckets)):
-            raise ValueError(
-                f"histogram {name!r} already exists with different buckets"
-            )
-        return metric
+    def histogram(self, name: str, labels: LabelsLike = None, help: str = "") -> Histogram:
+        return self._get(name, "histogram", help, labels, Histogram)
 
     # ------------------------------------------------------------------ readouts
     def snapshot(self) -> Dict[str, float]:
@@ -278,13 +250,8 @@ def gauge(name: str, labels: LabelsLike = None, help: str = "") -> Gauge:
     return registry().gauge(name, labels=labels, help=help)
 
 
-def histogram(
-    name: str,
-    labels: LabelsLike = None,
-    buckets: Sequence[float] = LATENCY_BUCKETS,
-    help: str = "",
-) -> Histogram:
-    return registry().histogram(name, labels=labels, buckets=buckets, help=help)
+def histogram(name: str, labels: LabelsLike = None, help: str = "") -> Histogram:
+    return registry().histogram(name, labels=labels, help=help)
 
 
 def metrics_snapshot() -> Dict[str, float]:

@@ -24,7 +24,6 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.core.features import model_feature_vector
 from repro.portfolio.members import slice_solver, split_member_list
 from repro.utils.rng import spawn_rngs
 
@@ -225,6 +224,9 @@ def harvest_outcomes(
     out); the default runs them inline.  Either way results are seeded and
     deterministic.
     """
+    # Not at module top: the registry imports this module through
+    # ``repro.portfolio.solver``, and ``repro.core`` stays off a worker's path.
+    from repro.core.features import model_feature_vector
     from repro.service.registry import make_solver
     from repro.service.requests import SolveRequest
 

@@ -39,7 +39,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro import obs
-from repro.core.features import model_feature_vector
 from repro.portfolio.members import (
     budget_field,
     join_member_list,
@@ -197,6 +196,10 @@ class PortfolioSolver(QUBOSolver):
     def _sample(
         self, model: QUBOModel, num_reads: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, Optional[dict]]:
+        # ``repro.core`` is imported here, not at module top: the registry
+        # imports this module, and a spawned worker must not pay for
+        # ``repro.core``'s scipy.stats/optimize imports.
+        from repro.core.features import model_feature_vector
         from repro.service.registry import make_solver
         from repro.service.requests import SolveRequest
 

@@ -54,7 +54,6 @@ class QUBOSolver(abc.ABC):
         obs.histogram(
             "qross_engine_sample_seconds",
             labels={"solver": self.name},
-            buckets=obs.LATENCY_BUCKETS,
             help="Wall time of one engine call (sample or sample_many)",
         ).observe(time.perf_counter() - started_at)
 
